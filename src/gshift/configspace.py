@@ -21,6 +21,7 @@ from .indexspace import (
     SelfMap,
     contains,
     enumerate_index,
+    evaluate,
     iterate,
     rank_of,
 )
@@ -40,12 +41,9 @@ __all__ = [
     "make_window",
     "window_from_ranks",
     "pattern_from_ranks",
-    "parse_pattern",
     "pattern_json",
     "shifted",
-    "agree_on_window",
     "in_cylinder",
-    "truncated_distance",
     "threshold_to_window",
     "window_to_threshold",
 ]
@@ -88,14 +86,8 @@ class Configuration:
         cur = start
         for _ in range(count):
             out.append(self.symbol_at(cur))
-            cur = _step(m, cur)
+            cur = evaluate(m, cur)
         return out
-
-
-def _step(m: SelfMap, index: Index) -> Index:
-    from .indexspace import evaluate
-
-    return evaluate(m, index)
 
 
 class Constant(Configuration):
@@ -223,7 +215,7 @@ class OrbitBlocks(Configuration):
         hit = self.orbit_position_of(cur)
         while hit is None and len(out) < count:
             out.append(self.alphabet.q)
-            cur = _step(m, cur)
+            cur = evaluate(m, cur)
             hit = self.orbit_position_of(cur)
         if len(out) < count:
             anchor_i, pos = hit
@@ -336,22 +328,11 @@ def pattern_from_ranks(domain: IndexDomain, ranks: Sequence[int],
     return CylinderPattern(window_from_ranks(domain, ranks), tuple(symbols))
 
 
-def parse_pattern(domain: IndexDomain, obj) -> CylinderPattern:
-    if not isinstance(obj, dict) or "window" not in obj or "symbols" not in obj:
-        raise ValueError("pattern must be an object with 'window' and 'symbols'")
-    return pattern_from_ranks(domain, obj["window"], obj["symbols"])
-
-
 def pattern_json(domain: IndexDomain, pattern: CylinderPattern) -> dict:
     return {
         "window": [rank_of(domain, i) for i in pattern.window],
         "symbols": list(pattern.symbols),
     }
-
-
-def agree_on_window(x: Configuration, y: Configuration,
-                    window: Sequence[Index]) -> bool:
-    return all(x.symbol_at(i) == y.symbol_at(i) for i in window)
 
 
 def in_cylinder(config: Configuration, pattern: CylinderPattern) -> bool:
@@ -362,17 +343,6 @@ def in_cylinder(config: Configuration, pattern: CylinderPattern) -> bool:
 # Dyadic metric: d(x, y) = sum over ranks i of [x(beta_i) != y(beta_i)] * 2^-i.
 # All values are exact rationals.
 # ---------------------------------------------------------------------------
-
-
-def truncated_distance(x: Configuration, y: Configuration, depth: int) -> Fraction:
-    """Partial metric sum through enumeration rank `depth` (a lower bound on d)."""
-    domain = x.domain
-    total = Fraction(0)
-    for i in range(1, depth + 1):
-        beta = enumerate_index(domain, i)
-        if x.symbol_at(beta) != y.symbol_at(beta):
-            total += Fraction(1, 2 ** i)
-    return total
 
 
 def metric_less_than(x: Configuration, y: Configuration, t: Fraction,

@@ -10,8 +10,8 @@ against runaway doubly-exponential orbits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Optional
 
 __all__ = [
     "Index",
@@ -240,15 +240,6 @@ def region_indices(domain: IndexDomain, bound: int) -> Iterator[Index]:
 # Self-maps.
 # ---------------------------------------------------------------------------
 
-CATALOG_RULES = (
-    "successor",
-    "predecessor",
-    "square",
-    "square_plus_one",
-    "parity_up",
-    "parity_down",
-)
-
 
 @dataclass(frozen=True)
 class SelfMap:
@@ -256,6 +247,8 @@ class SelfMap:
 
     rule: "table" on a finite range, one of CATALOG_RULES on the integers,
     "compose" (outer after inner), or "disjoint_union" routing by tag.
+    record: the map's entry in the rule table; a composition with a certified
+    closed form gets the record of its form.
     """
 
     domain: IndexDomain
@@ -265,6 +258,11 @@ class SelfMap:
     inner: "Optional[SelfMap]" = None
     left: "Optional[SelfMap]" = None
     right: "Optional[SelfMap]" = None
+    record: "Rule" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        form = FORMS.get((self.outer.rule, self.inner.rule)) if self.outer is not None else None
+        object.__setattr__(self, "record", form or RULES[self.rule])
 
 
 def table_map(entries) -> SelfMap:
@@ -341,50 +339,11 @@ def evaluate(m: SelfMap, index: Index) -> Index:
     """Apply the map once.  Raises DomainMismatchError off-domain."""
     if not contains(m.domain, index):
         raise DomainMismatchError(f"{index!r} not in map domain")
-    return _eval(m, index)
+    return m.record.step(m, index)
 
 
-def _eval(m: SelfMap, index: Index) -> Index:
-    rule = m.rule
-    if rule == "table":
-        return Index((), m.table[index.coord])
-    if rule == "successor":
-        return Index((), index.coord + 1)
-    if rule == "predecessor":
-        return Index((), index.coord - 1)
-    if rule == "square":
-        return Index((), _check_bits(index.coord * index.coord))
-    if rule == "square_plus_one":
-        return Index((), _check_bits(index.coord * index.coord + 1))
-    if rule == "parity_up":
-        return Index((), index.coord + 1 if index.coord % 2 == 0 else index.coord - 1)
-    if rule == "parity_down":
-        return Index((), index.coord - 1 if index.coord % 2 == 0 else index.coord + 1)
-    if rule == "compose":
-        return _eval(m.outer, _eval(m.inner, index))
-    # disjoint union
-    side = index.path[0]
-    sub = m.left if side == "L" else m.right
-    out = _eval(sub, Index(index.path[1:], index.coord))
-    return Index((side,) + out.path, out.coord)
-
-
-def canonical_form(m: SelfMap) -> Optional[str]:
-    """Recognize compositions that reduce to a certified closed form.
-
-    Returns "identity", "shift2_odd_up" (odd +2 / even -2),
-    "shift2_even_up" (even +2 / odd -2), or None.
-    """
-    if m.rule != "compose":
-        return None
-    o, i = m.outer.rule, m.inner.rule
-    forms = {
-        ("parity_up", "parity_down"): "shift2_odd_up",
-        ("parity_down", "parity_up"): "shift2_even_up",
-        ("predecessor", "successor"): "identity",
-        ("successor", "predecessor"): "identity",
-    }
-    return forms.get((o, i))
+def _step(m: SelfMap, index: Index) -> Index:
+    return m.record.step(m, index)
 
 
 def iterate(m: SelfMap, index: Index, steps: int, *, step_budget: int = DEFAULT_STEP_BUDGET) -> Index:
@@ -403,49 +362,14 @@ def iterate(m: SelfMap, index: Index, steps: int, *, step_budget: int = DEFAULT_
 def _iterate(m: SelfMap, index: Index, steps: int, step_budget: int) -> Index:
     if steps == 0:
         return index
-    rule = m.rule
-    if rule == "successor":
-        return Index((), _check_bits(index.coord + steps))
-    if rule == "predecessor":
-        return Index((), _check_bits(index.coord - steps))
-    if rule in ("parity_up", "parity_down"):
-        return index if steps % 2 == 0 else _eval(m, index)
-    if rule == "table":
-        return Index((), _table_iterate(m.table, index.coord, steps))
-    if rule == "disjoint_union":
-        side = index.path[0]
-        sub = m.left if side == "L" else m.right
-        out = _iterate(sub, Index(index.path[1:], index.coord), steps, step_budget)
-        return Index((side,) + out.path, out.coord)
-    form = canonical_form(m)
-    if form == "identity":
-        return index
-    if form in ("shift2_odd_up", "shift2_even_up"):
-        up_parity = 1 if form == "shift2_odd_up" else 0
-        delta = 2 * steps if index.coord % 2 == up_parity else -2 * steps
-        return Index((), _check_bits(index.coord + delta))
+    rule = m.record
+    if rule.iterate is not None:
+        return rule.iterate(m, index, steps, step_budget)
     if steps > step_budget:
         raise BudgetExceededError(f"{steps} explicit steps exceed budget {step_budget}")
     for _ in range(steps):
-        index = _eval(m, index)
+        index = rule.step(m, index)
     return index
-
-
-def _table_iterate(table: tuple[int, ...], start: int, steps: int) -> int:
-    # walk until the orbit repeats, then reduce the remaining steps modulo the cycle
-    seen: dict[int, int] = {}
-    cur, i = start, 0
-    while i < steps:
-        if cur in seen:
-            cycle = i - seen[cur]
-            rem = (steps - i) % cycle
-            for _ in range(rem):
-                cur = table[cur]
-            return cur
-        seen[cur] = i
-        cur = table[cur]
-        i += 1
-    return cur
 
 
 def preimage(m: SelfMap, index: Index) -> Optional[Index]:
@@ -454,27 +378,226 @@ def preimage(m: SelfMap, index: Index) -> Optional[Index]:
     Raises ValueError for rules whose inverse is not certified (squaring rules,
     non-permutation tables, unrecognized compositions).
     """
-    rule = m.rule
-    if rule == "successor":
-        return Index((), index.coord - 1)
-    if rule == "predecessor":
-        return Index((), index.coord + 1)
-    if rule in ("parity_up", "parity_down"):
-        return _eval(m, index)  # involution
-    if rule == "table":
-        hits = [i for i, e in enumerate(m.table) if e == index.coord]
-        if len(hits) > 1:
-            raise ValueError("table is not injective; preimage not certified")
-        return Index((), hits[0]) if hits else None
-    if rule == "compose":
-        mid = preimage(m.outer, index)
-        return None if mid is None else preimage(m.inner, mid)
-    if rule == "disjoint_union":
-        side = index.path[0]
-        sub = m.left if side == "L" else m.right
-        out = preimage(sub, Index(index.path[1:], index.coord))
-        return None if out is None else Index((side,) + out.path, out.coord)
-    raise ValueError(f"preimage not certified for rule {rule!r}")
+    inverse = m.record.preimage
+    if inverse is None:
+        raise ValueError(f"preimage not certified for rule {m.rule!r}")
+    return inverse(m, index)
+
+
+def canonical_form(m: SelfMap) -> Optional[str]:
+    """Recognize compositions that reduce to a certified closed form.
+
+    Returns "identity", "shift2_odd_up" (odd +2 / even -2),
+    "shift2_even_up" (even +2 / odd -2), or None.
+    """
+    # only a recognized composition carries a record named other than its rule
+    return m.record.name if m.record.name != m.rule else None
+
+
+def route(m: SelfMap, index: Index, fn, *args):
+    """fn(side map, index with its tag stripped, *args) on the half of a union
+    map that owns the index; an Index result gets the tag back."""
+    side = index.path[0]
+    out = fn(m.left if side == "L" else m.right, Index(index.path[1:], index.coord), *args)
+    return Index((side,) + out.path, out.coord) if isinstance(out, Index) else out
+
+
+def cycle_walk(step, start, budget: int) -> Optional[tuple[list, int]]:
+    """Walk the forward orbit of start under step until a point repeats.
+
+    Returns (points, preperiod): the orbit's distinct points in order, whose
+    cycle is points[preperiod:]; or None when nothing repeats within `budget`
+    steps.  Tables walk their entries, other maps a bound evaluate.
+    """
+    seen: dict = {}
+    cur = start
+    for i in range(budget + 1):
+        if cur in seen:
+            return list(seen), seen[cur]
+        seen[cur] = i
+        cur = step(cur)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The rule table: one record per kind of map.  Everything that evaluates,
+# iterates, inverts or classifies a map reads its record and never branches
+# on rule names.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RuleFacts:
+    """Hand-certified dynamics of an integer rule, as plain data.
+
+    Either every point is periodic with `period`, certified by `note`, or the
+    coordinates in `finite` (coordinate -> (preperiod, period), certified by
+    `finite_note`) are the only ones with finite orbits and the growth
+    argument `note` makes every other orbit infinite; `nqp_witness` is one
+    such point.  The test suite re-checks each fact by a bounded scan.
+    """
+
+    injective: bool
+    note: str
+    collision: Optional[tuple[int, int]] = None  # colliding pair when not injective
+    period: Optional[int] = None
+    finite: dict = field(default_factory=dict)
+    finite_note: str = ""
+    nqp_witness: int = 0
+
+
+@dataclass(frozen=True)
+class Rule:
+    """Everything the package knows about one kind of map.
+
+    step(m, index) applies the map once.  The rest are certified shortcuts,
+    each optional: iterate(m, index, steps, step_budget) is a closed form
+    (else explicit stepping under the budget), preimage(m, index) a certified
+    inverse (else ValueError), position(m, anchor, target) a closed-form orbit
+    position (else a bounded walk), facts the certified dynamics (else
+    search).  grows: once |coord| >= 2, after two steps, magnitudes strictly
+    increase, so a walk that passes |target| settles orbit membership.
+    """
+
+    name: str
+    step: Callable[[SelfMap, Index], Index]
+    iterate: Optional[Callable[[SelfMap, Index, int, int], Index]] = None
+    preimage: Optional[Callable[[SelfMap, Index], Optional[Index]]] = None
+    position: Optional[Callable[[SelfMap, Index, Index], Optional[int]]] = None
+    facts: Optional[RuleFacts] = None
+    grows: bool = False
+
+
+def _exact_quotient(offset: int, stride: int) -> Optional[int]:
+    """The j >= 0 with j * stride == offset, if any."""
+    if stride == 0:
+        return 0 if offset == 0 else None
+    if stride in (1, -1):  # a long division by 1 costs ~30x a negation on 10^4000
+        j = offset if stride == 1 else -offset
+    else:
+        j, rem = divmod(offset, stride)
+        if rem:
+            return None
+    return j if j >= 0 else None
+
+
+def _translation(name: str, d0: int, d1: int, note: str) -> Rule:
+    """n -> n + d[n mod 2] with d0 = d1 (mod 2), both zero or both nonzero.
+
+    Each step moves by d[n mod 2] for good when d0 = d1 or both are even
+    (parity is kept); odd unequal steps flip parity, so they alternate and
+    every two steps add d0 + d1.  `note` certifies the orbit shape: the
+    periodicity, or the drift when no point returns.
+    """
+    assert d0 % 2 == d1 % 2 and (d0 == 0) == (d1 == 0)
+    d = (d0, d1)
+    alternating = d0 != d1 and d0 % 2 == 1
+
+    def step(m: SelfMap, index: Index) -> Index:
+        return Index((), index.coord + d[index.coord & 1])
+
+    def iterate(m: SelfMap, index: Index, steps: int, step_budget: int) -> Index:
+        n = index.coord
+        first = d[n & 1]
+        if alternating:
+            n += (steps >> 1) * (d0 + d1) + (steps & 1) * first
+        elif first in (1, -1):  # skip a big-int multiply: entry-weave run_s +10% without
+            n = n + steps if first == 1 else n - steps
+        else:
+            n += steps * first
+        return Index((), _check_bits(n))
+
+    def preimage(m: SelfMap, index: Index) -> Index:
+        n = index.coord  # its source has the parity of n + d0
+        return Index((), n - d[(n + d0) & 1])
+
+    def position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
+        first = d[anchor.coord & 1]
+        offset = target.coord - anchor.coord
+        if not alternating:
+            return _exact_quotient(offset, first)
+        # 2j + r steps reach anchor + r * first + j * (d0 + d1)
+        laps = (_exact_quotient(offset, d0 + d1), _exact_quotient(offset - first, d0 + d1))
+        return min((2 * j + r for r, j in enumerate(laps) if j is not None), default=None)
+
+    period = 1 if d == (0, 0) else 2 if alternating and d0 + d1 == 0 else None
+    return Rule(name, step, iterate, preimage, position,
+                RuleFacts(True, note, period=period))
+
+
+def _square_plus(name: str, c: int, facts: RuleFacts) -> Rule:
+    """n -> n^2 + c; no closed forms, but orbits grow once |n| >= 2."""
+
+    def step(m: SelfMap, index: Index) -> Index:
+        return Index((), _check_bits(index.coord * index.coord + c))
+
+    return Rule(name, step, facts=facts, grows=True)
+
+
+def _table_power(m: SelfMap, index: Index, steps: int, step_budget: int) -> Index:
+    points, pre = cycle_walk(m.table.__getitem__, index.coord, len(m.table))
+    if steps >= len(points):
+        steps = pre + (steps - pre) % (len(points) - pre)
+    return Index((), points[steps])
+
+
+def _table_preimage(m: SelfMap, index: Index) -> Optional[Index]:
+    hits = [i for i, e in enumerate(m.table) if e == index.coord]
+    if len(hits) > 1:
+        raise ValueError("table is not injective; preimage not certified")
+    return Index((), hits[0]) if hits else None
+
+
+def _table_position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
+    points, _ = cycle_walk(m.table.__getitem__, anchor.coord, len(m.table))
+    return points.index(target.coord) if target.coord in points else None
+
+
+def _compose_preimage(m: SelfMap, index: Index) -> Optional[Index]:
+    mid = preimage(m.outer, index)
+    return None if mid is None else preimage(m.inner, mid)
+
+
+_SHIFT2_NOTE = "parity preserved; |n| drifts monotonically by 2"
+_IDENTITY = _translation("identity", 0, 0, "identity composition")
+
+RULES = {rule.name: rule for rule in (
+    _translation("successor", 1, 1, "translation by +1 never revisits a coordinate"),
+    _translation("predecessor", -1, -1, "translation by -1 never revisits a coordinate"),
+    _square_plus("square", 0, RuleFacts(
+        False,
+        "|n| >= 2 gives |n^2| >= 2|n|, so magnitudes strictly increase",
+        collision=(-1, 1),
+        # 0 and 1 are fixed; -1 lands on the fixed point 1 after one step
+        finite={0: (0, 1), 1: (0, 1), -1: (1, 1)},
+        finite_note="squaring fixed points 0,1",
+        nqp_witness=2,
+    )),
+    _square_plus("square_plus_one", 1, RuleFacts(
+        False,
+        "n^2 + 1 > n for every integer, so orbits strictly increase",
+        collision=(-1, 1),
+    )),
+    _translation("parity_up", 1, -1, "involution pairing"),
+    _translation("parity_down", -1, 1, "involution pairing"),
+    Rule("table", lambda m, index: Index((), m.table[index.coord]),
+         _table_power, _table_preimage, _table_position),
+    Rule("compose", lambda m, index: _step(m.outer, _step(m.inner, index)),
+         preimage=_compose_preimage),
+    Rule("disjoint_union", lambda m, index: route(m, index, _step),
+         lambda m, index, steps, step_budget: route(m, index, _iterate, steps, step_budget),
+         lambda m, index: route(m, index, preimage)),
+)}
+
+# compositions (outer rule, inner rule) that reduce to a certified closed form
+FORMS = {
+    ("parity_up", "parity_down"): _translation("shift2_odd_up", -2, 2, _SHIFT2_NOTE),
+    ("parity_down", "parity_up"): _translation("shift2_even_up", 2, -2, _SHIFT2_NOTE),
+    ("predecessor", "successor"): _IDENTITY,
+    ("successor", "predecessor"): _IDENTITY,
+}
+
+CATALOG_RULES = tuple(name for name, rule in RULES.items() if rule.facts is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .indexspace import Index, SelfMap, evaluate, preimage
-from .configspace import Configuration, metric_less_than
+from .configspace import Configuration, metric_less_than, shifted
 from .constructions import BlockLengths
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "agreement_flags",
     "density_profile",
     "dc_pair_report",
+    "surrogate_verdict",
     "proof_bound_check_dc",
     "orbit_window",
 ]
@@ -89,11 +90,9 @@ def xi_count(m: SelfMap, x: Configuration, y: Configuration, t: Fraction,
     bracketing tests and API parity.
     """
     count = 0
-    from .configspace import shifted as _shifted
-
     for i in range(n):
-        sx = _shifted(x, m, i)
-        sy = _shifted(y, m, i)
+        sx = shifted(x, m, i)
+        sy = shifted(y, m, i)
         if metric_less_than(sx, sy, t, depth_cap):
             count += 1
     return count
@@ -170,6 +169,13 @@ def dc_pair_report(m: SelfMap, x: Configuration, y: Configuration,
                    windows: Sequence[Sequence[Index]], schedule: Schedule,
                    eps_low: Fraction, eps_high: Fraction) -> PairVerdict:
     profiles = [density_profile(m, x, y, w, schedule) for w in windows]
+    return surrogate_verdict(profiles, schedule.horizons[-1], eps_low, eps_high)
+
+
+def surrogate_verdict(profiles: Sequence[DensityProfile], horizon: int,
+                      eps_low: Fraction, eps_high: Fraction) -> PairVerdict:
+    """The pair's surrogates from its density profiles, one per window, all
+    sampled on a schedule whose last horizon is `horizon`."""
     mins = tuple(p.running_min for p in profiles)
     maxes = tuple(p.running_max for p in profiles)
     dip = next((p for p in profiles if p.running_min <= eps_low), None)
@@ -178,7 +184,7 @@ def dc_pair_report(m: SelfMap, x: Configuration, y: Configuration,
     dc2 = any(p.running_min <= 1 - eps_low for p in profiles) and high
     return PairVerdict(
         dc1, dc2, Fraction(eps_low), Fraction(eps_high),
-        schedule.horizons[-1], mins, maxes,
+        horizon, mins, maxes,
         dip.window if dip is not None else None,
     )
 

@@ -29,7 +29,6 @@ from gshift.indexspace import (
     table_map,
 )
 from gshift.orbits import (
-    brute_force_profile,
     classify_point,
     map_profile,
 )
@@ -72,6 +71,7 @@ from gshift.theorems import (
     counterexample_suite,
     predict,
 )
+from oracles import brute_force_profile
 
 ALPHA = default_alphabet()
 P, Q = ALPHA.p, ALPHA.q

@@ -122,11 +122,26 @@ def test_verify_rolls_up_pass_for_translation(tmp_path, capsys):
     assert _run(tmp_path, "verify", config=PHI1) == 0
     out = capsys.readouterr().out
     assert "PASS proof-bounds" in out
-    assert "PASS dc-surrogate" in out
+    assert "PASS dc-surrogate: all pairs" in out
     assert "rollup: PASS" in out
     blob = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert blob["rollup"] is True
     assert (tmp_path / "out" / "stats.csv").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    # default windows sit on square's fixed points 0 and 1, off the anchor's orbit
+    {"map": {"rule": "square"}, "schedule": {"kind": "block_boundaries", "r_max": 6}},
+    # no window at all: no pair can dip
+    dict(PHI1, windows=[], schedule={"kind": "block_boundaries", "r_max": 5}),
+], ids=["square", "no-windows"])
+def test_verify_names_the_pairs_a_failed_surrogate_check_failed_on(tmp_path, capsys, cfg):
+    assert _run(tmp_path, "verify", config=cfg) == 1
+    out = capsys.readouterr().out
+    assert "FAIL dc-surrogate: failing pairs 1-2, 1-3, 2-3" in out
+    blob = json.loads((tmp_path / "out" / "verify.json").read_text())
+    check = next(c for c in blob["checks"] if c["name"] == "dc-surrogate")
+    assert check == {"name": "dc-surrogate", "ok": False, "note": "failing pairs 1-2, 1-3, 2-3"}
 
 
 def test_verify_skips_construction_for_non_chaotic_map(tmp_path, capsys):

@@ -24,17 +24,14 @@ from gshift.configspace import (
     FinitePatch,
     MetricResolutionError,
     OrbitBlocks,
-    agree_on_window,
     default_alphabet,
     in_cylinder,
     make_window,
     metric_less_than,
-    parse_pattern,
     pattern_from_ranks,
     pattern_json,
     shifted,
     threshold_to_window,
-    truncated_distance,
     window_from_ranks,
     window_to_threshold,
 )
@@ -43,6 +40,7 @@ from gshift.constructions import (
     block_lengths,
     full_shift_transitive_point,
 )
+from oracles import agree_on_window, parse_pattern, truncated_distance
 
 ALPHA = default_alphabet()
 P, Q = ALPHA.p, ALPHA.q

@@ -205,6 +205,14 @@ def test_scrambled_pair_flags_both_surrogates():
     assert v.dip_window is not None
 
 
+def test_pair_report_without_windows_flags_nothing():
+    x, y = _blocks({2}), _blocks({3})
+    v = dc_pair_report(M, x, y, [], Schedule((1, 3, 10)), Fraction(1, 4), Fraction(1, 4))
+    assert not v.dc1_surrogate and not v.dc2_surrogate
+    assert v.horizon == 10
+    assert v.min_fractions == () and v.dip_window is None
+
+
 # ---------------------------------------------------------------------------
 # Proof-bound replay.
 # ---------------------------------------------------------------------------
