@@ -5,6 +5,7 @@ agreement densities, and write stats.csv + verify.json into --out."""
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -33,7 +34,10 @@ def main() -> int:
     argv = ["--config", config_path, "--out", args.out]
     if args.horizon_cap is not None:
         argv += ["--horizon-cap", str(args.horizon_cap)]
-    code = cli_main(argv + ["verify"])
+    try:
+        code = cli_main(argv + ["verify"])
+    finally:
+        os.unlink(config_path)
     print(f"artifacts in {Path(args.out).resolve()}")
     return code
 

@@ -88,7 +88,6 @@ class ExperimentConfig:
     eps_low: Fraction = Fraction(1, 4)
     eps_high: Fraction = Fraction(1, 4)
     anchor_rank: int = 1
-    seed: int = 0
 
     def to_json(self) -> dict:
         out = {
@@ -105,7 +104,6 @@ class ExperimentConfig:
             "eps_low": str(self.eps_low),
             "eps_high": str(self.eps_high),
             "anchor_rank": self.anchor_rank,
-            "seed": self.seed,
         }
         if self.schedule_kind == "block_boundaries":
             out["schedule"] = {"kind": "block_boundaries", "r_max": self.schedule_r_max}
@@ -177,7 +175,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     anchor_rank = _expect(obj, "anchor_rank", int, "config", default=1)
     if anchor_rank < 1:
         raise ConfigError("config.anchor_rank: need a rank >= 1")
-    seed = _expect(obj, "seed", int, "config", default=0)
     return ExperimentConfig(
         map=m,
         alphabet=alphabet,
@@ -191,7 +188,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
         eps_low=eps_low,
         eps_high=eps_high,
         anchor_rank=anchor_rank,
-        seed=seed,
     )
 
 
@@ -522,7 +518,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int,
                         default=int(os.environ.get("GSHIFT_BUDGET", "4096")),
                         help="step budget for bounded searches (env GSHIFT_BUDGET)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
         "command",
         choices=(
@@ -548,8 +543,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigError("config: --config is required for this command")
         else:
             cfg = load_config(args.config)
-            if args.seed is not None:
-                cfg.seed = args.seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "classify":

@@ -10,7 +10,6 @@ threshold/window translations at the bottom of this module.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,7 +24,7 @@ from .indexspace import (
     iterate,
     rank_of,
 )
-from .orbits import UnresolvedOrbitError, orbit_position
+from .orbits import orbit_position
 
 __all__ = [
     "Alphabet",
@@ -121,119 +120,76 @@ class FinitePatch(Configuration):
 
 
 class OrbitBlocks(Configuration):
-    """Block layout along the forward orbit(s) of anchor point(s).
+    """Block layout along the forward orbit of one anchor point.
 
-    Plain variant: the orbit of the single anchor reads s_1 copies of the
-    block-1 symbol, then s_2 copies of the block-2 symbol, and so on, where
-    block r shows mark p exactly when r belongs to the member set; everything
-    off the forward orbit shows q.
+    Plain variant: the orbit of the anchor reads s_1 copies of the block-1
+    symbol, then s_2 copies of the block-2 symbol, and so on, where block r
+    shows mark p exactly when r belongs to the member set; everything off the
+    forward orbit shows q.
 
-    Weave variant: after block r, r symbols of a supplied source configuration
-    are spliced in, read along the anchor's own orbit prefix; the anchors form
-    a family whose orbits never meet.
+    Weave variant: after block r, a splice of r symbols of a supplied source
+    configuration is written, read along the anchor's own orbit prefix.
+
+    Where block r and its splice sit is not computed here: `lengths.locate`
+    maps an orbit position to (r, offset, in_splice), from the one segment-end
+    list that every member built on the same lengths object shares.
     """
 
-    def __init__(self, m: SelfMap, anchors: Sequence[Index], lengths, members,
+    def __init__(self, m: SelfMap, anchor: Index, lengths, members,
                  alphabet: Alphabet, weave_source: Optional[Configuration] = None):
         self.domain = m.domain
         self.map = m
-        self.anchors = tuple(anchors)
-        self.lengths = lengths  # BlockLengths-like: value(r), prefix_sum(r), variant
+        self.anchor = anchor
+        self.lengths = lengths  # BlockLengths: value(r), horizon(r), locate(pos), variant
         self.members = members  # BlockSet-like: contains(r), describe()
         self.alphabet = alphabet
         self.weave_source = weave_source
         if (lengths.variant == "weave") != (weave_source is not None):
             raise ValueError("weave layout and weave source must come together")
-        if not self.anchors:
-            raise ValueError("at least one anchor required")
-        if lengths.variant == "plain" and len(self.anchors) != 1:
-            raise ValueError("plain layout takes a single anchor")
-        # boundary cache: flat list of segment end positions, grown on demand
-        self._ends: list[int] = []
-        self._end_meta: list[tuple[str, int]] = []  # ("block"|"weave", r)
-        self._source_cache: dict[tuple[int, int], str] = {}
+        self._source_cache: dict[int, str] = {}
 
-    # -- layout arithmetic ---------------------------------------------------
+    def orbit_position_of(self, index: Index) -> Optional[int]:
+        """Forward-orbit position of `index` from the anchor, or None when off it."""
+        return orbit_position(self.map, self.anchor, index)
 
-    def _extend_boundaries(self, position: int) -> None:
-        r = len(self._end_meta) and self._end_meta[-1][1]
-        end = self._ends[-1] if self._ends else 0
-        while end <= position:
-            r += 1
-            end += self.lengths.value(r)
-            self._ends.append(end)
-            self._end_meta.append(("block", r))
-            if self.lengths.variant == "weave":
-                end += r
-                self._ends.append(end)
-                self._end_meta.append(("weave", r))
-
-    def _locate(self, position: int) -> tuple[str, int, int]:
-        """(kind, block index r, offset inside the segment) for an orbit position."""
-        self._extend_boundaries(position)
-        seg = bisect_right(self._ends, position)
-        kind, r = self._end_meta[seg]
-        seg_start = self._ends[seg - 1] if seg > 0 else 0
-        return kind, r, position - seg_start
-
-    def orbit_position_of(self, index: Index) -> Optional[tuple[int, int]]:
-        """(anchor number, forward-orbit position) or None when off every orbit."""
-        for a, anchor in enumerate(self.anchors):
-            pos = orbit_position(self.map, anchor, index)
-            if pos is not None:
-                return a, pos
-        return None
-
-    def _symbol_for(self, anchor_i: int, position: int) -> str:
-        kind, r, offset = self._locate(position)
-        if kind == "block":
-            return self.alphabet.p if self.members.contains(r) else self.alphabet.q
-        return self._source_symbol(anchor_i, offset)
-
-    def _source_symbol(self, anchor_i: int, j: int) -> str:
-        key = (anchor_i, j)
-        hit = self._source_cache.get(key)
+    def _source_symbol(self, j: int) -> str:
+        hit = self._source_cache.get(j)
         if hit is None:
-            coord = iterate(self.map, self.anchors[anchor_i], j)
-            hit = self.weave_source.symbol_at(coord)
-            self._source_cache[key] = hit
+            hit = self.weave_source.symbol_at(iterate(self.map, self.anchor, j))
+            self._source_cache[j] = hit
         return hit
 
     # -- configuration interface ----------------------------------------------
 
     def symbol_at(self, index: Index) -> str:
-        hit = self.orbit_position_of(index)
-        if hit is None:
+        pos = self.orbit_position_of(index)
+        if pos is None:
             return self.alphabet.q
-        return self._symbol_for(*hit)
+        r, offset, in_splice = self.lengths.locate(pos)
+        if in_splice:
+            return self._source_symbol(offset)
+        return self.alphabet.p if self.members.contains(r) else self.alphabet.q
 
     def symbols_along(self, m: SelfMap, start: Index, count: int) -> list[str]:
         if m != self.map:
             return super().symbols_along(m, start, count)
         out: list[str] = []
         cur = start
-        hit = self.orbit_position_of(cur)
-        while hit is None and len(out) < count:
+        pos = self.orbit_position_of(cur)
+        while pos is None and len(out) < count:
             out.append(self.alphabet.q)
             cur = evaluate(m, cur)
-            hit = self.orbit_position_of(cur)
-        if len(out) < count:
-            anchor_i, pos = hit
-            out.extend(self._fill_positions(anchor_i, pos, count - len(out)))
-        return out
-
-    def _fill_positions(self, anchor_i: int, pos: int, count: int) -> list[str]:
-        # once on an orbit, positions advance by one per shift; fill by segments
-        out: list[str] = []
+            pos = self.orbit_position_of(cur)
+        # once on the orbit, positions advance by one per shift; fill by segments
         while len(out) < count:
-            kind, r, offset = self._locate(pos)
-            if kind == "block":
+            r, offset, in_splice = self.lengths.locate(pos)
+            if in_splice:
+                take = min(r - offset, count - len(out))
+                out.extend([self._source_symbol(offset + j) for j in range(take)])
+            else:
                 take = min(self.lengths.value(r) - offset, count - len(out))
                 sym = self.alphabet.p if self.members.contains(r) else self.alphabet.q
                 out.extend([sym] * take)
-            else:
-                take = min(r - offset, count - len(out))
-                out.extend(self._source_symbol(anchor_i, offset + j) for j in range(take))
             pos += take
         return out
 

@@ -9,6 +9,7 @@ every claim about one is either checked directly or derived from a certificate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,19 +18,10 @@ from .indexspace import (
     Index,
     IndexDomain,
     SelfMap,
-    contains,
     enumerate_index,
-    evaluate,
-    iterate,
     rank_of,
 )
-from .orbits import (
-    MapProfile,
-    classify_point,
-    map_profile,
-    orbit_position,
-    signed_orbit_index,
-)
+from .orbits import classify_point, map_profile, signed_orbit_index
 from .configspace import (
     Alphabet,
     Configuration,
@@ -38,7 +30,6 @@ from .configspace import (
     Embedded,
     FinitePatch,
     OrbitBlocks,
-    default_alphabet,
     in_cylinder,
 )
 
@@ -70,15 +61,22 @@ class PreconditionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Block lengths.  Two growth disciplines:
-#   plain: s_n / (s_1 + ... + s_n) > (n-1)/n,   minimal: s_n = (n-1)*S_{n-1} + 1
-#   weave: s_n / (S_n + n(n-1)/2) > (n-1)/n,    minimal: s_n = (n-1)*(S_{n-1} + n(n-1)/2) + 1
-# The weave discipline leaves room for the r-symbol splice after block r.
+# Block lengths.  Two layouts along the anchor orbit:
+#   plain: [block 1][block 2][block 3]...
+#   weave: [block 1][splice 1][block 2][splice 2]...   (splice r holds r symbols)
+# Block n has length s_n and ends at the horizon n_n = s_1 + ... + s_n, plus
+# n(n-1)/2 splice symbols in the weave layout.  Both grow by the same rule,
+# s_n / n_n > (n-1)/n, whose least solution is s_n = (n-1) * start_n + 1 where
+# start_n = n_n - s_n is the orbit position at which block n begins.
 # ---------------------------------------------------------------------------
 
 
 class BlockLengths:
-    """Lazily extendable strictly increasing block lengths of one variant."""
+    """Lazily extendable strictly increasing block lengths of one variant.
+
+    This is the one owner of the layout: the segment-end list grows on demand,
+    and every member of a family shares it through `locate` and `horizon`.
+    """
 
     def __init__(self, variant: str, count: int):
         if variant not in ("plain", "weave"):
@@ -87,20 +85,21 @@ class BlockLengths:
             raise ValueError("count must be >= 1")
         self.variant = variant
         self.count = count
+        self._stride = 2 if variant == "weave" else 1  # segments per block
         self._values: list[int] = []
-        self._prefix: list[int] = [0]
+        self._ends: list[int] = []  # segment ends: block 1[, splice 1], block 2, ...
         self._extend_to(count)
 
     def _extend_to(self, r: int) -> None:
-        while len(self._values) < r:
-            n = len(self._values) + 1
-            prev_sum = self._prefix[-1]
-            if self.variant == "plain":
-                s = (n - 1) * prev_sum + 1
-            else:
-                s = (n - 1) * (prev_sum + n * (n - 1) // 2) + 1
-            self._values.append(s)
-            self._prefix.append(prev_sum + s)
+        values, ends = self._values, self._ends
+        while len(values) < r:
+            n = len(values) + 1
+            start = ends[-1] if ends else 0
+            s = (n - 1) * start + 1
+            values.append(s)
+            ends.append(start + s)
+            if self._stride == 2:
+                ends.append(ends[-1] + n)
 
     def value(self, r: int) -> int:
         if r < 1:
@@ -108,17 +107,22 @@ class BlockLengths:
         self._extend_to(r)
         return self._values[r - 1]
 
-    def prefix_sum(self, r: int) -> int:
-        """s_1 + ... + s_r (zero when r == 0)."""
+    def horizon(self, r: int) -> int:
+        """Orbit position just past block r (weave counts the splices before it)."""
         if r < 0:
             raise ValueError("block index must be >= 0")
         self._extend_to(r)
-        return self._prefix[r]
+        return self._ends[self._stride * (r - 1)] if r else 0
 
-    def horizon(self, r: int) -> int:
-        """Orbit position just past block r (weave counts the splices too)."""
-        extra = r * (r - 1) // 2 if self.variant == "weave" else 0
-        return self.prefix_sum(r) + extra
+    def locate(self, position: int) -> tuple[int, int, bool]:
+        """(r, offset, in_splice): orbit position `position` lies `offset` symbols
+        into block r, or into the splice after block r when in_splice."""
+        ends = self._ends
+        while ends[-1] <= position:
+            self._extend_to(len(self._values) + 1)
+        seg = bisect_right(ends, position)
+        r, in_splice = divmod(seg, self._stride)
+        return r + 1, position - (ends[seg - 1] if seg else 0), bool(in_splice)
 
     def values(self) -> tuple[int, ...]:
         return tuple(self._values[: self.count])
@@ -134,9 +138,8 @@ def verify_length_inequalities(bl: BlockLengths, upto: int) -> None:
     """Direct integer check of the growth inequality for every n <= upto."""
     for n in range(1, upto + 1):
         s_n = bl.value(n)
-        denom = bl.prefix_sum(n) + (n * (n - 1) // 2 if bl.variant == "weave" else 0)
-        # s_n / denom > (n-1)/n, cross-multiplied to stay in integers
-        if not n * s_n > (n - 1) * denom:
+        # s_n / horizon(n) > (n-1)/n, cross-multiplied to stay in integers
+        if not n * s_n > (n - 1) * bl.horizon(n):
             raise AssertionError(f"length inequality fails at n={n}")
         if n >= 2 and not s_n > bl.value(n - 1):
             raise AssertionError(f"lengths not strictly increasing at n={n}")
@@ -174,16 +177,6 @@ class PrimePowerSet:
         while n % self.prime == 0:
             n //= self.prime
         return n == 1
-
-    def generate(self, limit: int) -> list[int]:
-        out = set()
-        if self.augmented:
-            out.update(range(2, limit + 1, 2))
-        v = self.prime
-        while v <= limit:
-            out.add(v)
-            v *= self.prime
-        return sorted(out)
 
     def describe(self) -> dict:
         return {"kind": "prime_powers", "prime": self.prime, "augmented": self.augmented}
@@ -223,7 +216,11 @@ def almost_disjoint_family(k: int) -> AlmostDisjointFamily:
 
 @dataclass(frozen=True)
 class ScrambledFamilySpec:
-    """Everything needed to lay out one family of block configurations."""
+    """Everything needed to lay out one family of block configurations.
+
+    `anchors` is a one-element tuple: every member writes its blocks along the
+    orbit of that single anchor.
+    """
 
     map: SelfMap
     anchors: tuple[Index, ...]
@@ -231,6 +228,14 @@ class ScrambledFamilySpec:
     lengths: BlockLengths
     family: AlmostDisjointFamily
     variant: str  # "plain" | "weave"
+
+    def __post_init__(self):
+        if len(self.anchors) != 1:
+            raise ValueError("a scrambled family uses a single anchor")
+
+    @property
+    def anchor(self) -> Index:
+        return self.anchors[0]
 
 
 def _require_nqp_anchor(m: SelfMap, anchor: Index) -> None:
@@ -246,11 +251,9 @@ def dc_family(spec: ScrambledFamilySpec) -> list[OrbitBlocks]:
     """Plain block family: members differ on whole blocks indexed by their sets."""
     if spec.variant != "plain":
         raise ValueError("dc_family builds the plain variant")
-    if len(spec.anchors) != 1:
-        raise ValueError("plain families use a single anchor")
-    _require_nqp_anchor(spec.map, spec.anchors[0])
+    _require_nqp_anchor(spec.map, spec.anchor)
     return [
-        OrbitBlocks(spec.map, spec.anchors, spec.lengths, member, spec.alphabet)
+        OrbitBlocks(spec.map, spec.anchor, spec.lengths, member, spec.alphabet)
         for member in spec.family.members
     ]
 
@@ -379,25 +382,17 @@ def _distinctness_witness(a: FinitePatch, b: FinitePatch):
     """
     ba, bb = a.base, b.base
     if isinstance(ba, OrbitBlocks) and isinstance(bb, OrbitBlocks) and ba.map == bb.map \
-            and ba.anchors == bb.anchors and ba.lengths is bb.lengths:
+            and ba.anchor == bb.anchor and ba.lengths is bb.lengths:
         sets_a, sets_b = ba.members, bb.members
         if sets_a != sets_b:
             block = _first_difference_block(sets_a, sets_b)
             if block is not None:
-                lo = ba.lengths.prefix_sum(block - 1)
-                hi = ba.lengths.prefix_sum(block)
-                if ba.lengths.variant == "weave":
-                    shim = block * (block - 1) // 2
-                    lo, hi = lo + shim, hi + shim
-                patched_positions = set()
-                for patch in (a.patch, b.patch):
-                    for coord in patch:
-                        pos = ba.orbit_position_of(coord)
-                        if pos is not None:
-                            patched_positions.add(pos[1])
-                for pos in range(lo, hi):
+                hi = ba.lengths.horizon(block)
+                patched_positions = {ba.orbit_position_of(coord)
+                                     for patch in (a.patch, b.patch) for coord in patch}
+                for pos in range(hi - ba.lengths.value(block), hi):
                     if pos not in patched_positions:
-                        return ("orbit_position", ba.anchors[0], pos)
+                        return ("orbit_position", ba.anchor, pos)
                 return None
     # same base sets (or unrelated rules): look for a conflicting patch entry
     for coord, sym in a.patch.items():
@@ -434,8 +429,8 @@ def transitive_weave_family(spec: ScrambledFamilySpec,
                             source: Configuration) -> list[OrbitBlocks]:
     """Weave family: block layout with the source configuration spliced in.
 
-    Requires a proven injective, aperiodic map (so the anchors' orbits can
-    never meet) and a source the caller certifies transitive for the map.
+    Requires a proven injective, aperiodic map (so the anchor's orbit never
+    meets itself) and a source the caller certifies transitive for the map.
     """
     if spec.variant != "weave":
         raise ValueError("transitive_weave_family builds the weave variant")
@@ -450,10 +445,9 @@ def transitive_weave_family(spec: ScrambledFamilySpec,
             f"weave construction needs proven aperiodicity; verdict came back "
             f"{profile.has_periodic_point.truth!r}"
         )
-    for anchor in spec.anchors:
-        _require_nqp_anchor(spec.map, anchor)
+    _require_nqp_anchor(spec.map, spec.anchor)
     return [
-        OrbitBlocks(spec.map, spec.anchors, spec.lengths, member, spec.alphabet,
+        OrbitBlocks(spec.map, spec.anchor, spec.lengths, member, spec.alphabet,
                     weave_source=source)
         for member in spec.family.members
     ]
@@ -516,30 +510,24 @@ def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,
     """
     if not isinstance(source, LengthLexWord):
         raise ValueError("entry bound needs the length-lex source")
-    m = spec.map
-    radius = 0
-    for coord in pattern.window:
-        offsets = [signed_orbit_index(m, a, coord, radius=64) for a in spec.anchors]
-        hits = [o for o in offsets if o is not None]
-        if not hits:
-            raise ValueError(f"window coordinate {coord!r} not within reach of any anchor")
-        radius = max(radius, abs(hits[0]))
-    n_rad = radius
-    # the source must realize the pattern on the full +-N orbit window of each
+    m, anchor = spec.map, spec.anchor
+    # the source must realize the pattern on the full +-N orbit window of the
     # anchor; unconstrained coordinates there may read anything, so fill with q
     want: dict[int, str] = {}
-    anchor = spec.anchors[0]
-    if len(spec.anchors) != 1 or m.rule != "successor":
-        raise ValueError("entry bound is implemented for single-anchor translation layouts")
     for coord, sym in pattern.items():
-        want[coord.coord - anchor.coord] = sym
+        offset = signed_orbit_index(m, anchor, coord, radius=64)
+        if offset is None:
+            raise ValueError(f"window coordinate {coord!r} not within reach of the anchor")
+        want[offset] = sym
+    if m.rule != "successor":
+        raise ValueError("entry bound is implemented for translation layouts")
+    n_rad = max(abs(offset) for offset in want)
     word = [want.get(i, spec.alphabet.q) for i in range(-n_rad, n_rad + 1)]
     h = source.word_start(word) + n_rad
     if h <= n_rad:  # pad the word on the right until the occurrence lands deeper
         word = word + [spec.alphabet.symbols[0]]
         h = source.word_start(word) + n_rad
-    splice_start = spec.lengths.prefix_sum(h + n_rad + 1) + (h + n_rad) * (h + n_rad + 1) // 2
-    return splice_start + h
+    return spec.lengths.horizon(h + n_rad + 1) + h
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,9 @@ def agreement_flags(m: SelfMap, x: Configuration, y: Configuration,
         for i in range(n):
             if flags[i] and sx[i] != sy[i]:
                 flags[i] = False
+        # free this coordinate's lists before the next one builds its own, so
+        # at most two are alive and the peak does not depend on window order
+        del sx, sy
     return flags
 
 

@@ -49,7 +49,7 @@ P, Q = ALPHA.p, ALPHA.q
 def _blocks(member_ranks, variant="plain", count=6, weave=False):
     fam = ExplicitBlockSet(frozenset(member_ranks))
     source = full_shift_transitive_point(ALPHA) if weave else None
-    return OrbitBlocks(successor(), (ix(0),), block_lengths(count, variant),
+    return OrbitBlocks(successor(), ix(0), block_lengths(count, variant),
                        fam, ALPHA, weave_source=source)
 
 
@@ -118,19 +118,22 @@ def test_weave_requires_source_pairing():
 
 
 @given(st.sets(st.integers(min_value=1, max_value=6), min_size=1),
-       st.integers(min_value=0, max_value=60))
-@settings(max_examples=60, deadline=None)
-def test_symbols_along_matches_pointwise_reads(members, start):
-    x = _blocks(members)
+       st.integers(min_value=-10, max_value=60),
+       st.sampled_from(["plain", "weave"]))
+@settings(max_examples=80, deadline=None)
+def test_symbols_along_matches_pointwise_reads(members, start, variant):
+    # 120 reads from any start cross the weave splices at 101..104, and from
+    # the first starts also those at 1, 5..6 and 22..24
+    x = _blocks(members, variant=variant, weave=variant == "weave")
     m = successor()
-    bulk = x.symbols_along(m, ix(start), 25)
-    pointwise = [x.symbol_at(iterate(m, ix(start), i)) for i in range(25)]
+    bulk = x.symbols_along(m, ix(start), 120)
+    pointwise = [x.symbol_at(iterate(m, ix(start), i)) for i in range(120)]
     assert bulk == pointwise
 
 
 def test_orbit_position_lookup():
     x = _blocks({2})
-    assert x.orbit_position_of(ix(7)) == (0, 7)
+    assert x.orbit_position_of(ix(7)) == 7
     assert x.orbit_position_of(ix(-1)) is None
 
 

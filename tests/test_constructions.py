@@ -42,7 +42,7 @@ from gshift.constructions import (
     verify_length_inequalities,
     weave_entry_exponent,
 )
-from gshift.orbits import classify_point
+from gshift.orbits import classify_point, orbit_position
 
 ALPHA = default_alphabet()
 P, Q = ALPHA.p, ALPHA.q
@@ -158,10 +158,10 @@ def test_dc_family_members_differ_inside_symmetric_difference_blocks():
     spec = ScrambledFamilySpec(m, (ix(0),), ALPHA, lengths, fam, "plain")
     x, y = dc_family(spec)
     for r in (3, 5):  # 3 only in H1, 5 only in H2
-        pos = lengths.prefix_sum(r - 1)
+        pos = lengths.horizon(r - 1)
         assert x.symbol_at(ix(pos)) != y.symbol_at(ix(pos))
     for r in (2, 4):  # evens lie in both: whole blocks agree
-        pos = lengths.prefix_sum(r - 1)
+        pos = lengths.horizon(r - 1)
         assert x.symbol_at(ix(pos)) == y.symbol_at(ix(pos))
 
 
@@ -173,6 +173,13 @@ def test_dc_family_on_square_orbit_anchor():
     # orbit 2, 4, 16, 256...: block 1 = {2} -> q; blocks 2,3 member -> p
     assert x.symbols_along(m, ix(2), 6) == [Q, P, P, P, P, P]
     assert x.symbol_at(ix(3)) == Q  # off the anchor orbit
+
+
+@pytest.mark.parametrize("anchors", [(), (ix(0), ix(1))])
+def test_family_spec_takes_a_single_anchor(anchors):
+    with pytest.raises(ValueError):
+        ScrambledFamilySpec(successor(), anchors, ALPHA, block_lengths(6, "plain"),
+                            almost_disjoint_family(2), "plain")
 
 
 def test_dc_family_rejects_quasi_periodic_anchor():
@@ -240,6 +247,33 @@ def test_densified_patch_support_is_non_quasi_periodic():
     for member in dense:
         for coord in member.support():
             assert classify_point(m, coord).kind == "non_quasi_periodic"
+
+
+@pytest.mark.parametrize("variant, first_block_start", [("plain", 3), ("weave", 7)])
+def test_distinctness_witness_skips_patches_and_separates_the_pair(variant, first_block_start):
+    from gshift.constructions import _distinctness_witness
+
+    m = successor()
+    spec = ScrambledFamilySpec(m, (ix(0),), ALPHA, block_lengths(8, variant),
+                               almost_disjoint_family(2), variant)
+    if variant == "plain":
+        x, y = dc_family(spec)
+    else:
+        x, y = transitive_weave_family(spec, full_shift_transitive_point(ALPHA))
+    # block 3 (in the first member's set only) is the first block the two
+    # members differ on; the patches cover its first three positions
+    c = first_block_start
+    a = FinitePatch(x, {ix(c): Q, ix(c + 1): P, ix(-4): P})
+    b = FinitePatch(y, {ix(c + 2): Q})
+    kind, anchor, pos = _distinctness_witness(a, b)
+    assert (kind, anchor) == ("orbit_position", ix(0))
+    patched = {orbit_position(m, ix(0), coord) for patch in (a.patch, b.patch)
+               for coord in patch}
+    assert pos not in patched
+    coord = iterate(m, ix(0), pos)
+    assert coord not in a.patch and coord not in b.patch
+    assert a.symbol_at(coord) != b.symbol_at(coord)
+    assert pos == c + 3
 
 
 def test_densify_rejects_maps_with_periodic_points():

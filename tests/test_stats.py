@@ -43,7 +43,7 @@ M = successor()
 
 
 def _blocks(member_ranks):
-    return OrbitBlocks(M, (ix(0),), LENGTHS, ExplicitBlockSet(frozenset(member_ranks)),
+    return OrbitBlocks(M, ix(0), LENGTHS, ExplicitBlockSet(frozenset(member_ranks)),
                        ALPHA)
 
 
