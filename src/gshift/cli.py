@@ -2,14 +2,17 @@
 block constructions, and verify the finite-horizon evidence end to end.
 
 Exit codes: 0 all requested checks passed, 1 some check failed, 2 the
-configuration was unusable.  Artifacts (JSON reports, CSV statistics) land in
-the --out directory; CSV bodies are byte-stable for identical configurations.
+configuration was unusable, 3 inconclusive: a verdict the checks depend on came
+back unknown, or an orbit lookup ran past its budget, so nothing was shown
+either way.  Artifacts (JSON reports, CSV statistics) land in the --out
+directory; CSV bodies are byte-stable for identical configurations.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -26,6 +29,7 @@ from .indexspace import (
     rank_of,
 )
 from .orbits import (
+    UnresolvedOrbitError,
     chain_decomposition,
     classify_point,
     map_profile,
@@ -47,12 +51,10 @@ from .constructions import (
     transitive_weave_family,
 )
 from .stats import (
-    DcPairParams,
     Schedule,
     block_boundary_schedule,
-    density_profile,
+    dc_pair_report,
     proof_bound_check_dc,
-    surrogate_verdict,
 )
 from .theorems import counterexample_suite, predict
 
@@ -165,6 +167,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
         horizons = tuple(sched_obj.get("horizons", ()))
         if not horizons or any(not isinstance(h, int) or h < 1 for h in horizons):
             raise ConfigError("config.schedule.horizons: need positive integers")
+        if any(b <= a for a, b in zip(horizons, horizons[1:])):
+            raise ConfigError("config.schedule.horizons: need strictly increasing horizons")
     else:
         raise ConfigError(f"config.schedule.kind: unknown kind {kind!r}")
     try:
@@ -234,8 +238,7 @@ def _pick_anchor(cfg: ExperimentConfig, budget: int):
     return None, cls
 
 
-def _family_for(cfg: ExperimentConfig, anchor) -> tuple[ScrambledFamilySpec, list]:
-    lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
+def _family_for(cfg: ExperimentConfig, anchor, lengths) -> tuple[ScrambledFamilySpec, list]:
     fam = almost_disjoint_family(cfg.family_size)
     spec = ScrambledFamilySpec(cfg.map, (anchor,), cfg.alphabet, lengths, fam,
                                cfg.lengths_variant)
@@ -247,21 +250,26 @@ def _family_for(cfg: ExperimentConfig, anchor) -> tuple[ScrambledFamilySpec, lis
     return spec, members
 
 
-def _pair_profiles(cfg: ExperimentConfig, members, schedule: Schedule) -> dict:
-    """Density profiles of every member pair on every window, keyed by pair id."""
+def _pairs(members) -> list[tuple[str, int, int]]:
+    """(pair id, i, j) for every member pair i < j, ids counted from 1."""
+    return [(f"{i + 1}-{j + 1}", i, j)
+            for i, j in itertools.combinations(range(len(members)), 2)]
+
+
+def _pair_reports(cfg: ExperimentConfig, members, schedule: Schedule) -> dict:
+    """`dc_pair_report` of every member pair on the configured windows, by pair id."""
     windows = [window_from_ranks(cfg.map.domain, ranks) for ranks in cfg.windows]
     return {
-        f"{i + 1}-{j + 1}": [density_profile(cfg.map, members[i], members[j], w, schedule)
-                             for w in windows]
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
+        pair_id: dc_pair_report(cfg.map, members[i], members[j], windows, schedule,
+                                cfg.eps_low, cfg.eps_high)
+        for pair_id, i, j in _pairs(members)
     }
 
 
-def _stats_rows(pair_profiles: dict) -> list[dict]:
+def _stats_rows(pair_reports: dict) -> list[dict]:
     rows = []
-    for pair_id, profiles in pair_profiles.items():
-        for wi, profile in enumerate(profiles):
+    for pair_id, report in pair_reports.items():
+        for wi, profile in enumerate(report.profiles):
             for row in profile.rows:
                 rows.append({
                     "pair_id": pair_id,
@@ -302,10 +310,7 @@ def _member_manifest(cfg: ExperimentConfig, members, spec) -> dict:
             {
                 "member": i + 1,
                 "block_set": m.members.describe(),
-                "leading_blocks": [
-                    m.alphabet.p if m.members.contains(r) else m.alphabet.q
-                    for r in range(1, 9)
-                ],
+                "leading_blocks": [m.block_symbol(r) for r in range(1, 9)],
             }
             for i, m in enumerate(members)
         ],
@@ -349,12 +354,10 @@ def _cmd_construct(cfg: ExperimentConfig, out: Path, args, flavor: str) -> int:
         print(f"error: no usable anchor: classification came back {cls.kind}",
               file=sys.stderr)
         return 1
-    if flavor == "transitive" and cfg.lengths_variant != "weave":
-        cfg.lengths_variant = "weave"
-    if flavor in ("dc", "dense") and cfg.lengths_variant != "plain":
-        cfg.lengths_variant = "plain"
+    cfg.lengths_variant = "weave" if flavor == "transitive" else "plain"
     try:
-        spec, members = _family_for(cfg, anchor)
+        spec, members = _family_for(
+            cfg, anchor, block_lengths(cfg.lengths_count, cfg.lengths_variant))
         if flavor == "dense":
             enum = pattern_enumeration(cfg.alphabet, cfg.map.domain)
             dense = densify_family(cfg.map, members, enum, len(members))
@@ -385,15 +388,14 @@ def _cmd_stats(cfg: ExperimentConfig, out: Path, args) -> int:
         print(f"error: no usable anchor: classification came back {cls.kind}",
               file=sys.stderr)
         return 1
+    lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
+    schedule = _schedule_for(cfg, lengths, args.horizon_cap)
     try:
-        spec, members = _family_for(cfg, anchor)
-        schedule = _schedule_for(cfg, spec.lengths, args.horizon_cap)
-    except ConfigError:
-        raise
+        _, members = _family_for(cfg, anchor, lengths)
     except (PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rows = _stats_rows(_pair_profiles(cfg, members, schedule))
+    rows = _stats_rows(_pair_reports(cfg, members, schedule))
     _write_csv(out / "stats.csv", rows)
     print(f"wrote {len(rows)} rows to {out / 'stats.csv'}")
     return 0
@@ -410,69 +412,58 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
         "prediction": prediction.to_json(),
         "checks": [],
     }
-    skipped_construction = False
-    if not prediction.distributional.is_true:
-        skipped_construction = True
-        report["construction"] = {
-            "skipped": f"distributional verdict is {prediction.distributional.truth}"
-        }
+    verdict = prediction.distributional
+    inconclusive = None
+    if verdict.is_false:
+        report["construction"] = {"skipped": f"distributional verdict is {verdict.truth}"}
+    elif not verdict.is_true:
+        inconclusive = f"distributional verdict is {verdict.truth}; no construction checked"
     else:
         anchor, cls = _pick_anchor(cfg, args.budget)
         if anchor is None:
             checks.append(("anchor", False, f"no proven infinite-orbit anchor ({cls.kind})"))
         else:
+            lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
+            schedule = _schedule_for(cfg, lengths, args.horizon_cap)
+            r_cap = cfg.schedule_r_max if cfg.schedule_kind == "block_boundaries" else 8
+            blocks = [r for r in range(2, r_cap + 1)
+                      if args.horizon_cap is None or lengths.horizon(r) <= args.horizon_cap]
             try:
-                spec, members = _family_for(cfg, anchor)
-                schedule = _schedule_for(cfg, spec.lengths, args.horizon_cap)
-                pair_profiles = _pair_profiles(cfg, members, schedule)
-                _write_csv(out / "stats.csv", _stats_rows(pair_profiles))
-                r_cap = cfg.schedule_r_max if cfg.schedule_kind == "block_boundaries" else 8
-                bound_results = []
-                for i in range(len(members)):
-                    for j in range(i + 1, len(members)):
-                        params = DcPairParams(
-                            cfg.map, anchor, spec.lengths, members[i], members[j],
-                            spec.family.members[i], spec.family.members[j],
-                        )
-                        for r in range(2, r_cap + 1):
-                            if args.horizon_cap is not None \
-                                    and spec.lengths.horizon(r) > args.horizon_cap:
-                                continue
-                            in_i = spec.family.members[i].contains(r)
-                            in_j = spec.family.members[j].contains(r)
-                            if not in_i and not in_j:
-                                continue
-                            offsets = (0,) if not (in_i and in_j) else (0, 1)
-                            ok = proof_bound_check_dc(params, r, offsets)
-                            bound_results.append(
-                                {"pair": f"{i + 1}-{j + 1}", "r": r, "ok": ok}
-                            )
-                bounds_ok = all(b["ok"] for b in bound_results)
-                checks.append(("proof-bounds", bounds_ok,
+                spec, members = _family_for(cfg, anchor, lengths)
+                pair_reports = _pair_reports(cfg, members, schedule)
+                _write_csv(out / "stats.csv", _stats_rows(pair_reports))
+                bound_results = [
+                    {"pair": pair_id, "r": bound.r, "ok": bound.ok}
+                    for pair_id, i, j in _pairs(members)
+                    for bound in proof_bound_check_dc(spec, members, i, j, blocks, (0, 1))
+                ]
+                checks.append(("proof-bounds", all(b["ok"] for b in bound_results),
                                f"{sum(b['ok'] for b in bound_results)}/{len(bound_results)}"))
-                failing = []
-                for pair_id, profiles in pair_profiles.items():
-                    verdict = surrogate_verdict(profiles, schedule.horizons[-1],
-                                                cfg.eps_low, cfg.eps_high)
-                    if not (verdict.dc1_surrogate and verdict.dc2_surrogate):
-                        failing.append(pair_id)
+                failing = [pair_id for pair_id, v in pair_reports.items()
+                           if not (v.dc1_surrogate and v.dc2_surrogate)]
                 checks.append(("dc-surrogate", not failing,
                                f"failing pairs {', '.join(failing)}" if failing else "all pairs"))
                 report["bounds"] = bound_results
-            except ConfigError:
-                raise
+            except UnresolvedOrbitError as exc:
+                inconclusive = str(exc)
             except (PreconditionError, ValueError) as exc:
                 checks.append(("construction", False, str(exc)))
     for name, ok, note in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {note}")
-    if skipped_construction:
+    if verdict.is_false:
         print("SKIP construction: map is not predicted distributionally chaotic")
+    if inconclusive is not None:
+        print(f"INCONCLUSIVE: {inconclusive}")
+        report["inconclusive"] = inconclusive
     report["checks"] = [{"name": n, "ok": ok, "note": note} for n, ok, note in checks]
-    rollup = all(ok for _, ok, _ in checks)
-    report["rollup"] = rollup
+    if not all(ok for _, ok, _ in checks):
+        rollup = "FAIL"  # a failed check outranks what stayed undecided
+    else:
+        rollup = "PASS" if inconclusive is None else "INCONCLUSIVE"
+    report["rollup"] = rollup == "PASS"
     _write_json(out / "verify.json", report)
-    print(f"rollup: {'PASS' if rollup else 'FAIL'}")
-    return 0 if rollup else 1
+    print(f"rollup: {rollup}")
+    return {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 3}[rollup]
 
 
 def _cmd_counterexamples(cfg_unused, out: Path, args) -> int:
@@ -563,6 +554,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except UnresolvedOrbitError as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

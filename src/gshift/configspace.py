@@ -128,7 +128,9 @@ class OrbitBlocks(Configuration):
     forward orbit shows q.
 
     Weave variant: after block r, a splice of r symbols of a supplied source
-    configuration is written, read along the anchor's own orbit prefix.
+    configuration is written, read along the anchor's own orbit prefix.  Those
+    reads are cached in `source_cache`; members that share a source and an
+    anchor may share one cache, so each source symbol is read once.
 
     Where block r and its splice sit is not computed here: `lengths.locate`
     maps an orbit position to (r, offset, in_splice), from the one segment-end
@@ -136,7 +138,8 @@ class OrbitBlocks(Configuration):
     """
 
     def __init__(self, m: SelfMap, anchor: Index, lengths, members,
-                 alphabet: Alphabet, weave_source: Optional[Configuration] = None):
+                 alphabet: Alphabet, weave_source: Optional[Configuration] = None,
+                 source_cache: Optional[dict[int, str]] = None):
         self.domain = m.domain
         self.map = m
         self.anchor = anchor
@@ -146,7 +149,7 @@ class OrbitBlocks(Configuration):
         self.weave_source = weave_source
         if (lengths.variant == "weave") != (weave_source is not None):
             raise ValueError("weave layout and weave source must come together")
-        self._source_cache: dict[int, str] = {}
+        self._source_cache = {} if source_cache is None else source_cache
 
     def orbit_position_of(self, index: Index) -> Optional[int]:
         """Forward-orbit position of `index` from the anchor, or None when off it."""
@@ -159,6 +162,10 @@ class OrbitBlocks(Configuration):
             self._source_cache[j] = hit
         return hit
 
+    def block_symbol(self, r: int) -> str:
+        """Mark p on block r when r is in the member set, q otherwise."""
+        return self.alphabet.p if self.members.contains(r) else self.alphabet.q
+
     # -- configuration interface ----------------------------------------------
 
     def symbol_at(self, index: Index) -> str:
@@ -168,7 +175,7 @@ class OrbitBlocks(Configuration):
         r, offset, in_splice = self.lengths.locate(pos)
         if in_splice:
             return self._source_symbol(offset)
-        return self.alphabet.p if self.members.contains(r) else self.alphabet.q
+        return self.block_symbol(r)
 
     def symbols_along(self, m: SelfMap, start: Index, count: int) -> list[str]:
         if m != self.map:
@@ -188,8 +195,7 @@ class OrbitBlocks(Configuration):
                 out.extend([self._source_symbol(offset + j) for j in range(take)])
             else:
                 take = min(self.lengths.value(r) - offset, count - len(out))
-                sym = self.alphabet.p if self.members.contains(r) else self.alphabet.q
-                out.extend([sym] * take)
+                out.extend([self.block_symbol(r)] * take)
             pos += take
         return out
 

@@ -20,6 +20,7 @@ from .indexspace import (
     SelfMap,
     enumerate_index,
     rank_of,
+    successor,
 )
 from .orbits import classify_point, map_profile, signed_orbit_index
 from .configspace import (
@@ -86,26 +87,24 @@ class BlockLengths:
         self.variant = variant
         self.count = count
         self._stride = 2 if variant == "weave" else 1  # segments per block
-        self._values: list[int] = []
         self._ends: list[int] = []  # segment ends: block 1[, splice 1], block 2, ...
         self._extend_to(count)
 
     def _extend_to(self, r: int) -> None:
-        values, ends = self._values, self._ends
-        while len(values) < r:
-            n = len(values) + 1
+        ends, stride = self._ends, self._stride
+        while len(ends) < stride * r:
+            n = len(ends) // stride + 1
             start = ends[-1] if ends else 0
-            s = (n - 1) * start + 1
-            values.append(s)
-            ends.append(start + s)
-            if self._stride == 2:
+            ends.append(start + (n - 1) * start + 1)
+            if stride == 2:
                 ends.append(ends[-1] + n)
 
     def value(self, r: int) -> int:
         if r < 1:
             raise ValueError("block index must be >= 1")
         self._extend_to(r)
-        return self._values[r - 1]
+        end = self._stride * (r - 1)
+        return self._ends[end] - (self._ends[end - 1] if end else 0)
 
     def horizon(self, r: int) -> int:
         """Orbit position just past block r (weave counts the splices before it)."""
@@ -119,13 +118,13 @@ class BlockLengths:
         into block r, or into the splice after block r when in_splice."""
         ends = self._ends
         while ends[-1] <= position:
-            self._extend_to(len(self._values) + 1)
+            self._extend_to(len(ends) // self._stride + 1)
         seg = bisect_right(ends, position)
         r, in_splice = divmod(seg, self._stride)
         return r + 1, position - (ends[seg - 1] if seg else 0), bool(in_splice)
 
     def values(self) -> tuple[int, ...]:
-        return tuple(self._values[: self.count])
+        return tuple(self.value(r) for r in range(1, self.count + 1))
 
 
 def block_lengths(count: int, variant: str = "plain") -> BlockLengths:
@@ -431,6 +430,7 @@ def transitive_weave_family(spec: ScrambledFamilySpec,
 
     Requires a proven injective, aperiodic map (so the anchor's orbit never
     meets itself) and a source the caller certifies transitive for the map.
+    Every member splices the same source reads, so they share one cache.
     """
     if spec.variant != "weave":
         raise ValueError("transitive_weave_family builds the weave variant")
@@ -446,9 +446,10 @@ def transitive_weave_family(spec: ScrambledFamilySpec,
             f"{profile.has_periodic_point.truth!r}"
         )
     _require_nqp_anchor(spec.map, spec.anchor)
+    source_cache: dict[int, str] = {}
     return [
         OrbitBlocks(spec.map, spec.anchor, spec.lengths, member, spec.alphabet,
-                    weave_source=source)
+                    weave_source=source, source_cache=source_cache)
         for member in spec.family.members
     ]
 
@@ -503,14 +504,16 @@ def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,
     """Constructive shift exponent at which every weave member enters the cylinder.
 
     Recipe: resolve each window coordinate as phi^i(anchor) with |i| <= N; find
-    the shift h > N at which the source matches the pattern on the radius-N
-    orbit window; the splice after block h+N+1 replays the source's first
-    h+N+1 symbols, so the member enters the cylinder at exponent l + h where
-    l is that splice's starting position.
+    the shift h > N at which the source, read from the anchor on, matches the
+    pattern on the radius-N orbit window; the splice after block h+N+1 replays
+    the source at phi^j(anchor) for j <= h+N, so the member enters the cylinder
+    at exponent l + h where l is that splice's starting position.
     """
     if not isinstance(source, LengthLexWord):
         raise ValueError("entry bound needs the length-lex source")
     m, anchor = spec.map, spec.anchor
+    if m != successor():
+        raise ValueError("entry bound is implemented for translation layouts")
     # the source must realize the pattern on the full +-N orbit window of the
     # anchor; unconstrained coordinates there may read anything, so fill with q
     want: dict[int, str] = {}
@@ -519,14 +522,14 @@ def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,
         if offset is None:
             raise ValueError(f"window coordinate {coord!r} not within reach of the anchor")
         want[offset] = sym
-    if m.rule != "successor":
-        raise ValueError("entry bound is implemented for translation layouts")
     n_rad = max(abs(offset) for offset in want)
     word = [want.get(i, spec.alphabet.q) for i in range(-n_rad, n_rad + 1)]
-    h = source.word_start(word) + n_rad
-    if h <= n_rad:  # pad the word on the right until the occurrence lands deeper
-        word = word + [spec.alphabet.symbols[0]]
-        h = source.word_start(word) + n_rad
+    # splice offset j reads the source at coordinate anchor + j, so offset i of
+    # the window sits at splice offset h + i when the word starts at anchor + h - N
+    h = source.word_start(word) + n_rad - anchor.coord
+    while h <= n_rad:  # pad the word on the right until the occurrence lands deeper
+        word.append(spec.alphabet.symbols[0])
+        h = source.word_start(word) + n_rad - anchor.coord
     return spec.lengths.horizon(h + n_rad + 1) + h
 
 

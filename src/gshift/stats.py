@@ -15,22 +15,21 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .indexspace import Index, SelfMap, evaluate, preimage
-from .configspace import Configuration, metric_less_than, shifted
-from .constructions import BlockLengths
+from .configspace import Configuration, make_window, metric_less_than, shifted
+from .constructions import BlockLengths, ScrambledFamilySpec
 
 __all__ = [
     "Schedule",
     "DensityRow",
     "DensityProfile",
     "PairVerdict",
-    "DcPairParams",
+    "BlockBound",
     "block_boundary_schedule",
     "zeta_count",
     "xi_count",
     "agreement_flags",
     "density_profile",
     "dc_pair_report",
-    "surrogate_verdict",
     "proof_bound_check_dc",
     "orbit_window",
 ]
@@ -72,6 +71,15 @@ def agreement_flags(m: SelfMap, x: Configuration, y: Configuration,
         # at most two are alive and the peak does not depend on window order
         del sx, sy
     return flags
+
+
+def _agreement_counts(m: SelfMap, x: Configuration, y: Configuration,
+                      window: Sequence[Index], horizons: Sequence[int]) -> list[int]:
+    """Window-agreement counts at ascending horizons, all read off one flag
+    stream that runs to the last horizon."""
+    flags = agreement_flags(m, x, y, window, horizons[-1])
+    # the last count reads the whole stream; only the shorter prefixes are copied
+    return [flags[:h].count(True) for h in horizons[:-1]] + [flags.count(True)]
 
 
 def zeta_count(m: SelfMap, x: Configuration, y: Configuration,
@@ -131,16 +139,11 @@ def density_profile(m: SelfMap, x: Configuration, y: Configuration,
     One linear pass over the largest horizon; counts at earlier checkpoints are
     prefix sums of the same flag stream.
     """
-    n_max = schedule.horizons[-1]
-    flags = agreement_flags(m, x, y, window, n_max)
+    counts = _agreement_counts(m, x, y, window, schedule.horizons)
     rows = []
     run_min: Optional[Fraction] = None
     run_max: Optional[Fraction] = None
-    count = 0
-    done = 0
-    for horizon in schedule.horizons:
-        count += sum(flags[done:horizon])
-        done = horizon
+    for horizon, count in zip(schedule.horizons, counts):
         frac = Fraction(count, horizon)
         run_min = frac if run_min is None or frac < run_min else run_min
         run_max = frac if run_max is None or frac > run_max else run_max
@@ -166,29 +169,24 @@ class PairVerdict:
     min_fractions: tuple[Fraction, ...]
     max_fractions: tuple[Fraction, ...]
     dip_window: Optional[tuple[Index, ...]]
+    profiles: tuple[DensityProfile, ...]  # one per window, the evidence behind the flags
 
 
 def dc_pair_report(m: SelfMap, x: Configuration, y: Configuration,
                    windows: Sequence[Sequence[Index]], schedule: Schedule,
                    eps_low: Fraction, eps_high: Fraction) -> PairVerdict:
-    profiles = [density_profile(m, x, y, w, schedule) for w in windows]
-    return surrogate_verdict(profiles, schedule.horizons[-1], eps_low, eps_high)
-
-
-def surrogate_verdict(profiles: Sequence[DensityProfile], horizon: int,
-                      eps_low: Fraction, eps_high: Fraction) -> PairVerdict:
-    """The pair's surrogates from its density profiles, one per window, all
-    sampled on a schedule whose last horizon is `horizon`."""
-    mins = tuple(p.running_min for p in profiles)
-    maxes = tuple(p.running_max for p in profiles)
+    """The pair's density profile on every window and the surrogates read off them."""
+    profiles = tuple(density_profile(m, x, y, w, schedule) for w in windows)
     dip = next((p for p in profiles if p.running_min <= eps_low), None)
     high = all(p.running_max >= 1 - eps_high for p in profiles)
-    dc1 = dip is not None and high
-    dc2 = any(p.running_min <= 1 - eps_low for p in profiles) and high
     return PairVerdict(
-        dc1, dc2, Fraction(eps_low), Fraction(eps_high),
-        horizon, mins, maxes,
+        dip is not None and high,
+        any(p.running_min <= 1 - eps_low for p in profiles) and high,
+        Fraction(eps_low), Fraction(eps_high), schedule.horizons[-1],
+        tuple(p.running_min for p in profiles),
+        tuple(p.running_max for p in profiles),
         dip.window if dip is not None else None,
+        profiles,
     )
 
 
@@ -198,65 +196,60 @@ def surrogate_verdict(profiles: Sequence[DensityProfile], horizon: int,
 
 
 @dataclass(frozen=True)
-class DcPairParams:
-    """One pair of plain or weave block configurations plus the layout data."""
+class BlockBound:
+    """Block r's construction estimate, replayed for one pair of members."""
 
-    map: SelfMap
-    anchor: Index
-    lengths: BlockLengths
-    x: Configuration
-    y: Configuration
-    set_x: object  # BlockSet-like
-    set_y: object
+    r: int
+    shared: bool  # r lies in both member sets; otherwise in exactly one
+    count: int  # window agreements before n_r
+    ok: bool
 
 
 def orbit_window(m: SelfMap, anchor: Index, offsets: Sequence[int]) -> tuple[Index, ...]:
     """Window of coordinates phi^o(anchor) for signed offsets o (backward via preimage)."""
     out = []
     for o in sorted(set(offsets)):
-        if o >= 0:
-            cur = anchor
-            for _ in range(o):
-                cur = evaluate(m, cur)
-            out.append(cur)
-        else:
-            cur = anchor
-            ok = True
-            for _ in range(-o):
-                prev = preimage(m, cur)
-                if prev is None:
-                    ok = False
-                    break
-                cur = prev
-            if not ok:
-                continue
+        cur: Optional[Index] = anchor
+        for _ in range(abs(o)):
+            cur = evaluate(m, cur) if o > 0 else preimage(m, cur)
+            if cur is None:  # no preimage: the offset falls off the orbit
+                break
+        if cur is not None:
             out.append(cur)
     return tuple(out)
 
 
-def proof_bound_check_dc(params: DcPairParams, r: int,
-                         offsets: Sequence[int] = (0,)) -> bool:
-    """Replay the block-construction estimate for block r by direct counting.
+def proof_bound_check_dc(spec: ScrambledFamilySpec, members: Sequence[Configuration],
+                         i: int, j: int, blocks: Sequence[int],
+                         offsets: Sequence[int] = (0,)) -> list[BlockBound]:
+    """Replay the block-construction estimate of members i and j by direct
+    counting, for every block in `blocks` that lies in either member set of the
+    spec's family, in ascending order.
 
     Membership case decides the claim:
-      r in both sets: agreement on the radius-N orbit window at horizon n_r is
-        at least s_r - 4N - 1 (plain) or s_r - 2N - 1 (weave);
+      r in both sets: agreement on the orbit window at `offsets` (radius N) at
+        horizon n_r is at least s_r - 4N - 1 (plain) or s_r - 2N - 1 (weave);
       r in exactly one set: agreement on the anchor-only window at horizon n_r
         is at most n_r - s_r + 1.
-    Raises ValueError when r lies in neither set (no estimate applies).
+    Blocks in neither set carry no estimate and are skipped.  Each window's
+    counts come from one agreement pass up to its largest n_r.
     """
-    in_x = params.set_x.contains(r)
-    in_y = params.set_y.contains(r)
-    n_r = params.lengths.horizon(r)
-    s_r = params.lengths.value(r)
-    if in_x and in_y:
+    lengths, set_i, set_j = spec.lengths, spec.family.members[i], spec.family.members[j]
+    holders = {r: set_i.contains(r) + set_j.contains(r) for r in set(blocks)}
+    one_sided = sorted(r for r, k in holders.items() if k == 1)
+    shared = sorted(r for r, k in holders.items() if k == 2)
+    m, x, y = spec.map, members[i], members[j]
+    out: list[BlockBound] = []
+    if one_sided:
+        counts = _agreement_counts(m, x, y, (spec.anchor,),
+                                   [lengths.horizon(r) for r in one_sided])
+        out += [BlockBound(r, False, count, count <= lengths.horizon(r) - lengths.value(r) + 1)
+                for r, count in zip(one_sided, counts)]
+    if shared:
         radius = max(abs(o) for o in offsets)
-        window = orbit_window(params.map, params.anchor, offsets)
-        count = zeta_count(params.map, params.x, params.y, window, n_r)
-        slack = 2 * radius if params.lengths.variant == "weave" else 4 * radius
-        return count >= s_r - slack - 1
-    if in_x != in_y:
-        window = (params.anchor,)
-        count = zeta_count(params.map, params.x, params.y, window, n_r)
-        return count <= n_r - s_r + 1
-    raise ValueError(f"block {r} lies in neither member set; no bound applies")
+        slack = 2 * radius if lengths.variant == "weave" else 4 * radius
+        window = make_window(orbit_window(m, spec.anchor, offsets))
+        counts = _agreement_counts(m, x, y, window, [lengths.horizon(r) for r in shared])
+        out += [BlockBound(r, True, count, count >= lengths.value(r) - slack - 1)
+                for r, count in zip(shared, counts)]
+    return sorted(out, key=lambda bound: bound.r)

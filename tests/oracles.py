@@ -2,11 +2,13 @@
 library's answers are checked against."""
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from gshift.configspace import Configuration, CylinderPattern, pattern_from_ranks
+from gshift.constructions import ScrambledFamilySpec
 from gshift.indexspace import Index, IndexDomain, SelfMap, enumerate_index
 from gshift.orbits import MapProfile, proven_false, proven_true
+from gshift.stats import orbit_window, zeta_count
 
 
 def brute_force_profile(m: SelfMap) -> MapProfile:
@@ -62,3 +64,25 @@ def truncated_distance(x: Configuration, y: Configuration, depth: int) -> Fracti
         if x.symbol_at(beta) != y.symbol_at(beta):
             total += Fraction(1, 2 ** i)
     return total
+
+
+def per_block_bound(spec: ScrambledFamilySpec, members: Sequence[Configuration],
+                    i: int, j: int, r: int,
+                    offsets: Sequence[int]) -> Optional[tuple[int, bool]]:
+    """Block r's construction estimate for members i and j, replayed on its own
+    as (count, holds): one count at n_r on the window of r's membership case.
+    None when r lies in neither member set of the spec's family."""
+    in_i = spec.family.members[i].contains(r)
+    in_j = spec.family.members[j].contains(r)
+    n_r, s_r = spec.lengths.horizon(r), spec.lengths.value(r)
+    x, y = members[i], members[j]
+    if in_i and in_j:
+        radius = max(abs(o) for o in offsets)
+        window = orbit_window(spec.map, spec.anchor, offsets)
+        slack = 2 * radius if spec.lengths.variant == "weave" else 4 * radius
+        count = zeta_count(spec.map, x, y, window, n_r)
+        return count, count >= s_r - slack - 1
+    if in_i or in_j:
+        count = zeta_count(spec.map, x, y, (spec.anchor,), n_r)
+        return count, count <= n_r - s_r + 1
+    return None

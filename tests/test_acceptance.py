@@ -58,7 +58,6 @@ from gshift.constructions import (
     weave_entry_exponent,
 )
 from gshift.stats import (
-    DcPairParams,
     block_boundary_schedule,
     dc_pair_report,
     proof_bound_check_dc,
@@ -158,16 +157,11 @@ def plain_family_run():
     bounds = []
     for i in range(3):
         for j in range(i + 1, 3):
-            params = DcPairParams(m, anchor, lengths, members[i], members[j],
-                                  fam.members[i], fam.members[j])
-            for r in range(2, 9):
-                in_i = fam.members[i].contains(r)
-                in_j = fam.members[j].contains(r)
-                if in_i and in_j:
-                    for offsets in ((0,), (-1, 0, 1)):  # radii N = 0 and N = 1
-                        bounds.append(proof_bound_check_dc(params, r, offsets))
-                elif in_i or in_j:
-                    bounds.append(proof_bound_check_dc(params, r, (0,)))
+            # radius N = 0 replays every block in either set; N = 1 adds the
+            # shared blocks again on the wider orbit window
+            bounds += [b.ok for b in proof_bound_check_dc(spec, members, i, j, range(2, 9))]
+            bounds += [b.ok for b in proof_bound_check_dc(spec, members, i, j, range(2, 9),
+                                                          (-1, 0, 1)) if b.shared]
 
     schedule = block_boundary_schedule(lengths, 8)
     windows = [window_from_ranks(INTEGERS, (1,)), window_from_ranks(INTEGERS, (1, 2))]

@@ -56,6 +56,7 @@ def test_config_defaults_fill_in():
     ({"map": PHI1["map"], "lengths": {"variant": "fancy"}}, "variant"),
     ({"map": PHI1["map"], "windows": [[0]]}, "windows[0]"),
     ({"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": []}}, "horizons"),
+    ({"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": [50, 5]}}, "horizons"),
     ({"map": PHI1["map"], "eps_low": "one quarter"}, "eps"),
 ])
 def test_config_errors_name_the_field(broken, fragment):
@@ -149,6 +150,37 @@ def test_verify_skips_construction_for_non_chaotic_map(tmp_path, capsys):
     assert _run(tmp_path, "verify", config=cfg) == 0
     out = capsys.readouterr().out
     assert "SKIP construction" in out
+
+
+@pytest.mark.parametrize("map_obj", [
+    {"rule": "compose", "outer": {"rule": "square"}, "inner": {"rule": "successor"}},
+    {"rule": "compose", "outer": {"rule": "successor"}, "inner": {"rule": "successor"}},
+], ids=["square-after-successor", "successor-after-successor"])
+def test_verify_reports_an_unknown_prediction_as_inconclusive(tmp_path, capsys, map_obj):
+    assert _run(tmp_path, "verify", config={"map": map_obj}) == 3
+    out = capsys.readouterr().out
+    assert "SKIP" not in out
+    assert "INCONCLUSIVE: distributional verdict is unknown" in out
+    assert out.splitlines()[-1] == "rollup: INCONCLUSIVE"
+    blob = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert blob["rollup"] is False
+    assert blob["checks"] == []
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_an_orbit_lookup_past_its_budget_is_inconclusive(tmp_path, capsys, command):
+    # square's orbit through coordinate 3 outgrows the bit budget within the horizon
+    cfg = {"map": {"rule": "square"}, "windows": [[6]]}
+    assert _run(tmp_path, command, config=cfg) == 3
+    captured = capsys.readouterr()
+    if command == "stats":
+        assert captured.err.startswith("inconclusive: coordinate needs")
+        assert not (tmp_path / "out" / "stats.csv").exists()
+    else:
+        assert "INCONCLUSIVE: coordinate needs" in captured.out
+        assert captured.out.splitlines()[-1] == "rollup: INCONCLUSIVE"
+        blob = json.loads((tmp_path / "out" / "verify.json").read_text())
+        assert blob["rollup"] is False
 
 
 def test_horizon_cap_truncates_and_can_empty_the_schedule(tmp_path, capsys):

@@ -27,6 +27,7 @@ from gshift.configspace import (
 from gshift.constructions import (
     AlmostDisjointFamily,
     ExplicitBlockSet,
+    LengthLexWord,
     PreconditionError,
     PrimePowerSet,
     ScrambledFamilySpec,
@@ -349,6 +350,39 @@ def test_weave_enters_every_small_cylinder_at_computed_exponent():
         pat = en.pattern(n)
         expo = weave_entry_exponent(spec, source, pat)
         assert in_cylinder(shifted(members[0], m, expo), pat), n
+
+
+@pytest.mark.parametrize("anchor", [0, 3, -2])
+def test_weave_members_enter_the_first_80_cylinders_from_any_anchor(anchor):
+    # the splices read the source from the anchor on, not from coordinate 0
+    m = successor()
+    spec = ScrambledFamilySpec(m, (ix(anchor),), ALPHA, block_lengths(12, "weave"),
+                               almost_disjoint_family(2), "weave")
+    source = full_shift_transitive_point(ALPHA)
+    members = transitive_weave_family(spec, source)
+    en = pattern_enumeration(ALPHA, INTEGERS)
+    for n in range(1, 81):
+        pat = en.pattern(n)
+        expo = weave_entry_exponent(spec, source, pat)
+        assert all(in_cylinder(shifted(x, m, expo), pat) for x in members), n
+
+
+def test_weave_members_share_their_source_reads(monkeypatch):
+    calls = []
+    read = LengthLexWord.symbol_at
+    monkeypatch.setattr(LengthLexWord, "symbol_at",
+                        lambda self, index: calls.append(index) or read(self, index))
+    m = successor()
+    spec = ScrambledFamilySpec(m, (ix(0),), ALPHA, block_lengths(16, "weave"),
+                               almost_disjoint_family(2), "weave")
+    source = full_shift_transitive_point(ALPHA)
+    members = transitive_weave_family(spec, source)
+    en = pattern_enumeration(ALPHA, INTEGERS)
+    for n in range(1, 27):
+        pat = en.pattern(n)
+        expo = weave_entry_exponent(spec, source, pat)
+        assert all(in_cylinder(shifted(x, m, expo), pat) for x in members), n
+    assert len(calls) == 26
 
 
 # ---------------------------------------------------------------------------

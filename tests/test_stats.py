@@ -18,14 +18,16 @@ from gshift.configspace import (
     window_to_threshold,
 )
 from gshift.constructions import (
+    AlmostDisjointFamily,
     ExplicitBlockSet,
     ScrambledFamilySpec,
     almost_disjoint_family,
     block_lengths,
     dc_family,
+    full_shift_transitive_point,
+    transitive_weave_family,
 )
 from gshift.stats import (
-    DcPairParams,
     Schedule,
     block_boundary_schedule,
     dc_pair_report,
@@ -35,6 +37,7 @@ from gshift.stats import (
     xi_count,
     zeta_count,
 )
+from oracles import per_block_bound
 
 ALPHA = default_alphabet()
 P, Q = ALPHA.p, ALPHA.q
@@ -205,6 +208,16 @@ def test_scrambled_pair_flags_both_surrogates():
     assert v.dip_window is not None
 
 
+def test_pair_report_carries_the_profiles_it_was_read_off():
+    x, y = _blocks({1, 2, 5}), _blocks({2, 3, 5})
+    sched = Schedule((1, 3, 10, 41, 206))
+    windows = [make_window((ix(0),)), make_window((ix(1), ix(0)))]
+    v = dc_pair_report(M, x, y, windows, sched, Fraction(1, 4), Fraction(1, 4))
+    assert v.profiles == tuple(density_profile(M, x, y, w, sched) for w in windows)
+    assert v.min_fractions == tuple(p.running_min for p in v.profiles)
+    assert v.max_fractions == tuple(p.running_max for p in v.profiles)
+
+
 def test_pair_report_without_windows_flags_nothing():
     x, y = _blocks({2}), _blocks({3})
     v = dc_pair_report(M, x, y, [], Schedule((1, 3, 10)), Fraction(1, 4), Fraction(1, 4))
@@ -218,35 +231,70 @@ def test_pair_report_without_windows_flags_nothing():
 # ---------------------------------------------------------------------------
 
 
-def _pair_params():
+def _pair():
     fam = almost_disjoint_family(2)
     spec = ScrambledFamilySpec(M, (ix(0),), ALPHA, LENGTHS, fam, "plain")
-    x, y = dc_family(spec)
-    return DcPairParams(M, ix(0), LENGTHS, x, y, fam.members[0], fam.members[1])
+    return spec, dc_family(spec)
+
+
+def _replayed(spec, members, blocks):
+    """(r, shared, ok) of every block the pair's replay covered."""
+    return [(b.r, b.shared, b.ok) for b in proof_bound_check_dc(spec, members, 0, 1, blocks, (0,))]
 
 
 def test_shared_block_bound_with_radius_zero():
-    params = _pair_params()
-    assert proof_bound_check_dc(params, 4, (0,))  # count >= s_4 - 1
+    assert _replayed(*_pair(), [4]) == [(4, True, True)]  # count >= s_4 - 1
 
 
 def test_one_sided_block_bound():
-    params = _pair_params()
-    assert proof_bound_check_dc(params, 5, (0,))  # 5 in H_2 only
+    assert _replayed(*_pair(), [5]) == [(5, False, True)]  # 5 in H_2 only
 
 
 def test_degenerate_first_block_bound_is_trivial():
     both = ExplicitBlockSet(frozenset({1, 2}))
-    x, y = _blocks({1, 2}), _blocks({1, 2})
-    params = DcPairParams(M, ix(0), LENGTHS, x, y, both, both)
-    assert proof_bound_check_dc(params, 1, (0,))  # bound s_1 - 1 = 0
+    spec = ScrambledFamilySpec(M, (ix(0),), ALPHA, LENGTHS,
+                               AlmostDisjointFamily((both, both), (both, both)), "plain")
+    members = [_blocks({1, 2}), _blocks({1, 2})]
+    assert _replayed(spec, members, [1]) == [(1, True, True)]  # bound s_1 - 1 = 0
 
 
-def test_bound_rejects_blocks_outside_both_sets():
-    params = _pair_params()
+def test_a_block_in_neither_set_is_not_replayed():
     # 7 is odd and a power of neither 3 nor 5, so no estimate covers it
-    with pytest.raises(ValueError):
-        proof_bound_check_dc(params, 7, (0,))
+    assert _replayed(*_pair(), [7]) == []
+    assert [r for r, _, _ in _replayed(*_pair(), [7, 5, 4, 7])] == [4, 5]
+
+
+def _family_of(sets):
+    sets = tuple(ExplicitBlockSet(frozenset(s)) for s in sets)
+    return AlmostDisjointFamily(sets, sets)
+
+
+# members of the second kind are built from sets the spec does not name, so
+# some of the spec's estimates fail on them
+OTHER_SETS = ({1, 2, 5}, {2, 3, 4, 8}, {3, 6, 7})
+
+
+@pytest.mark.parametrize("variant", ["plain", "weave"])
+@pytest.mark.parametrize("built_from", ["spec", "other"])
+def test_bound_replay_matches_the_per_block_oracle(variant, built_from):
+    lengths = block_lengths(8, variant)
+    spec = ScrambledFamilySpec(M, (ix(0),), ALPHA, lengths, almost_disjoint_family(3), variant)
+    source = full_shift_transitive_point(ALPHA)
+    if built_from == "other":
+        build = ScrambledFamilySpec(M, (ix(0),), ALPHA, lengths, _family_of(OTHER_SETS), variant)
+    else:
+        build = spec
+    members = dc_family(build) if variant == "plain" else transitive_weave_family(build, source)
+    outcomes = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for offsets in ((0,), (0, 1), (-1, 0, 1)):
+            got = {b.r: (b.count, b.ok) for b in
+                   proof_bound_check_dc(spec, members, i, j, range(1, 9), offsets)}
+            want = {r: replay for r in range(1, 9)
+                    if (replay := per_block_bound(spec, members, i, j, r, offsets)) is not None}
+            assert got == want, (i, j, offsets)
+            outcomes += [ok for _, ok in got.values()]
+    assert all(outcomes) if built_from == "spec" else not all(outcomes)
 
 
 def test_orbit_window_resolves_signed_offsets():
