@@ -56,8 +56,8 @@ def test_config_defaults_fill_in():
     ({"map": PHI1["map"], "lengths": {"variant": "fancy"}}, "variant"),
     ({"map": PHI1["map"], "windows": [[0]]}, "windows[0]"),
     ({"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": []}}, "horizons"),
-    ({"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": [50, 5]}}, "horizons"),
     ({"map": PHI1["map"], "eps_low": "one quarter"}, "eps"),
+    ({"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": [50, 5]}}, "horizons"),
 ])
 def test_config_errors_name_the_field(broken, fragment):
     with pytest.raises(ConfigError) as err:
