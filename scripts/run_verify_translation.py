@@ -13,7 +13,7 @@ from pathlib import Path
 from gshift.cli import main as cli_main
 
 CONFIG = {
-    "map": {"kind": "catalog", "rule": "successor"},
+    "map": {"rule": "successor"},
     "family_size": 3,
     "lengths": {"variant": "plain", "count": 8},
     "windows": [[1], [1, 2]],

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from .indexspace import (
+    Index,
     SelfMap,
     enumerate_index,
     map_spec,
@@ -225,17 +226,33 @@ def _schedule_for(cfg: ExperimentConfig, lengths, horizon_cap: Optional[int]) ->
     return sched
 
 
-def _pick_anchor(cfg: ExperimentConfig, budget: int):
-    anchor = enumerate_index(cfg.map.domain, cfg.anchor_rank)
-    cls = classify_point(cfg.map, anchor, budget)
-    if cls.is_non_quasi_periodic:
-        return anchor, cls
-    for rank in range(1, 65):
+def _pick_anchor(cfg: ExperimentConfig, budget: int) -> tuple[Optional[Index], bool]:
+    """(anchor, undecided): the configured anchor when its orbit is proven
+    infinite, else the first such point among ranks 1..64.  With no anchor,
+    `undecided` says whether some candidate's classification came back unknown,
+    so that the absence of an anchor was not shown."""
+    undecided = False
+    for rank in dict.fromkeys([cfg.anchor_rank, *range(1, 65)]):
         candidate = enumerate_index(cfg.map.domain, rank)
         cls = classify_point(cfg.map, candidate, budget)
         if cls.is_non_quasi_periodic:
-            return candidate, cls
-    return None, cls
+            return candidate, undecided
+        undecided = undecided or cls.kind == "unknown"
+    return None, undecided
+
+
+def _no_anchor(undecided: bool) -> str:
+    """Why `_pick_anchor` found no anchor."""
+    if undecided:
+        return "no usable anchor: some candidate's classification came back unknown"
+    return "no usable anchor: every candidate has a proven finite orbit"
+
+
+def _exit_without_anchor(undecided: bool) -> int:
+    """Report a missing anchor: inconclusive (3) when it was not shown, else failed (1)."""
+    print(f"{'inconclusive' if undecided else 'error'}: {_no_anchor(undecided)}",
+          file=sys.stderr)
+    return 3 if undecided else 1
 
 
 def _family_for(cfg: ExperimentConfig, anchor, lengths) -> tuple[ScrambledFamilySpec, list]:
@@ -349,11 +366,9 @@ def _cmd_predict(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def _cmd_construct(cfg: ExperimentConfig, out: Path, args, flavor: str) -> int:
-    anchor, cls = _pick_anchor(cfg, args.budget)
+    anchor, undecided = _pick_anchor(cfg, args.budget)
     if anchor is None:
-        print(f"error: no usable anchor: classification came back {cls.kind}",
-              file=sys.stderr)
-        return 1
+        return _exit_without_anchor(undecided)
     cfg.lengths_variant = "weave" if flavor == "transitive" else "plain"
     try:
         spec, members = _family_for(
@@ -383,11 +398,9 @@ def _cmd_construct(cfg: ExperimentConfig, out: Path, args, flavor: str) -> int:
 
 
 def _cmd_stats(cfg: ExperimentConfig, out: Path, args) -> int:
-    anchor, cls = _pick_anchor(cfg, args.budget)
+    anchor, undecided = _pick_anchor(cfg, args.budget)
     if anchor is None:
-        print(f"error: no usable anchor: classification came back {cls.kind}",
-              file=sys.stderr)
-        return 1
+        return _exit_without_anchor(undecided)
     lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
     schedule = _schedule_for(cfg, lengths, args.horizon_cap)
     try:
@@ -419,9 +432,11 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     elif not verdict.is_true:
         inconclusive = f"distributional verdict is {verdict.truth}; no construction checked"
     else:
-        anchor, cls = _pick_anchor(cfg, args.budget)
-        if anchor is None:
-            checks.append(("anchor", False, f"no proven infinite-orbit anchor ({cls.kind})"))
+        anchor, undecided = _pick_anchor(cfg, args.budget)
+        if anchor is None and undecided:
+            inconclusive = _no_anchor(undecided)
+        elif anchor is None:
+            checks.append(("anchor", False, _no_anchor(undecided)))
         else:
             lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
             schedule = _schedule_for(cfg, lengths, args.horizon_cap)

@@ -71,6 +71,17 @@ class MetricResolutionError(RuntimeError):
     """A metric comparison stayed on a knife edge past the inspection depth."""
 
 
+Run = tuple[int, str]  # (length, symbol): `length` consecutive orbit positions
+
+
+def _push_run(runs: list[Run], length: int, symbol: str) -> None:
+    """Append a run, extending the last one when it shows the same symbol."""
+    if runs and runs[-1][1] == symbol:
+        runs[-1] = (runs[-1][0] + length, symbol)
+    else:
+        runs.append((length, symbol))
+
+
 class Configuration:
     """Total lazy assignment of symbols to domain indices."""
 
@@ -79,13 +90,22 @@ class Configuration:
     def symbol_at(self, index: Index) -> str:
         raise NotImplementedError
 
-    def symbols_along(self, m: SelfMap, start: Index, count: int) -> list[str]:
-        """Symbols at phi^i(start) for i = 0..count-1; subclasses may bulk-fill."""
-        out = []
+    def runs_along(self, m: SelfMap, start: Index, count: int) -> list[Run]:
+        """Symbols at phi^i(start) for i = 0..count-1 as maximal (length, symbol)
+        runs.  This base steps `symbol_at` position by position; subclasses that
+        know where their symbols change read whole runs instead."""
+        runs: list[Run] = []
         cur = start
         for _ in range(count):
-            out.append(self.symbol_at(cur))
+            _push_run(runs, 1, self.symbol_at(cur))
             cur = evaluate(m, cur)
+        return runs
+
+    def symbols_along(self, m: SelfMap, start: Index, count: int) -> list[str]:
+        """Symbols at phi^i(start) for i = 0..count-1: `runs_along` expanded."""
+        out: list[str] = []
+        for length, symbol in self.runs_along(m, start, count):
+            out += [symbol] * length
         return out
 
 
@@ -99,8 +119,8 @@ class Constant(Configuration):
             raise ValueError(f"{index!r} outside configuration domain")
         return self.symbol
 
-    def symbols_along(self, m: SelfMap, start: Index, count: int) -> list[str]:
-        return [self.symbol] * count
+    def runs_along(self, m: SelfMap, start: Index, count: int) -> list[Run]:
+        return [(count, self.symbol)] if count else []
 
 
 class FinitePatch(Configuration):
@@ -177,27 +197,31 @@ class OrbitBlocks(Configuration):
             return self._source_symbol(offset)
         return self.block_symbol(r)
 
-    def symbols_along(self, m: SelfMap, start: Index, count: int) -> list[str]:
+    def runs_along(self, m: SelfMap, start: Index, count: int) -> list[Run]:
         if m != self.map:
-            return super().symbols_along(m, start, count)
-        out: list[str] = []
-        cur = start
+            return super().runs_along(m, start, count)
+        done, cur = 0, start
         pos = self.orbit_position_of(cur)
-        while pos is None and len(out) < count:
-            out.append(self.alphabet.q)
+        # off the orbit every coordinate reads q; step until the walk joins it
+        while pos is None and done < count:
+            done += 1
             cur = evaluate(m, cur)
             pos = self.orbit_position_of(cur)
-        # once on the orbit, positions advance by one per shift; fill by segments
-        while len(out) < count:
+        runs: list[Run] = [(done, self.alphabet.q)] if done else []
+        # once on the orbit, positions advance by one per shift: one run per
+        # block, one per splice symbol
+        while done < count:
             r, offset, in_splice = self.lengths.locate(pos)
             if in_splice:
-                take = min(r - offset, count - len(out))
-                out.extend([self._source_symbol(offset + j) for j in range(take)])
+                take = min(r - offset, count - done)
+                for j in range(offset, offset + take):
+                    _push_run(runs, 1, self._source_symbol(j))
             else:
-                take = min(self.lengths.value(r) - offset, count - len(out))
-                out.extend([self.block_symbol(r)] * take)
+                take = min(self.lengths.value(r) - offset, count - done)
+                _push_run(runs, take, self.block_symbol(r))
+            done += take
             pos += take
-        return out
+        return runs
 
 
 class Embedded(Configuration):
@@ -238,10 +262,10 @@ class Shifted(Configuration):
     def symbol_at(self, index: Index) -> str:
         return self.base.symbol_at(iterate(self.map, index, self.power))
 
-    def symbols_along(self, m: SelfMap, start: Index, count: int) -> list[str]:
+    def runs_along(self, m: SelfMap, start: Index, count: int) -> list[Run]:
         if m == self.map:
-            return self.base.symbols_along(m, iterate(m, start, self.power), count)
-        return super().symbols_along(m, start, count)
+            return self.base.runs_along(m, iterate(m, start, self.power), count)
+        return super().runs_along(m, start, count)
 
 
 def shifted(config: Configuration, m: SelfMap, power: int) -> Configuration:

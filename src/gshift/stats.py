@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .indexspace import Index, SelfMap, evaluate, preimage
-from .configspace import Configuration, make_window, metric_less_than, shifted
+from .configspace import Configuration, Run, make_window, metric_less_than, shifted
 from .constructions import BlockLengths, ScrambledFamilySpec
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "block_boundary_schedule",
     "zeta_count",
     "xi_count",
-    "agreement_flags",
     "density_profile",
     "dc_pair_report",
     "proof_bound_check_dc",
@@ -57,29 +56,56 @@ def block_boundary_schedule(lengths: BlockLengths, r_max: int) -> Schedule:
     return Schedule(horizons, labels)
 
 
-def agreement_flags(m: SelfMap, x: Configuration, y: Configuration,
-                    window: Sequence[Index], n: int) -> list[bool]:
-    """flags[i] says the pair agrees on the whole window after i shifts (i < n)."""
-    flags = [True] * n
-    for d in window:
-        sx = x.symbols_along(m, d, n)
-        sy = y.symbols_along(m, d, n)
-        for i in range(n):
-            if flags[i] and sx[i] != sy[i]:
-                flags[i] = False
-        # free this coordinate's lists before the next one builds its own, so
-        # at most two are alive and the peak does not depend on window order
-        del sx, sy
-    return flags
+def _disagreements(xs: list[Run], ys: list[Run]) -> list[tuple[int, int]]:
+    """Half-open position intervals [a, b), in order, on which two run lists
+    of the same total length show different symbols (adjacent ones unmerged)."""
+    out: list[tuple[int, int]] = []
+    x_runs, y_runs = iter(xs), iter(ys)
+    x_left = y_left = pos = 0
+    x_sym = y_sym = None
+    while True:
+        if not x_left:
+            x_left, x_sym = next(x_runs, (0, None))
+        if not y_left:
+            y_left, y_sym = next(y_runs, (0, None))
+        step = min(x_left, y_left)
+        if not step:
+            return out
+        if x_sym != y_sym:
+            out.append((pos, pos + step))
+        pos += step
+        x_left -= step
+        y_left -= step
 
 
 def _agreement_counts(m: SelfMap, x: Configuration, y: Configuration,
                       window: Sequence[Index], horizons: Sequence[int]) -> list[int]:
-    """Window-agreement counts at ascending horizons, all read off one flag
-    stream that runs to the last horizon."""
-    flags = agreement_flags(m, x, y, window, horizons[-1])
-    # the last count reads the whole stream; only the shorter prefixes are copied
-    return [flags[:h].count(True) for h in horizons[:-1]] + [flags.count(True)]
+    """Window-agreement counts #{i < h : the shifted pair agrees on the window}
+    at ascending horizons h.
+
+    Each window coordinate's x and y runs up to the last horizon are merge-walked
+    into disagreement intervals; one sweep over the union of those intervals
+    reads off every count.  The cost follows the number of runs, not the
+    horizon, and the arithmetic is integer throughout.
+    """
+    n = horizons[-1]
+    spans = sorted(span for d in window
+                   for span in _disagreements(x.runs_along(m, d, n), y.runs_along(m, d, n)))
+    union: list[list[int]] = []  # disjoint, ascending
+    for a, b in spans:
+        if union and a <= union[-1][1]:
+            union[-1][1] = max(union[-1][1], b)
+        else:
+            union.append([a, b])
+    counts: list[int] = []
+    k = below = 0  # union[:k] ends at or before h and holds `below` positions
+    for h in horizons:
+        while k < len(union) and union[k][1] <= h:
+            below += union[k][1] - union[k][0]
+            k += 1
+        straddle = max(0, h - union[k][0]) if k < len(union) else 0
+        counts.append(h - below - straddle)
+    return counts
 
 
 def zeta_count(m: SelfMap, x: Configuration, y: Configuration,
@@ -89,7 +115,7 @@ def zeta_count(m: SelfMap, x: Configuration, y: Configuration,
         raise ValueError("horizon must be >= 0")
     if not window:
         raise ValueError("window must be nonempty")
-    return sum(agreement_flags(m, x, y, window, n))
+    return _agreement_counts(m, x, y, window, [n])[0]
 
 
 def xi_count(m: SelfMap, x: Configuration, y: Configuration, t: Fraction,
@@ -136,8 +162,9 @@ def density_profile(m: SelfMap, x: Configuration, y: Configuration,
                     window: Sequence[Index], schedule: Schedule) -> DensityProfile:
     """Agreement fractions at every scheduled horizon, with running extremes.
 
-    One linear pass over the largest horizon; counts at earlier checkpoints are
-    prefix sums of the same flag stream.
+    Every count comes from one run-length agreement pass per window, up to the
+    largest horizon: its cost grows with the blocks and splice symbols the
+    runs cover, not with the horizon.
     """
     counts = _agreement_counts(m, x, y, window, schedule.horizons)
     rows = []

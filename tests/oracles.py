@@ -8,7 +8,7 @@ from gshift.configspace import Configuration, CylinderPattern, pattern_from_rank
 from gshift.constructions import ScrambledFamilySpec
 from gshift.indexspace import Index, IndexDomain, SelfMap, enumerate_index
 from gshift.orbits import MapProfile, proven_false, proven_true
-from gshift.stats import orbit_window, zeta_count
+from gshift.stats import orbit_window
 
 
 def brute_force_profile(m: SelfMap) -> MapProfile:
@@ -66,6 +66,26 @@ def truncated_distance(x: Configuration, y: Configuration, depth: int) -> Fracti
     return total
 
 
+def agreement_flags(m: SelfMap, x: Configuration, y: Configuration,
+                    window: Sequence[Index], n: int) -> list[bool]:
+    """flags[i] says the pair agrees on the whole window after i shifts (i < n),
+    compared symbol by symbol."""
+    flags = [True] * n
+    for d in window:
+        sx = x.symbols_along(m, d, n)
+        sy = y.symbols_along(m, d, n)
+        for i in range(n):
+            if flags[i] and sx[i] != sy[i]:
+                flags[i] = False
+    return flags
+
+
+def per_position_count(m: SelfMap, x: Configuration, y: Configuration,
+                       window: Sequence[Index], n: int) -> int:
+    """#{i < n : the shifted pair agrees on the window}, one position at a time."""
+    return sum(agreement_flags(m, x, y, window, n))
+
+
 def per_block_bound(spec: ScrambledFamilySpec, members: Sequence[Configuration],
                     i: int, j: int, r: int,
                     offsets: Sequence[int]) -> Optional[tuple[int, bool]]:
@@ -80,9 +100,9 @@ def per_block_bound(spec: ScrambledFamilySpec, members: Sequence[Configuration],
         radius = max(abs(o) for o in offsets)
         window = orbit_window(spec.map, spec.anchor, offsets)
         slack = 2 * radius if spec.lengths.variant == "weave" else 4 * radius
-        count = zeta_count(spec.map, x, y, window, n_r)
+        count = per_position_count(spec.map, x, y, window, n_r)
         return count, count >= s_r - slack - 1
     if in_i or in_j:
-        count = zeta_count(spec.map, x, y, (spec.anchor,), n_r)
+        count = per_position_count(spec.map, x, y, (spec.anchor,), n_r)
         return count, count <= n_r - s_r + 1
     return None

@@ -1,10 +1,13 @@
 """Command-line interface: config validation, artifacts, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
+import sys
 
 import pytest
 
+from gshift import indexspace
 from gshift.cli import ConfigError, ExperimentConfig, main, parse_config
 
 PHI1 = {
@@ -181,6 +184,80 @@ def test_an_orbit_lookup_past_its_budget_is_inconclusive(tmp_path, capsys, comma
         assert captured.out.splitlines()[-1] == "rollup: INCONCLUSIVE"
         blob = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert blob["rollup"] is False
+
+
+# the sha256 of stats.csv for PHI1 and its weave twin, recorded before the
+# agreement counts went run-length; the statistics must not move
+@pytest.mark.parametrize("variant, digest", [
+    ("plain", "6f338012ef3308a1cf1cf8d339d2c0cce41a9f5d7541b07a1f99119ec2664a75"),
+    ("weave", "fa70622f91876072f1a5139ae0d388825d28830ef9e622bafa4db5f4b81dd1e4"),
+])
+def test_stats_csv_digest_is_pinned(tmp_path, capsys, variant, digest):
+    cfg = dict(PHI1, lengths={"variant": variant, "count": 8})
+    assert _run(tmp_path, "stats", config=cfg) == 0
+    assert hashlib.sha256((tmp_path / "out" / "stats.csv").read_bytes()).hexdigest() == digest
+
+
+def test_verify_at_r_max_20_reads_runs_not_positions(tmp_path, capsys, monkeypatch):
+    # horizon(20) is ~4 * 10^18: only run-length counting gets there, and it
+    # steps the map a handful of times, not once per orbit position
+    calls = []
+    evaluate = indexspace.evaluate
+
+    def counting(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gshift" or name.startswith("gshift."):
+            for attr, value in list(vars(module).items()):
+                if value is evaluate:
+                    monkeypatch.setattr(module, attr, counting)
+    cfg = dict(PHI1, lengths={"variant": "plain", "count": 20},
+               schedule={"kind": "block_boundaries", "r_max": 20})
+    assert _run(tmp_path, "verify", config=cfg) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "rollup: PASS"
+    assert 0 < len(calls) < 1000
+
+
+SQUARE_AFTER_SUCCESSOR = {"rule": "compose", "outer": {"rule": "square"},
+                          "inner": {"rule": "successor"}}
+
+
+def _nested_union(left, depth):
+    """left ⊔ (left ⊔ (... ⊔ successor)): ranks 1..64 all fall on `left` copies,
+    so no anchor candidate is a successor point, yet the map is proven
+    distributionally chaotic through its innermost right side."""
+    m = {"rule": "successor"}
+    for _ in range(depth):
+        m = {"rule": "disjoint_union", "left": left, "right": m}
+    return m
+
+
+@pytest.mark.parametrize("command", ["stats", "construct-dc"])
+def test_an_unknown_anchor_classification_is_inconclusive(tmp_path, capsys, command):
+    cfg = {"map": SQUARE_AFTER_SUCCESSOR}
+    assert _run(tmp_path, "--budget", "8", command, config=cfg) == 3
+    assert capsys.readouterr().err.startswith("inconclusive: no usable anchor")
+
+
+@pytest.mark.parametrize("left, rc, checks", [
+    (SQUARE_AFTER_SUCCESSOR, 3, []),
+    ({"rule": "parity_up"}, 1, [{"name": "anchor", "ok": False, "note":
+                                 "no usable anchor: every candidate has a proven finite orbit"}]),
+], ids=["unknown", "finite"])
+def test_verify_without_an_anchor(tmp_path, capsys, left, rc, checks):
+    # unknown candidates leave the anchor undecided (3); proven finite orbits fail (1)
+    cfg = {"map": _nested_union(left, 7)}
+    assert _run(tmp_path, "--budget", "8", "verify", config=cfg) == rc
+    out = capsys.readouterr().out
+    blob = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert blob["checks"] == checks and blob["rollup"] is False
+    if rc == 3:
+        assert "INCONCLUSIVE: no usable anchor: some candidate's classification" in out
+        assert out.splitlines()[-1] == "rollup: INCONCLUSIVE"
+    else:
+        assert out.splitlines()[-1] == "rollup: FAIL"
 
 
 def test_horizon_cap_truncates_and_can_empty_the_schedule(tmp_path, capsys):

@@ -131,6 +131,52 @@ def test_symbols_along_matches_pointwise_reads(members, start, variant):
     assert bulk == pointwise
 
 
+def _expand(runs):
+    return [symbol for length, symbol in runs for _ in range(length)]
+
+
+def _pointwise(x, m, start, count):
+    return [x.symbol_at(iterate(m, start, i)) for i in range(count)]
+
+
+@given(st.sets(st.integers(min_value=1, max_value=6)),
+       st.integers(min_value=-10, max_value=60),
+       st.integers(min_value=0, max_value=150),
+       st.sampled_from(["plain", "weave", "shifted", "patched", "constant"]))
+@settings(max_examples=80, deadline=None)
+def test_runs_along_matches_pointwise_reads(members, start, count, kind):
+    m = successor()
+    x = _blocks(members, variant="weave" if kind == "weave" else "plain", weave=kind == "weave")
+    if kind == "shifted":
+        x = shifted(x, m, 4)
+    elif kind == "patched":
+        x = FinitePatch(x, {ix(start + 3): P, ix(start + 20): Q})
+    elif kind == "constant":
+        x = Constant(INTEGERS, P)
+    runs = x.runs_along(m, ix(start), count)
+    assert all(length >= 1 for length, _ in runs)
+    assert all(a[1] != b[1] for a, b in zip(runs, runs[1:]))  # maximal runs
+    assert _expand(runs) == _pointwise(x, m, ix(start), count)
+    assert x.symbols_along(m, ix(start), count) == _expand(runs)
+
+
+@pytest.mark.parametrize("variant", ["plain", "weave"])
+def test_runs_along_reaches_far_horizons_block_by_block(variant):
+    # out to block 30 (horizon ~5·10^32 plain, ~10^33 weave), every run's first and
+    # last symbol matches a pointwise read, and the runs cover the count exactly
+    m, start = successor(), ix(-2)
+    x = _blocks(set(range(1, 31, 3)), variant=variant, count=30, weave=variant == "weave")
+    count = x.lengths.horizon(30) + 7
+    runs = x.runs_along(m, start, count)
+    assert sum(length for length, _ in runs) == count
+    assert len(runs) < 31 + 31 * 31  # blocks plus splice symbols
+    pos = 0
+    for length, symbol in runs:
+        for i in (pos, pos + length - 1):
+            assert x.symbol_at(iterate(m, start, i)) == symbol
+        pos += length
+
+
 def test_orbit_position_lookup():
     x = _blocks({2})
     assert x.orbit_position_of(ix(7)) == 7

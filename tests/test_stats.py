@@ -1,4 +1,5 @@
-"""Agreement statistics checked against a from-scratch list simulation."""
+"""Agreement statistics checked against a from-scratch list simulation and
+the per-position oracle."""
 
 from fractions import Fraction
 
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gshift.indexspace import INTEGERS, ix, successor
+from gshift.indexspace import INTEGERS, disjoint_union_maps, ix, parity_up, successor
 from gshift.configspace import (
     Constant,
     FinitePatch,
     OrbitBlocks,
     default_alphabet,
     make_window,
+    shifted,
     threshold_to_window,
     window_from_ranks,
     window_to_threshold,
@@ -24,7 +26,9 @@ from gshift.constructions import (
     almost_disjoint_family,
     block_lengths,
     dc_family,
+    densify_family,
     full_shift_transitive_point,
+    pattern_enumeration,
     transitive_weave_family,
 )
 from gshift.stats import (
@@ -37,7 +41,7 @@ from gshift.stats import (
     xi_count,
     zeta_count,
 )
-from oracles import per_block_bound
+from oracles import agreement_flags, per_block_bound
 
 ALPHA = default_alphabet()
 P, Q = ALPHA.p, ALPHA.q
@@ -76,6 +80,7 @@ def test_zeta_trivials():
     w = make_window((ix(0),))
     assert zeta_count(M, x, x, w, 25) == 25
     assert zeta_count(M, Constant(INTEGERS, P), Constant(INTEGERS, Q), w, 25) == 0
+    assert zeta_count(M, x, _blocks({3}), w, 0) == 0
 
 
 @given(st.sets(st.integers(min_value=1, max_value=8)),
@@ -109,6 +114,80 @@ def test_zeta_rejects_bad_arguments():
         zeta_count(M, x, x, (), 5)
     with pytest.raises(ValueError):
         zeta_count(M, x, x, make_window((ix(0),)), -1)
+
+
+# ---------------------------------------------------------------------------
+# Run-length counts against the per-position oracle.
+# ---------------------------------------------------------------------------
+
+
+def _horizons_around_blocks(lengths, r, extra):
+    """1, every block end up to r and its neighbours (inside blocks and, in the
+    weave variant, inside the splices that follow), plus the drawn extras."""
+    near = {lengths.horizon(k) + d for k in range(1, r + 1) for d in (-1, 0, 1, 2, k - 1)}
+    last = lengths.horizon(r) + r
+    return sorted(h for h in near | set(extra) | {1} if 1 <= h <= last)
+
+
+def _check_against_oracle(m, x, y, window, horizons):
+    flags = agreement_flags(m, x, y, window, horizons[-1])
+    profile = density_profile(m, x, y, window, Schedule(tuple(horizons)))
+    assert [row.count for row in profile.rows] == [sum(flags[:h]) for h in horizons]
+    assert zeta_count(m, x, y, window, horizons[-1]) == sum(flags)
+
+
+@pytest.mark.parametrize("variant", ["plain", "weave"])
+@pytest.mark.parametrize("r", range(1, 10))
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_run_length_counts_match_the_per_position_oracle(r, variant, data):
+    # window coordinates 0..3 lie on the anchor's orbit; -1..-3 join it later
+    lengths = block_lengths(r, variant)
+    source = full_shift_transitive_point(ALPHA) if variant == "weave" else None
+    cache: dict = {}
+    x, y = (OrbitBlocks(M, ix(0), lengths,
+                        ExplicitBlockSet(frozenset(data.draw(st.sets(st.integers(1, r + 1))))),
+                        ALPHA, weave_source=source, source_cache=cache)
+            for _ in range(2))
+    coords = data.draw(st.sets(st.integers(-3, 3), min_size=1, max_size=3))
+    extra = data.draw(st.lists(st.integers(1, lengths.horizon(r) + r), max_size=3))
+    _check_against_oracle(M, x, y, make_window([ix(c) for c in sorted(coords)]),
+                          _horizons_around_blocks(lengths, r, extra))
+
+
+UNION = disjoint_union_maps(successor(), parity_up())
+
+
+@pytest.mark.parametrize("variant", ["plain", "weave"])
+@given(st.sets(st.integers(1, 6)), st.sets(st.integers(1, 6)),
+       st.sets(st.sampled_from([ix(0, "L"), ix(2, "L"), ix(-2, "L"), ix(0, "R"), ix(5, "R")]),
+               min_size=1, max_size=3))
+@settings(max_examples=10, deadline=None)
+def test_run_length_counts_off_the_anchor_orbit(variant, a, b, coords):
+    # the right side of successor + parity_up never meets the anchor's orbit,
+    # so those coordinates read q at every position and are stepped
+    lengths = block_lengths(6, variant)
+    # splices read the source at L0, L1, ...: p at L1 and L3, q elsewhere
+    source = FinitePatch(Constant(UNION.domain, Q), {ix(1, "L"): P, ix(3, "L"): P})
+    source = source if variant == "weave" else None
+    x, y = (OrbitBlocks(UNION, ix(0, "L"), lengths, ExplicitBlockSet(frozenset(s)), ALPHA,
+                        weave_source=source)
+            for s in (a, b))
+    _check_against_oracle(UNION, x, y, make_window(sorted(coords, key=repr)),
+                          _horizons_around_blocks(lengths, 6, ()))
+
+
+def test_run_length_counts_on_shifted_and_densified_members():
+    spec = ScrambledFamilySpec(M, (ix(0),), ALPHA, block_lengths(6, "plain"),
+                               almost_disjoint_family(4), "plain")
+    members = dc_family(spec)
+    dense = densify_family(M, members, pattern_enumeration(ALPHA, INTEGERS), 4)
+    pool = dense + [shifted(members[0], M, 3), shifted(dense[1], M, 2), members[2]]
+    window = make_window((ix(-1), ix(0), ix(2)))
+    horizons = _horizons_around_blocks(spec.lengths, 6, (7, 333))
+    for k, x in enumerate(pool):
+        for y in pool[k + 1:]:
+            _check_against_oracle(M, x, y, window, horizons)
 
 
 # ---------------------------------------------------------------------------
