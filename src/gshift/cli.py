@@ -92,28 +92,6 @@ class ExperimentConfig:
     eps_high: Fraction = Fraction(1, 4)
     anchor_rank: int = 1
 
-    def to_json(self) -> dict:
-        out = {
-            "schema": "gshift-config/1",
-            "map": map_spec(self.map),
-            "alphabet": {
-                "symbols": list(self.alphabet.symbols),
-                "p": self.alphabet.p,
-                "q": self.alphabet.q,
-            },
-            "family_size": self.family_size,
-            "lengths": {"variant": self.lengths_variant, "count": self.lengths_count},
-            "windows": [list(w) for w in self.windows],
-            "eps_low": str(self.eps_low),
-            "eps_high": str(self.eps_high),
-            "anchor_rank": self.anchor_rank,
-        }
-        if self.schedule_kind == "block_boundaries":
-            out["schedule"] = {"kind": "block_boundaries", "r_max": self.schedule_r_max}
-        else:
-            out["schedule"] = {"kind": "explicit", "horizons": list(self.schedule_horizons)}
-        return out
-
 
 def _expect(obj: dict, key: str, types, path: str, default=None, required=False):
     if key not in obj:

@@ -40,7 +40,6 @@ __all__ = [
     "disjoint_union_maps",
     "evaluate",
     "iterate",
-    "canonical_form",
     "preimage",
     "parse_map_spec",
     "map_spec",
@@ -247,8 +246,8 @@ class SelfMap:
 
     rule: "table" on a finite range, one of CATALOG_RULES on the integers,
     "compose" (outer after inner), or "disjoint_union" routing by tag.
-    record: the map's entry in the rule table; a composition with a certified
-    closed form gets the record of its form.
+    record: the map's entry in the rule table; a composition of translations
+    (at any depth) gets the translation record of its closed form.
     """
 
     domain: IndexDomain
@@ -261,8 +260,8 @@ class SelfMap:
     record: "Rule" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        form = FORMS.get((self.outer.rule, self.inner.rule)) if self.outer is not None else None
-        object.__setattr__(self, "record", form or RULES[self.rule])
+        record = _composed(self.outer.record, self.inner.record) if self.outer is not None else None
+        object.__setattr__(self, "record", record or RULES[self.rule])
 
 
 def table_map(entries) -> SelfMap:
@@ -384,16 +383,6 @@ def preimage(m: SelfMap, index: Index) -> Optional[Index]:
     return inverse(m, index)
 
 
-def canonical_form(m: SelfMap) -> Optional[str]:
-    """Recognize compositions that reduce to a certified closed form.
-
-    Returns "identity", "shift2_odd_up" (odd +2 / even -2),
-    "shift2_even_up" (even +2 / odd -2), or None.
-    """
-    # only a recognized composition carries a record named other than its rule
-    return m.record.name if m.record.name != m.rule else None
-
-
 def route(m: SelfMap, index: Index, fn, *args):
     """fn(side map, index with its tag stripped, *args) on the half of a union
     map that owns the index; an Index result gets the tag back."""
@@ -430,11 +419,13 @@ def cycle_walk(step, start, budget: int) -> Optional[tuple[list, int]]:
 class RuleFacts:
     """Hand-certified dynamics of an integer rule, as plain data.
 
-    Either every point is periodic with `period`, certified by `note`, or the
-    coordinates in `finite` (coordinate -> (preperiod, period), certified by
-    `finite_note`) are the only ones with finite orbits and the growth
-    argument `note` makes every other orbit infinite; `nqp_witness` is one
-    such point.  The test suite re-checks each fact by a bounded scan.
+    Either every point is periodic with `period`, certified by `note` (only
+    the points of parity `period_parity` when it is set: the other class
+    drifts and holds `nqp_witness`), or the coordinates in `finite`
+    (coordinate -> (preperiod, period), certified by `finite_note`) are the
+    only ones with finite orbits and the growth argument `note` makes every
+    other orbit infinite; `nqp_witness` is one such point.  The test suite
+    re-checks each fact by a bounded scan.
     """
 
     injective: bool
@@ -444,6 +435,7 @@ class RuleFacts:
     finite: dict = field(default_factory=dict)
     finite_note: str = ""
     nqp_witness: int = 0
+    period_parity: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -457,6 +449,7 @@ class Rule:
     position (else a bounded walk), facts the certified dynamics (else
     search).  grows: once |coord| >= 2, after two steps, magnitudes strictly
     increase, so a walk that passes |target| settles orbit membership.
+    shift: the steps (d0, d1) of a translation n -> n + d[n mod 2].
     """
 
     name: str
@@ -466,6 +459,7 @@ class Rule:
     position: Optional[Callable[[SelfMap, Index, Index], Optional[int]]] = None
     facts: Optional[RuleFacts] = None
     grows: bool = False
+    shift: Optional[tuple[int, int]] = None
 
 
 def _exact_quotient(offset: int, stride: int) -> Optional[int]:
@@ -482,14 +476,15 @@ def _exact_quotient(offset: int, stride: int) -> Optional[int]:
 
 
 def _translation(name: str, d0: int, d1: int, note: str) -> Rule:
-    """n -> n + d[n mod 2] with d0 = d1 (mod 2), both zero or both nonzero.
+    """n -> n + d[n mod 2] with d0 = d1 (mod 2).
 
     Each step moves by d[n mod 2] for good when d0 = d1 or both are even
-    (parity is kept); odd unequal steps flip parity, so they alternate and
-    every two steps add d0 + d1.  `note` certifies the orbit shape: the
+    (parity is kept): a class with a zero step is fixed, one with a nonzero
+    step drifts.  Odd unequal steps flip parity, so they alternate and every
+    two steps add d0 + d1.  `note` certifies the orbit shape: the
     periodicity, or the drift when no point returns.
     """
-    assert d0 % 2 == d1 % 2 and (d0 == 0) == (d1 == 0)
+    assert d0 % 2 == d1 % 2
     d = (d0, d1)
     alternating = d0 != d1 and d0 % 2 == 1
 
@@ -520,16 +515,35 @@ def _translation(name: str, d0: int, d1: int, note: str) -> Rule:
         laps = (_exact_quotient(offset, d0 + d1), _exact_quotient(offset - first, d0 + d1))
         return min((2 * j + r for r, j in enumerate(laps) if j is not None), default=None)
 
-    period = 1 if d == (0, 0) else 2 if alternating and d0 + d1 == 0 else None
-    return Rule(name, step, iterate, preimage, position,
-                RuleFacts(True, note, period=period))
+    fixed = [c for c in (0, 1) if d[c] == 0]
+    period = 1 if fixed else 2 if alternating and d0 + d1 == 0 else None
+    parity = fixed[0] if len(fixed) == 1 else None
+    facts = RuleFacts(True, note, period=period, period_parity=parity,
+                      nqp_witness=0 if parity is None else 1 - parity)
+    return Rule(name, step, iterate, preimage, position, facts, shift=d)
+
+
+def _composed(outer: Rule, inner: Rule) -> Optional[Rule]:
+    """outer after inner as one translation record, when both are translations."""
+    if outer.shift is None or inner.shift is None:
+        return None
+    (a0, a1), b = inner.shift, outer.shift
+    d0, d1 = a0 + b[a0 & 1], a1 + b[(1 + a1) & 1]
+    return _translation("compose", d0, d1,
+                        f"composed translation n -> n + ({d0}, {d1})[n mod 2]")
 
 
 def _square_plus(name: str, c: int, facts: RuleFacts) -> Rule:
     """n -> n^2 + c; no closed forms, but orbits grow once |n| >= 2."""
 
     def step(m: SelfMap, index: Index) -> Index:
-        return Index((), _check_bits(index.coord * index.coord + c))
+        n = index.coord
+        least = 2 * n.bit_length() - 1  # n^2 has 2b - 1 or 2b bits: refuse before multiplying
+        if least > COORD_BIT_BUDGET:
+            raise BudgetExceededError(
+                f"coordinate needs at least {least} bits, budget {COORD_BIT_BUDGET}"
+            )
+        return Index((), _check_bits(n * n + c))
 
     return Rule(name, step, facts=facts, grows=True)
 
@@ -558,9 +572,6 @@ def _compose_preimage(m: SelfMap, index: Index) -> Optional[Index]:
     return None if mid is None else preimage(m.inner, mid)
 
 
-_SHIFT2_NOTE = "parity preserved; |n| drifts monotonically by 2"
-_IDENTITY = _translation("identity", 0, 0, "identity composition")
-
 RULES = {rule.name: rule for rule in (
     _translation("successor", 1, 1, "translation by +1 never revisits a coordinate"),
     _translation("predecessor", -1, -1, "translation by -1 never revisits a coordinate"),
@@ -588,14 +599,6 @@ RULES = {rule.name: rule for rule in (
          lambda m, index, steps, step_budget: route(m, index, _iterate, steps, step_budget),
          lambda m, index: route(m, index, preimage)),
 )}
-
-# compositions (outer rule, inner rule) that reduce to a certified closed form
-FORMS = {
-    ("parity_up", "parity_down"): _translation("shift2_odd_up", -2, 2, _SHIFT2_NOTE),
-    ("parity_down", "parity_up"): _translation("shift2_even_up", 2, -2, _SHIFT2_NOTE),
-    ("predecessor", "successor"): _IDENTITY,
-    ("successor", "predecessor"): _IDENTITY,
-}
 
 CATALOG_RULES = tuple(name for name, rule in RULES.items() if rule.facts is not None)
 

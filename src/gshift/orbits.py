@@ -236,7 +236,7 @@ def classify_point(m: SelfMap, index: Index, budget: int = DEFAULT_BUDGET) -> Po
     facts = m.record.facts
     if facts is None:
         return _classify_by_search(m, index, budget)
-    if facts.period is not None:
+    if facts.period is not None and facts.period_parity in (None, index.coord & 1):
         return PointClassification("periodic", facts.period, 0, certificate=facts.note)
     shape = facts.finite.get(index.coord)
     if shape is not None:
@@ -279,11 +279,14 @@ def map_profile(m: SelfMap, budget: int = DEFAULT_BUDGET) -> MapProfile:
     else:
         a, b = facts.collision
         inj = proven_false(witness=(Index((), a), Index((), b)))
-    if facts.period is not None:
+    if facts.period is not None and facts.period_parity is None:
         per = proven_true(witness=(Index((), 0),))
         nqp = proven_false(certificate="every orbit is certified finite")
         return MapProfile(inj, per, nqp)
-    periodic = [c for c, (pre, _) in facts.finite.items() if pre == 0]
+    if facts.period is not None:  # one parity class is periodic, the other drifts
+        periodic = [facts.period_parity]
+    else:
+        periodic = [c for c, (pre, _) in facts.finite.items() if pre == 0]
     if periodic:
         per = proven_true(witness=(Index((), min(periodic)),))
     else:

@@ -39,10 +39,11 @@ def _run(tmp_path, *argv, config=None):
 # ---------------------------------------------------------------------------
 
 
-def test_config_round_trips():
-    cfg = parse_config(PHI1)
-    again = parse_config(cfg.to_json())
-    assert again.to_json() == cfg.to_json()
+def test_config_round_trips(tmp_path):
+    # the map a report records parses back into the same config
+    assert _run(tmp_path, "classify", config=PHI1) == 0
+    blob = json.loads((tmp_path / "out" / "classify.json").read_text())
+    assert parse_config(dict(PHI1, map=blob["map"])) == parse_config(PHI1)
 
 
 def test_config_defaults_fill_in():
@@ -155,10 +156,22 @@ def test_verify_skips_construction_for_non_chaotic_map(tmp_path, capsys):
     assert "SKIP construction" in out
 
 
+# compositions of translations have closed forms: n -> n + 2, and (2, 0), which
+# fixes the odd points and drifts the even ones (chaotic, but not densely)
+@pytest.mark.parametrize("inner", ["successor", "parity_up"])
+def test_verify_passes_on_composed_translations(tmp_path, capsys, inner):
+    cfg = {"map": {"rule": "compose", "outer": {"rule": "successor"}, "inner": {"rule": inner}}}
+    assert _run(tmp_path, "verify", config=cfg) == 0
+    out = capsys.readouterr().out
+    assert "PASS proof-bounds: 18/18" in out
+    assert out.splitlines()[-1] == "rollup: PASS"
+    assert json.loads((tmp_path / "out" / "verify.json").read_text())["rollup"] is True
+
+
 @pytest.mark.parametrize("map_obj", [
     {"rule": "compose", "outer": {"rule": "square"}, "inner": {"rule": "successor"}},
-    {"rule": "compose", "outer": {"rule": "successor"}, "inner": {"rule": "successor"}},
-], ids=["square-after-successor", "successor-after-successor"])
+    {"rule": "compose", "outer": {"rule": "square_plus_one"}, "inner": {"rule": "successor"}},
+], ids=["square-after-successor", "square-plus-one-after-successor"])
 def test_verify_reports_an_unknown_prediction_as_inconclusive(tmp_path, capsys, map_obj):
     assert _run(tmp_path, "verify", config={"map": map_obj}) == 3
     out = capsys.readouterr().out

@@ -1,10 +1,10 @@
 """Golden outputs of the classification layer, pinned byte for byte.
 
-The expected values in golden_profiles.json were recorded from the
-implementation that still dispatched on rule names; any rewrite of the rule
-machinery must reproduce them exactly: every verdict, witness, certificate and
-provenance of map_profile and predict, and the shape of every point of rank
-1-16.
+The expected values in golden_profiles.json pin what the rule table
+certifies, including the closed forms of composed translations; any rewrite of
+the rule machinery must reproduce them exactly: every verdict, witness,
+certificate and provenance of map_profile and predict, and the shape of every
+point of rank 1-16.
 
 Regenerate (only after an intended behaviour change) with
     PYTHONPATH=src python tests/test_golden.py > tests/golden_profiles.json
@@ -47,6 +47,9 @@ def golden_maps() -> dict:
         "successor_after_predecessor": compose_maps(successor(), predecessor()),
         "square_after_successor": compose_maps(square(), successor()),
         "successor_after_successor": compose_maps(successor(), successor()),
+        "successor_after_parity_up": compose_maps(successor(), parity_up()),
+        "successor_after_successor_after_parity_up": compose_maps(
+            successor(), compose_maps(successor(), parity_up())),
         "square_plus_one_union_table": disjoint_union_maps(square_plus_one(),
                                                            table_map((0, 0))),
         "square_union_shift2": disjoint_union_maps(

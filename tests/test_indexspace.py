@@ -10,7 +10,6 @@ from gshift.indexspace import (
     INTEGERS,
     Index,
     NATURALS,
-    canonical_form,
     compose_maps,
     contains,
     disjoint_union,
@@ -36,6 +35,7 @@ from gshift.indexspace import (
     successor,
     table_map,
 )
+from gshift.indexspace import COORD_BIT_BUDGET
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 
@@ -175,25 +175,27 @@ def test_iterate_budget_guards_magnitude():
         iterate(square(), ix(2), 100)
 
 
-# ---------------------------------------------------------------------------
-# Canonical forms and inverses.
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("m", [square(), square_plus_one()])
+def test_squaring_refuses_exactly_the_coordinates_past_the_budget(m):
+    half = COORD_BIT_BUDGET // 2
+    with pytest.raises(BudgetExceededError):
+        evaluate(m, ix(1 << half))  # (2^half)^2 has COORD_BIT_BUDGET + 1 bits
+    assert evaluate(m, ix((1 << half) - 1)).coord.bit_length() == COORD_BIT_BUDGET
 
 
-def test_canonical_forms():
-    assert canonical_form(compose_maps(parity_up(), parity_down())) == "shift2_odd_up"
-    assert canonical_form(compose_maps(parity_down(), parity_up())) == "shift2_even_up"
-    assert canonical_form(compose_maps(predecessor(), successor())) == "identity"
-    assert canonical_form(compose_maps(successor(), predecessor())) == "identity"
-    assert canonical_form(successor()) is None
+# ---------------------------------------------------------------------------
+# Closed forms and inverses.
+# ---------------------------------------------------------------------------
 
 
 @given(ints)
 def test_certified_shift_forms_match_stepping(n):
     odd_up = compose_maps(parity_up(), parity_down())
     even_up = compose_maps(parity_down(), parity_up())
+    even_drift = compose_maps(successor(), parity_up())
     assert iterate(odd_up, ix(n), 5).coord == (n + 10 if n % 2 else n - 10)
     assert iterate(even_up, ix(n), 5).coord == (n - 10 if n % 2 else n + 10)
+    assert iterate(even_drift, ix(n), 5).coord == (n if n % 2 else n + 10)
 
 
 def test_preimage_of_invertible_rules():

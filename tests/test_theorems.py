@@ -67,6 +67,15 @@ def test_catalog_predictions():
     assert predict(map_profile(parity_up())).truths() == ("proven_false",) * 5
 
 
+def test_composed_translation_predictions():
+    t, f = "proven_true", "proven_false"
+    # n + 2; (2, 0) and (0, 2) fix one parity class and drift the other; identity
+    assert predict(map_profile(compose_maps(successor(), successor()))).truths() == (t,) * 5
+    assert predict(map_profile(compose_maps(successor(), parity_up()))).truths() == (t, t, t, f, f)
+    assert predict(map_profile(compose_maps(parity_up(), successor()))).truths() == (t, t, t, f, f)
+    assert predict(map_profile(compose_maps(parity_up(), parity_up()))).truths() == (f,) * 5
+
+
 def test_prediction_serializes():
     blob = predict(map_profile(successor())).to_json()
     assert set(blob) == {"li_yorke", "distributional", "omega",
