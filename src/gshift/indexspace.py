@@ -528,6 +528,7 @@ def _composed(outer: Rule, inner: Rule) -> Optional[Rule]:
     if outer.shift is None or inner.shift is None:
         return None
     (a0, a1), b = inner.shift, outer.shift
+    # inner moves an even n onto parity a0 and an odd n onto parity 1 + a1
     d0, d1 = a0 + b[a0 & 1], a1 + b[(1 + a1) & 1]
     return _translation("compose", d0, d1,
                         f"composed translation n -> n + ({d0}, {d1})[n mod 2]")
