@@ -24,7 +24,7 @@ from .indexspace import (
     iterate,
     rank_of,
 )
-from .orbits import orbit_position
+from .orbits import never_joins, orbit_position
 
 __all__ = [
     "Alphabet",
@@ -155,6 +155,12 @@ class OrbitBlocks(Configuration):
     Where block r and its splice sit is not computed here: `lengths.locate`
     maps an orbit position to (r, offset, in_splice), from the one segment-end
     list that every member built on the same lengths object shares.
+
+    `runs_along` reads the orbit one run per block and one per splice symbol.
+    A walk that starts off the orbit is one q run when `orbits.never_joins`
+    certifies it never joins (another union side, a finite orbit against an
+    infinite anchor orbit, or an injective map whose two orbits miss each
+    other's start); otherwise it is stepped until it joins, or to the count.
     """
 
     def __init__(self, m: SelfMap, anchor: Index, lengths, members,
@@ -202,7 +208,10 @@ class OrbitBlocks(Configuration):
             return super().runs_along(m, start, count)
         done, cur = 0, start
         pos = self.orbit_position_of(cur)
-        # off the orbit every coordinate reads q; step until the walk joins it
+        # off the orbit every coordinate reads q: one run when the walk is
+        # certified never to join it, otherwise step until it does
+        if pos is None and count and never_joins(m, start, self.anchor):
+            return [(count, self.alphabet.q)]
         while pos is None and done < count:
             done += 1
             cur = evaluate(m, cur)

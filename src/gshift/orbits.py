@@ -42,6 +42,7 @@ __all__ = [
     "map_profile",
     "chain_decomposition",
     "orbit_position",
+    "never_joins",
     "signed_orbit_index",
 ]
 
@@ -446,6 +447,7 @@ def chain_decomposition(m: SelfMap, bound: int, budget: int = DEFAULT_BUDGET) ->
 # ---------------------------------------------------------------------------
 # Orbit-position resolution: is kappa on the forward orbit of theta, and where?
 # Exact answers only; raises UnresolvedOrbitError when no certificate applies.
+# never_joins asks the weaker question for a whole walk: can it ever get there?
 # ---------------------------------------------------------------------------
 
 
@@ -477,6 +479,33 @@ def orbit_position(m: SelfMap, anchor: Index, target: Index,
     raise UnresolvedOrbitError(
         f"orbit membership of {target!r} undecided within {walk_budget} steps"
     )
+
+
+def never_joins(m: SelfMap, walker: Index, anchor: Index) -> bool:
+    """True when the forward orbits of walker and anchor are certified disjoint.
+
+    False means the walk may join the anchor's orbit: it does, or no
+    certificate applies (an unknown classification, an undecided lookup, a
+    non-injective map with two infinite orbits), and the caller has to step.
+    """
+    if not contains(m.domain, walker):
+        raise DomainMismatchError(f"{walker!r} not in map domain")
+    # (i) every map keeps the tag path, so the halves of a union never meet
+    if walker.path != anchor.path:
+        return True
+    # (ii) a finite orbit that met the anchor's would hold all of it after the
+    # meeting point, so the anchor's orbit would be finite too
+    if (classify_point(m, anchor).is_non_quasi_periodic
+            and classify_point(m, walker).kind in ("periodic", "quasi_periodic")):
+        return True
+    # (iii) injective orbits that meet pass through one another's start point
+    if not map_profile(m).injective.is_true:
+        return False
+    try:
+        return (orbit_position(m, walker, anchor) is None
+                and orbit_position(m, anchor, walker) is None)
+    except UnresolvedOrbitError:
+        return False
 
 
 def signed_orbit_index(m: SelfMap, anchor: Index, target: Index,

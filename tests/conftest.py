@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from gshift import indexspace
 from gshift.indexspace import (
     CATALOG_RULES,
     INTEGERS,
@@ -70,3 +73,21 @@ def sanity_check_catalog_metadata(bound: int = 64) -> None:
 def _catalog_metadata_is_sound():
     """Re-verify every certified catalog fact by bounded scan before any test runs."""
     sanity_check_catalog_metadata(64)
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """A list that grows by one entry per `indexspace.evaluate` call, counted on
+    every binding of it in the gshift package while the test runs."""
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gshift" or name.startswith("gshift."):
+            for attr, value in list(vars(module).items()):
+                if value is evaluate:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls

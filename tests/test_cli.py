@@ -3,11 +3,9 @@
 import csv
 import hashlib
 import json
-import sys
 
 import pytest
 
-from gshift import indexspace
 from gshift.cli import ConfigError, ExperimentConfig, main, parse_config
 
 PHI1 = {
@@ -211,26 +209,30 @@ def test_stats_csv_digest_is_pinned(tmp_path, capsys, variant, digest):
     assert hashlib.sha256((tmp_path / "out" / "stats.csv").read_bytes()).hexdigest() == digest
 
 
-def test_verify_at_r_max_20_reads_runs_not_positions(tmp_path, capsys, monkeypatch):
+def test_verify_at_r_max_20_reads_runs_not_positions(tmp_path, capsys, evaluate_calls):
     # horizon(20) is ~4 * 10^18: only run-length counting gets there, and it
     # steps the map a handful of times, not once per orbit position
-    calls = []
-    evaluate = indexspace.evaluate
-
-    def counting(*args):
-        calls.append(None)
-        return evaluate(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name == "gshift" or name.startswith("gshift."):
-            for attr, value in list(vars(module).items()):
-                if value is evaluate:
-                    monkeypatch.setattr(module, attr, counting)
     cfg = dict(PHI1, lengths={"variant": "plain", "count": 20},
                schedule={"kind": "block_boundaries", "r_max": 20})
     assert _run(tmp_path, "verify", config=cfg) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "rollup: PASS"
-    assert 0 < len(calls) < 1000
+    assert 0 < len(evaluate_calls) < 1000
+
+
+# a window coordinate whose walk never meets the anchor's orbit is one q run:
+# rank 2 is on the union's other side, and odd coordinates under n -> n + 2
+# miss the even anchor's orbit (injective orbits that meet pass through a start)
+@pytest.mark.parametrize("map_obj", [
+    {"rule": "disjoint_union", "left": {"rule": "successor"}, "right": {"rule": "parity_up"}},
+    {"rule": "compose", "outer": {"rule": "successor"}, "inner": {"rule": "successor"}},
+], ids=["successor-union-parity-up", "successor-after-successor"])
+def test_verify_at_r_max_20_certifies_off_orbit_coordinates(tmp_path, capsys, evaluate_calls,
+                                                            map_obj):
+    cfg = dict(PHI1, map=map_obj, lengths={"variant": "plain", "count": 20},
+               schedule={"kind": "block_boundaries", "r_max": 20})
+    assert _run(tmp_path, "verify", config=cfg) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "rollup: PASS"
+    assert 0 < len(evaluate_calls) < 1000
 
 
 SQUARE_AFTER_SUCCESSOR = {"rule": "compose", "outer": {"rule": "square"},

@@ -10,11 +10,18 @@ from gshift.indexspace import (
     INTEGERS,
     NATURALS,
     Index,
+    compose_maps,
+    disjoint_union_maps,
+    evaluate,
     ix,
     iterate,
+    parity_up,
+    predecessor,
     rank_of,
+    square,
     successor,
     square_plus_one,
+    table_map,
 )
 from gshift.configspace import (
     Alphabet,
@@ -35,6 +42,7 @@ from gshift.configspace import (
     window_from_ranks,
     window_to_threshold,
 )
+from gshift.orbits import never_joins
 from gshift.constructions import (
     ExplicitBlockSet,
     block_lengths,
@@ -181,6 +189,118 @@ def test_orbit_position_lookup():
     x = _blocks({2})
     assert x.orbit_position_of(ix(7)) == 7
     assert x.orbit_position_of(ix(-1)) is None
+
+
+# ---------------------------------------------------------------------------
+# Walks that start off the anchor's orbit: one q run when certified never to
+# join it, stepped otherwise.
+# ---------------------------------------------------------------------------
+
+UNION = disjoint_union_maps(successor(), parity_up())
+SQUARE_UNION = disjoint_union_maps(successor(), square())  # not injective
+PLUS_TWO = compose_maps(successor(), successor())
+
+
+def _on_orbit_of(m, anchor):
+    return OrbitBlocks(m, anchor, block_lengths(6), ExplicitBlockSet(frozenset({1, 3, 4})), ALPHA)
+
+
+def _case(m, anchor, walkers, certified, most=150):
+    """(map, anchor, walker, certified, largest count): the count stays small
+    for square, whose pointwise reads square a coordinate once per position."""
+    return walkers.map(lambda c: (m, anchor, c, certified, most))
+
+
+OFF_ORBIT_WALKS = st.one_of(
+    # (i) the other side of a union, also where no other certificate applies
+    _case(UNION, ix(0, "L"), st.integers(-50, 50).map(lambda c: ix(c, "R")), True),
+    _case(SQUARE_UNION, ix(0, "L"), st.sampled_from([ix(c, "R") for c in (-3, 2, 3)]), True,
+          most=16),
+    # (ii) square's fixed points and its preperiodic -1, against an infinite orbit
+    _case(square(), ix(2), st.sampled_from([ix(0), ix(1), ix(-1)]), True),
+    # (iii) n -> n + 2 is injective, and no odd orbit passes through 0 or back
+    _case(PLUS_TWO, ix(0), st.integers(-25, 25).map(lambda k: ix(2 * k + 1)), True),
+    # fallback: late joins under injective maps ...
+    _case(predecessor(), ix(0), st.integers(1, 40).map(ix), False),
+    _case(PLUS_TWO, ix(0), st.integers(-25, -1).map(lambda k: ix(2 * k)), False),
+    _case(UNION, ix(0, "L"), st.integers(-40, -1).map(lambda c: ix(c, "L")), False),
+    # ... and a non-injective walk with an infinite orbit, joining at position 1
+    _case(square(), ix(2), st.just(ix(-2)), False, most=16),
+)
+
+
+@given(OFF_ORBIT_WALKS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_off_orbit_runs_match_pointwise_reads(case, data):
+    m, anchor, walker, certified, most = case
+    count = data.draw(st.integers(0, most))
+    x = _on_orbit_of(m, anchor)
+    assert x.orbit_position_of(walker) is None
+    assert never_joins(m, walker, anchor) is certified
+    runs = x.runs_along(m, walker, count)
+    assert _expand(runs) == _pointwise(x, m, walker, count)
+    if certified:
+        assert runs == ([(count, Q)] if count else [])
+
+
+@pytest.mark.parametrize("m, anchor, walker, joins_at", [
+    (predecessor(), ix(0), ix(7), 7),
+    (PLUS_TWO, ix(0), ix(-6), 3),
+    (UNION, ix(0, "L"), ix(-4, "L"), 4),
+    (square(), ix(4), ix(-2), 1),
+])
+def test_an_uncertified_walk_is_stepped_to_its_join(m, anchor, walker, joins_at, evaluate_calls):
+    runs = _on_orbit_of(m, anchor).runs_along(m, walker, 12)
+    assert runs[:2] == [(joins_at, Q), (1, P)]  # joins at the anchor: block 1
+    assert len(evaluate_calls) >= joins_at
+
+
+@pytest.mark.parametrize("m, anchor, walker", [
+    (SQUARE_UNION, ix(0, "L"), ix(3, "R")),
+    (square(), ix(2), ix(-1)),
+    (PLUS_TWO, ix(0), ix(1)),
+], ids=["other-side", "finite-orbit", "injective-miss"])
+def test_a_certified_walk_costs_the_same_at_any_count(m, anchor, walker, evaluate_calls):
+    x = _on_orbit_of(m, anchor)
+    assert never_joins(m, walker, anchor)
+    assert x.runs_along(m, walker, 50) == [(50, Q)]
+    near = len(evaluate_calls)
+    far = 20_000  # stepping would make 400 times the calls
+    assert x.runs_along(m, walker, far) == [(far, Q)]
+    assert len(evaluate_calls) == 2 * near
+
+
+def _forward_orbit(m, index, steps=64):
+    seen = [index]
+    for _ in range(steps):
+        seen.append(evaluate(m, seen[-1]))
+    return set(seen)
+
+
+@pytest.mark.parametrize("m, anchor, walker", [
+    (square(), ix(1), ix(-1)),   # both orbits finite: -1 joins the fixed point 1
+    (square(), ix(0), ix(0)),
+    (successor(), ix(0), ix(5)),  # injective, walker on the anchor's orbit
+    (PLUS_TWO, ix(0), ix(4)),
+    (PLUS_TWO, ix(0), ix(-4)),   # injective, anchor on the walker's orbit
+])
+def test_a_walk_that_meets_the_anchor_orbit_is_never_certified(m, anchor, walker):
+    assert _forward_orbit(m, anchor) & _forward_orbit(m, walker)
+    assert not never_joins(m, walker, anchor)
+
+
+@given(st.lists(st.integers(0, 5), min_size=6, max_size=6),
+       st.integers(0, 5), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_finite_anchor_orbits_certify_only_disjoint_walks(entries, a, w):
+    # every table orbit is finite, so (ii) never applies, and (iii) decides
+    # exactly on permutations, whose orbits are cycles: equal or disjoint
+    m = table_map(entries)
+    meets = bool(_forward_orbit(m, ix(a), 6) & _forward_orbit(m, ix(w), 6))
+    certified = never_joins(m, ix(w), ix(a))
+    assert not (meets and certified)
+    if len(set(entries)) == 6:
+        assert certified is not meets
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ UNION = disjoint_union_maps(successor(), parity_up())
 @settings(max_examples=10, deadline=None)
 def test_run_length_counts_off_the_anchor_orbit(variant, a, b, coords):
     # the right side of successor + parity_up never meets the anchor's orbit,
-    # so those coordinates read q at every position and are stepped
+    # so those coordinates are one q run; L-2 is stepped until it joins
     lengths = block_lengths(6, variant)
     # splices read the source at L0, L1, ...: p at L1 and L3, q elsewhere
     source = FinitePatch(Constant(UNION.domain, Q), {ix(1, "L"): P, ix(3, "L"): P})
