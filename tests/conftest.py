@@ -2,7 +2,6 @@ import sys
 
 import pytest
 
-from gshift import indexspace
 from gshift.indexspace import (
     CATALOG_RULES,
     INTEGERS,

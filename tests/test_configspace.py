@@ -218,7 +218,8 @@ OFF_ORBIT_WALKS = st.one_of(
           most=16),
     # (ii) square's fixed points and its preperiodic -1, against an infinite orbit
     _case(square(), ix(2), st.sampled_from([ix(0), ix(1), ix(-1)]), True),
-    # (iii) n -> n + 2 is injective, and no odd orbit passes through 0 or back
+    # (iii) n -> n + 2 is injective, and an odd walker and the anchor 0 lie on
+    # neither one's orbit
     _case(PLUS_TWO, ix(0), st.integers(-25, 25).map(lambda k: ix(2 * k + 1)), True),
     # fallback: late joins under injective maps ...
     _case(predecessor(), ix(0), st.integers(1, 40).map(ix), False),
