@@ -11,6 +11,7 @@ against runaway doubly-exponential orbits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 __all__ = [
@@ -111,7 +112,9 @@ INTEGERS = IndexDomain("integers")
 NATURALS = IndexDomain("naturals")
 
 
+@lru_cache(maxsize=64)
 def finite_range(size: int) -> IndexDomain:
+    """The domain 0..size-1; one shared (frozen) object per recently used size."""
     if size < 1:
         raise ValueError("finite_range needs size >= 1")
     return IndexDomain("finite_range", size=size)
@@ -265,13 +268,13 @@ class SelfMap:
 
 
 def table_map(entries) -> SelfMap:
-    entries = tuple(int(e) for e in entries)
+    entries = tuple(map(int, entries))
     size = len(entries)
     if size < 1:
         raise ValueError("table_map needs at least one entry")
-    for e in entries:
-        if not 0 <= e < size:
-            raise ValueError(f"table entry {e} outside range 0..{size - 1}")
+    if min(entries) < 0 or max(entries) >= size:
+        bad = next(e for e in entries if not 0 <= e < size)  # name the first one
+        raise ValueError(f"table entry {bad} outside range 0..{size - 1}")
     return SelfMap(finite_range(size), "table", table=entries)
 
 

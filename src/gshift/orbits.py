@@ -11,6 +11,7 @@ analysis on finite domains or budgeted cycle detection elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .indexspace import (
@@ -296,26 +297,46 @@ def map_profile(m: SelfMap, budget: int = DEFAULT_BUDGET) -> MapProfile:
     return MapProfile(inj, per, nqp)
 
 
+_NO_COLLISION = proven_true(certificate="no collision among all entries", provenance="exhaustive")
+_EVERY_ORBIT_FINITE = proven_false(certificate="finite domain forces every orbit onto a cycle",
+                                   provenance="exhaustive")
+
+
+@lru_cache(maxsize=1024)
+def _collision(a: int, b: int) -> Verdict:
+    return proven_false(witness=(Index((), a), Index((), b)), provenance="exhaustive")
+
+
+@lru_cache(maxsize=1024)
+def _periodic_at(coord: int) -> Verdict:
+    return proven_true(witness=(Index((), coord),), provenance="exhaustive")
+
+
 def _table_profile(table: tuple[int, ...]) -> MapProfile:
+    """Exhaustive profile of a finite table.
+
+    Only the collision pair and the periodic witness vary from one table to
+    the next, so the verdicts are shared and never rebuilt: two constants and
+    two bounded caches of frozen verdicts.  The witnesses are the first
+    collision in coordinate order (rank order on finite ranges) and the first
+    point the walk from 0 repeats.
+    """
     size = len(table)
-    inj_pair = None
-    first_source: dict[int, int] = {}
-    for src in range(size):  # scan in coordinate order = rank order on finite ranges
-        tgt = table[src]
-        if tgt in first_source:
-            inj_pair = (first_source[tgt], src)
-            break
-        first_source[tgt] = src
-    if inj_pair is None:
-        inj = proven_true(certificate="no collision among all entries", provenance="exhaustive")
+    if len(set(table)) == size:
+        inj = _NO_COLLISION
     else:
-        a, b = inj_pair
-        inj = proven_false(witness=(Index((), a), Index((), b)), provenance="exhaustive")
-    points, pre = cycle_walk(table.__getitem__, 0, size)
-    per_v = proven_true(witness=(Index((), points[pre]),), provenance="exhaustive")
-    nqp = proven_false(certificate="finite domain forces every orbit onto a cycle",
-                       provenance="exhaustive")
-    return MapProfile(inj, per_v, nqp)
+        first_source: dict[int, int] = {}
+        for src, tgt in enumerate(table):
+            a = first_source.setdefault(tgt, src)
+            if a != src:
+                inj = _collision(a, src)
+                break
+    seen = [False] * size
+    cur = 0
+    while not seen[cur]:
+        seen[cur] = True
+        cur = table[cur]
+    return MapProfile(inj, _periodic_at(cur), _EVERY_ORBIT_FINITE)
 
 
 def _union_profile(lp: MapProfile, rp: MapProfile) -> MapProfile:

@@ -44,6 +44,41 @@ def brute_force_profile(m: SelfMap) -> MapProfile:
     return MapProfile(inj, per, nqp)
 
 
+def table_json(table: Sequence[int]) -> tuple[dict, dict]:
+    """The to_json() of map_profile and of predict for a finite table, written
+    out by hand: the collision witness is the first colliding pair in
+    coordinate order, the periodic witness the first point that the walk
+    from 0 repeats."""
+    first_source: dict[int, int] = {}
+    pair = None
+    for b, tgt in enumerate(table):
+        if tgt in first_source:
+            pair = (first_source[tgt], b)
+            break
+        first_source[tgt] = b
+    visited, cur = set(), 0
+    while cur not in visited:
+        visited.add(cur)
+        cur = table[cur]
+    if pair is None:
+        inj = {"truth": "proven_true", "provenance": "exhaustive",
+               "certificate": "no collision among all entries"}
+    else:
+        inj = {"truth": "proven_false", "provenance": "exhaustive",
+               "witness": [str(pair[0]), str(pair[1])]}
+    per = {"truth": "proven_true", "provenance": "exhaustive", "witness": [str(cur)]}
+    nqp = {"truth": "proven_false", "provenance": "exhaustive",
+           "certificate": "finite domain forces every orbit onto a cycle"}
+    aperiodic = dict(per, truth="proven_false")
+    profile = {"injective": inj, "has_periodic_point": per,
+               "has_non_quasi_periodic_point": nqp}
+    # transitive DC needs injectivity and aperiodicity; the first false one is reported
+    prediction = {"li_yorke": nqp, "distributional": nqp, "omega": nqp,
+                  "dense_distributional": aperiodic,
+                  "transitive_distributional": inj if pair is not None else aperiodic}
+    return profile, prediction
+
+
 def parse_pattern(domain: IndexDomain, obj) -> CylinderPattern:
     if not isinstance(obj, dict) or "window" not in obj or "symbols" not in obj:
         raise ValueError("pattern must be an object with 'window' and 'symbols'")

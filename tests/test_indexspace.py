@@ -243,3 +243,21 @@ def test_parse_map_spec_rejects_unknown_rule():
 def test_table_map_validates_entries():
     with pytest.raises(ValueError):
         table_map((0, 3))
+
+
+@pytest.mark.parametrize("entries, message", [
+    ((0, 3), "table entry 3 outside range 0..1"),
+    ((-1, 5), "table entry -1 outside range 0..1"),
+    ((0, 5, -1), "table entry 5 outside range 0..2"),
+    ((), "table_map needs at least one entry"),
+])
+def test_table_map_names_the_first_bad_entry(entries, message):
+    with pytest.raises(ValueError) as exc:
+        table_map(entries)
+    assert str(exc.value) == message
+
+
+def test_table_map_accepts_a_generator_of_int_convertible_entries():
+    m = table_map(e for e in ("1", 2.0, 0))
+    assert m.table == (1, 2, 0)
+    assert m.domain == finite_range(3)

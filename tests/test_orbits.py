@@ -1,5 +1,8 @@
 """Point classification, map profiles, and three-valued verdict algebra."""
 
+import json
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +36,8 @@ from gshift.orbits import (
     v_not,
     v_or,
 )
-from oracles import brute_force_profile
+from gshift.theorems import predict
+from oracles import brute_force_profile, table_json
 
 tables = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * n)
@@ -190,6 +194,39 @@ def test_profile_verdicts_carry_evidence():
 def test_table_profile_matches_brute_force(entries):
     m = table_map(entries)
     assert map_profile(m).truths() == brute_force_profile(m).truths()
+
+
+def _assert_table_json(entries):
+    # byte for byte, key order included: a shared verdict must carry this
+    # table's own witness
+    profile = map_profile(table_map(entries))
+    want_profile, want_prediction = table_json(entries)
+    assert json.dumps(profile.to_json()) == json.dumps(want_profile)
+    assert json.dumps(predict(profile).to_json()) == json.dumps(want_prediction)
+
+
+def test_every_table_up_to_five_points_has_the_oracle_json():
+    every = [t for n in range(1, 6) for t in product(range(n), repeat=n)]
+    assert len(every) == 3413
+    for entries in every:
+        _assert_table_json(entries)
+
+
+@given(st.integers(min_value=6, max_value=12).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+@settings(max_examples=300, deadline=None)
+def test_larger_tables_have_the_oracle_json(entries):
+    _assert_table_json(entries)
+
+
+def test_large_tables_have_the_oracle_json():
+    n = 100_000
+    cycle = tuple(range(1, n)) + (0,)
+    _assert_table_json(cycle)
+    assert map_profile(table_map(cycle)).injective.is_true
+    late = tuple(range(1, n)) + (5,)  # entry n-1 is the first to repeat a target
+    _assert_table_json(late)
+    assert map_profile(table_map(late)).injective.witness == (ix(4), ix(n - 1))
 
 
 def test_union_profile_combines_sides():
