@@ -24,7 +24,7 @@ from .indexspace import (
     iterate,
     rank_of,
 )
-from .orbits import never_joins, orbit_position
+from .orbits import classify_point, never_joins, orbit_position
 
 __all__ = [
     "Alphabet",
@@ -36,6 +36,7 @@ __all__ = [
     "Shifted",
     "CylinderPattern",
     "MetricResolutionError",
+    "PreconditionError",
     "default_alphabet",
     "make_window",
     "window_from_ranks",
@@ -139,6 +140,22 @@ class FinitePatch(Configuration):
         return tuple(self.patch)
 
 
+class PreconditionError(ValueError):
+    """A constructor precondition failed; the message names the offending verdict."""
+
+
+def _require_infinite_orbit(m: SelfMap, anchor: Index) -> None:
+    # a layout along the anchor's orbit is one configuration only when the
+    # orbit never repeats: on a cycle, position-by-position runs and
+    # least-position pointwise reads would write different symbols
+    cls = classify_point(m, anchor)
+    if not cls.is_non_quasi_periodic:
+        raise PreconditionError(
+            f"anchor {anchor!r} must have a proven infinite orbit; classification "
+            f"came back {cls.kind!r}"
+        )
+
+
 class OrbitBlocks(Configuration):
     """Block layout along the forward orbit of one anchor point.
 
@@ -161,11 +178,15 @@ class OrbitBlocks(Configuration):
     certifies it never joins (another union side, a finite orbit against an
     infinite anchor orbit, or an injective map whose two orbits miss each
     other's start); otherwise it is stepped until it joins, or to the count.
+
+    The anchor must have a proven infinite orbit (PreconditionError, a
+    ValueError, otherwise).
     """
 
     def __init__(self, m: SelfMap, anchor: Index, lengths, members,
                  alphabet: Alphabet, weave_source: Optional[Configuration] = None,
                  source_cache: Optional[dict[int, str]] = None):
+        _require_infinite_orbit(m, anchor)
         self.domain = m.domain
         self.map = m
         self.anchor = anchor
@@ -238,9 +259,11 @@ class Embedded(Configuration):
 
     Coordinate phi^n(anchor) carries the inner configuration's n-th symbol; every
     other coordinate (the anchor itself included) carries the filler mark.
+    The anchor must have a proven infinite orbit, as for OrbitBlocks.
     """
 
     def __init__(self, m: SelfMap, anchor: Index, inner: Configuration, fill: str):
+        _require_infinite_orbit(m, anchor)
         if inner.domain.kind != "naturals":
             raise ValueError("inner configuration must live on the naturals")
         self.domain = m.domain

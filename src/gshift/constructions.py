@@ -31,6 +31,7 @@ from .configspace import (
     Embedded,
     FinitePatch,
     OrbitBlocks,
+    PreconditionError,
     in_cylinder,
 )
 
@@ -55,10 +56,6 @@ __all__ = [
     "omega_embedding",
     "shift_inner",
 ]
-
-
-class PreconditionError(ValueError):
-    """A constructor precondition failed; the message names the offending verdict."""
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +234,11 @@ class ScrambledFamilySpec:
         return self.anchors[0]
 
 
-def _require_nqp_anchor(m: SelfMap, anchor: Index) -> None:
-    cls = classify_point(m, anchor)
-    if not cls.is_non_quasi_periodic:
-        raise PreconditionError(
-            f"anchor {anchor!r} must have a proven infinite orbit; classification "
-            f"came back {cls.kind!r}"
-        )
-
-
 def dc_family(spec: ScrambledFamilySpec) -> list[OrbitBlocks]:
     """Plain block family: members differ on whole blocks indexed by their sets."""
     if spec.variant != "plain":
         raise ValueError("dc_family builds the plain variant")
-    _require_nqp_anchor(spec.map, spec.anchor)
-    return [
+    return [  # OrbitBlocks refuses an anchor without a proven infinite orbit
         OrbitBlocks(spec.map, spec.anchor, spec.lengths, member, spec.alphabet)
         for member in spec.family.members
     ]
@@ -445,7 +432,6 @@ def transitive_weave_family(spec: ScrambledFamilySpec,
             f"weave construction needs proven aperiodicity; verdict came back "
             f"{profile.has_periodic_point.truth!r}"
         )
-    _require_nqp_anchor(spec.map, spec.anchor)
     source_cache: dict[int, str] = {}
     return [
         OrbitBlocks(spec.map, spec.anchor, spec.lengths, member, spec.alphabet,
@@ -546,7 +532,6 @@ def omega_embedding(m: SelfMap, anchor: Index, inner: Configuration,
     pairwise distinct; then reading the embedded image along the orbit replays
     the inner sequence shifted, coordinate by coordinate.
     """
-    _require_nqp_anchor(m, anchor)
     return Embedded(m, anchor, inner, fill)
 
 

@@ -304,6 +304,25 @@ def test_finite_anchor_orbits_certify_only_disjoint_walks(entries, a, w):
         assert certified is not meets
 
 
+@pytest.mark.parametrize("m, anchor, kind", [
+    (table_map((1, 2, 0)), ix(0), "periodic"),
+    (table_map((1, 2, 2)), ix(0), "quasi_periodic"),
+    (parity_up(), ix(0), "periodic"),
+])
+def test_a_layout_refuses_an_anchor_without_an_infinite_orbit(m, anchor, kind):
+    # on the 3-cycle with blocks {1, 3, 4}, reading runs along the orbit would
+    # give p q q p p p ... while pointwise reads at the least orbit position
+    # give p q q p q q ...: no configuration is both
+    message = (f"anchor {anchor!r} must have a proven infinite orbit; "
+               f"classification came back {kind!r}")
+    with pytest.raises(ValueError) as exc:
+        _on_orbit_of(m, anchor)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        Embedded(m, anchor, Constant(NATURALS, P), P)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Embedded configurations.
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from gshift.indexspace import (
     square,
     square_plus_one,
     successor,
+    table_map,
 )
 from gshift.configspace import (
     Constant,
@@ -189,6 +190,16 @@ def test_dc_family_rejects_quasi_periodic_anchor():
                                almost_disjoint_family(2), "plain")
     with pytest.raises(PreconditionError):
         dc_family(spec)
+
+
+def test_dc_family_refuses_a_table_anchor_with_the_precondition_text():
+    spec = ScrambledFamilySpec(table_map((1, 2, 0)), (ix(0),), ALPHA,
+                               block_lengths(6, "plain"),
+                               almost_disjoint_family(2), "plain")
+    with pytest.raises(PreconditionError) as exc:
+        dc_family(spec)
+    assert str(exc.value) == ("anchor 0 must have a proven infinite orbit; "
+                              "classification came back 'periodic'")
 
 
 # ---------------------------------------------------------------------------
