@@ -16,7 +16,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -83,6 +83,7 @@ class ExperimentConfig:
     alphabet: Alphabet
     family_size: int = 3
     lengths_variant: str = "plain"
+    variant_given: bool = False  # the config set lengths.variant itself
     lengths_count: int = 8
     windows: tuple[tuple[int, ...], ...] = ((1,), (1, 2))
     schedule_kind: str = "block_boundaries"
@@ -120,8 +121,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     family_size = _expect(obj, "family_size", int, "config", default=3)
     if family_size < 2:
         raise ConfigError("config.family_size: need at least two members")
-    lengths_obj = _expect(obj, "lengths", dict, "config",
-                          default={"variant": "plain", "count": 8})
+    lengths_obj = _expect(obj, "lengths", dict, "config", default={})
     variant = lengths_obj.get("variant", "plain")
     if variant not in ("plain", "weave"):
         raise ConfigError(f"config.lengths.variant: unknown variant {variant!r}")
@@ -163,6 +163,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         alphabet=alphabet,
         family_size=family_size,
         lengths_variant=variant,
+        variant_given="variant" in lengths_obj,
         lengths_count=count,
         windows=tuple(windows),
         schedule_kind=kind,
@@ -344,10 +345,15 @@ def _cmd_predict(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def _cmd_construct(cfg: ExperimentConfig, out: Path, args, flavor: str) -> int:
+    variant = "weave" if flavor == "transitive" else "plain"
+    if cfg.variant_given and cfg.lengths_variant != variant:
+        raise ConfigError(
+            f"config.lengths.variant: construct-{flavor} builds {variant!r} blocks, "
+            f"not {cfg.lengths_variant!r}; set {variant!r} or leave the field out")
+    cfg = replace(cfg, lengths_variant=variant)
     anchor, undecided = _pick_anchor(cfg, args.budget)
     if anchor is None:
         return _exit_without_anchor(undecided)
-    cfg.lengths_variant = "weave" if flavor == "transitive" else "plain"
     try:
         spec, members = _family_for(
             cfg, anchor, block_lengths(cfg.lengths_count, cfg.lengths_variant))

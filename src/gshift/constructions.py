@@ -263,8 +263,21 @@ class PatternEnumeration:
     def _group_total(self, m: int) -> int:
         return (1 + self._g) ** m - 1
 
+    def _before(self, bit: int, chosen: int) -> int:
+        """Patterns of the masks that match the current mask above `bit`
+        (where it sets `chosen` bits), clear `bit`, and set any k of the bits
+        below it: C(bit, k) masks of g^(chosen + k + 1) patterns each, which
+        sum to g^(chosen + 1) * (1 + g)^bit."""
+        return self._g ** (chosen + 1) * (1 + self._g) ** bit
+
     def pattern(self, n: int) -> CylinderPattern:
-        """The n-th cylinder pattern (n >= 1)."""
+        """The n-th cylinder pattern (n >= 1).
+
+        Group m holds the windows whose largest rank is m, ordered by the
+        mask of their other ranks (bit r - 1 for rank r) and then by their
+        symbols, earliest rank varying slowest.  The mask is read greedily
+        from its top bit down, so decoding costs O(m) steps.
+        """
         if n < 1:
             raise ValueError("pattern index must be >= 1")
         g = self._g
@@ -274,37 +287,33 @@ class PatternEnumeration:
             if m > 24:
                 raise ValueError("pattern index too large to decode")
         offset = n - self._group_total(m - 1) - 1
-        for mask in range(2 ** (m - 1)):
-            width = bin(mask).count("1") + 1
-            block = g ** width
-            if offset < block:
-                ranks = [r for r in range(1, m) if mask >> (r - 1) & 1] + [m]
-                symbols = []
-                rem = offset
-                for _ in range(width):
-                    rem, d = divmod(rem, g)
-                    symbols.append(self.alphabet.symbols[d])
-                symbols.reverse()  # lex order: earliest rank varies slowest
-                window = tuple(enumerate_index(self.domain, r) for r in ranks)
-                return CylinderPattern(window, tuple(symbols))
-            offset -= block
-        raise AssertionError("unreachable: group totals disagree with scan")
+        ranks = []
+        for bit in range(m - 2, -1, -1):
+            before = self._before(bit, len(ranks))
+            if offset >= before:
+                offset -= before
+                ranks.append(bit + 1)
+        ranks.reverse()
+        ranks.append(m)
+        symbols = []
+        for _ in ranks:
+            offset, d = divmod(offset, g)
+            symbols.append(self.alphabet.symbols[d])
+        symbols.reverse()  # lex order: earliest rank varies slowest
+        window = tuple(enumerate_index(self.domain, r) for r in ranks)
+        return CylinderPattern(window, tuple(symbols))
 
     def rank_of(self, pattern: CylinderPattern) -> int:
         g = self._g
         ranks = sorted(rank_of(self.domain, i) for i in pattern.window)
         by_rank = {rank_of(self.domain, i): s for i, s in pattern.items()}
         m = ranks[-1]
-        mask = 0
-        for r in ranks[:-1]:
-            mask |= 1 << (r - 1)
         offset = 0
-        for earlier in range(mask):
-            offset += g ** (bin(earlier).count("1") + 1)
-        digits = [self.alphabet.symbols.index(by_rank[r]) for r in ranks]
+        for chosen, r in enumerate(reversed(ranks[:-1])):
+            offset += self._before(r - 1, chosen)
         value = 0
-        for d in digits:
-            value = value * g + d
+        for r in ranks:
+            value = value * g + self.alphabet.symbols.index(by_rank[r])
         return self._group_total(m - 1) + offset + value + 1
 
 

@@ -297,46 +297,43 @@ def map_profile(m: SelfMap, budget: int = DEFAULT_BUDGET) -> MapProfile:
     return MapProfile(inj, per, nqp)
 
 
-_NO_COLLISION = proven_true(certificate="no collision among all entries", provenance="exhaustive")
-_EVERY_ORBIT_FINITE = proven_false(certificate="finite domain forces every orbit onto a cycle",
-                                   provenance="exhaustive")
-
-
 @lru_cache(maxsize=1024)
-def _collision(a: int, b: int) -> Verdict:
-    return proven_false(witness=(Index((), a), Index((), b)), provenance="exhaustive")
-
-
-@lru_cache(maxsize=1024)
-def _periodic_at(coord: int) -> Verdict:
-    return proven_true(witness=(Index((), coord),), provenance="exhaustive")
+def _shared_table_profile(pair: Optional[tuple[int, int]], periodic: int) -> MapProfile:
+    if pair is None:
+        inj = proven_true(certificate="no collision among all entries", provenance="exhaustive")
+    else:
+        inj = proven_false(witness=(Index((), pair[0]), Index((), pair[1])),
+                           provenance="exhaustive")
+    per = proven_true(witness=(Index((), periodic),), provenance="exhaustive")
+    nqp = proven_false(certificate="finite domain forces every orbit onto a cycle",
+                       provenance="exhaustive")
+    return MapProfile(inj, per, nqp)
 
 
 def _table_profile(table: tuple[int, ...]) -> MapProfile:
-    """Exhaustive profile of a finite table.
+    """Exhaustive profile of a finite table, shared per distinct value.
 
-    Only the collision pair and the periodic witness vary from one table to
-    the next, so the verdicts are shared and never rebuilt: two constants and
-    two bounded caches of frozen verdicts.  The witnesses are the first
-    collision in coordinate order (rank order on finite ranges) and the first
-    point the walk from 0 repeats.
+    A table's profile depends only on its collision pair (or its lack of
+    one) and its periodic witness, so equal profiles are one frozen object
+    from a bounded cache keyed by those plain ints.  The witnesses are the
+    first collision in coordinate order (rank order on finite ranges) and
+    the first point the walk from 0 repeats.
     """
     size = len(table)
-    if len(set(table)) == size:
-        inj = _NO_COLLISION
-    else:
+    pair = None
+    if len(set(table)) != size:
         first_source: dict[int, int] = {}
         for src, tgt in enumerate(table):
             a = first_source.setdefault(tgt, src)
             if a != src:
-                inj = _collision(a, src)
+                pair = (a, src)
                 break
     seen = [False] * size
     cur = 0
     while not seen[cur]:
         seen[cur] = True
         cur = table[cur]
-    return MapProfile(inj, _periodic_at(cur), _EVERY_ORBIT_FINITE)
+    return _shared_table_profile(pair, cur)
 
 
 def _union_profile(lp: MapProfile, rp: MapProfile) -> MapProfile:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .indexspace import (
     Index,
@@ -71,8 +72,14 @@ class ChaosPrediction:
         }
 
 
+@lru_cache(maxsize=1024)
 def predict(profile: MapProfile) -> ChaosPrediction:
-    """Chaos flavors from the three map facts; unknown in, unknown out."""
+    """Chaos flavors from the three map facts; unknown in, unknown out.
+
+    Profiles and predictions are frozen, and equal profiles give equal
+    predictions, so each distinct profile's prediction is built once and
+    shared from a bounded cache.
+    """
     nqp = profile.has_non_quasi_periodic_point
     aperiodic = v_not(profile.has_periodic_point)
     return ChaosPrediction(

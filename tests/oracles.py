@@ -5,7 +5,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from gshift.configspace import Configuration, CylinderPattern, pattern_from_ranks
-from gshift.constructions import ScrambledFamilySpec
+from gshift.constructions import PatternEnumeration, ScrambledFamilySpec
 from gshift.indexspace import Index, IndexDomain, SelfMap, enumerate_index
 from gshift.orbits import MapProfile, proven_false, proven_true
 from gshift.stats import orbit_window
@@ -77,6 +77,32 @@ def table_json(table: Sequence[int]) -> tuple[dict, dict]:
                   "dense_distributional": aperiodic,
                   "transitive_distributional": inj if pair is not None else aperiodic}
     return profile, prediction
+
+
+def scanned_pattern(en: PatternEnumeration, n: int) -> CylinderPattern:
+    """The n-th cylinder pattern by scanning every mask of its group in order:
+    mask bit r - 1 adds rank r below the group's rank m, and a mask with c
+    bits set holds g^(c + 1) symbol choices, earliest rank varying slowest."""
+    symbols = en.alphabet.symbols
+    g = len(symbols)
+    m, before = 1, 0
+    while before + g * (1 + g) ** (m - 1) < n:
+        before += g * (1 + g) ** (m - 1)
+        m += 1
+    offset = n - before - 1
+    for mask in range(2 ** (m - 1)):
+        ranks = [r for r in range(1, m) if mask >> (r - 1) & 1] + [m]
+        block = g ** len(ranks)
+        if offset < block:
+            digits = []
+            for _ in ranks:
+                offset, d = divmod(offset, g)
+                digits.append(d)
+            digits.reverse()
+            return CylinderPattern(tuple(enumerate_index(en.domain, r) for r in ranks),
+                                   tuple(symbols[d] for d in digits))
+        offset -= block
+    raise AssertionError("group sizes disagree with the scan")
 
 
 def parse_pattern(domain: IndexDomain, obj) -> CylinderPattern:

@@ -292,15 +292,38 @@ def test_construct_dense_manifest_lists_patterns(tmp_path, capsys):
 
 
 def test_construct_transitive_switches_to_weave(tmp_path, capsys):
+    # a config that leaves the variant out gets the flavor's own blocks
     cfg = {
         "map": {"kind": "catalog", "rule": "successor"},
         "family_size": 2,
-        "lengths": {"variant": "plain", "count": 10},
+        "lengths": {"count": 10},
     }
     assert _run(tmp_path, "construct-transitive", config=cfg) == 0
     blob = json.loads((tmp_path / "out" / "family-transitive.json").read_text())
     assert blob["variant"] == "weave"
     assert blob["chain_representatives"]
+
+
+@pytest.mark.parametrize("command, variant, rc", [
+    ("construct-dc", "plain", 0),
+    ("construct-dense", "plain", 0),
+    ("construct-transitive", "weave", 0),
+    ("construct-dc", "weave", 2),
+    ("construct-dense", "weave", 2),
+    ("construct-transitive", "plain", 2),
+])
+def test_construct_honours_or_rejects_a_configured_variant(tmp_path, capsys, command,
+                                                           variant, rc):
+    cfg = {"map": {"kind": "catalog", "rule": "successor"}, "family_size": 2,
+           "lengths": {"variant": variant, "count": 10}}
+    assert _run(tmp_path, command, config=cfg) == rc
+    family = tmp_path / "out" / f"family-{command.removeprefix('construct-')}.json"
+    if rc == 0:
+        assert json.loads(family.read_text())["variant"] == variant
+    else:
+        err = capsys.readouterr().err
+        assert "config error: config.lengths.variant" in err and repr(variant) in err
+        assert not family.exists()
 
 
 def test_construct_rejects_map_without_infinite_orbit(tmp_path, capsys):

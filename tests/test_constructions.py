@@ -9,6 +9,7 @@ from gshift.indexspace import (
     Index,
     NATURALS,
     ix,
+    rank_of,
     iterate,
     parity_up,
     square,
@@ -17,6 +18,7 @@ from gshift.indexspace import (
     table_map,
 )
 from gshift.configspace import (
+    Alphabet,
     Constant,
     FinitePatch,
     OrbitBlocks,
@@ -45,6 +47,8 @@ from gshift.constructions import (
     weave_entry_exponent,
 )
 from gshift.orbits import classify_point, orbit_position
+
+from oracles import scanned_pattern
 
 ALPHA = default_alphabet()
 P, Q = ALPHA.p, ALPHA.q
@@ -214,8 +218,6 @@ def test_first_patterns_use_the_first_window():
 
 
 def test_twenty_six_patterns_within_rank_three():
-    from gshift.indexspace import rank_of
-
     en = pattern_enumeration(ALPHA, INTEGERS)
     small = [n for n in range(1, 200)
              if max(rank_of(INTEGERS, i) for i in en.pattern(n).window) <= 3]
@@ -226,6 +228,30 @@ def test_twenty_six_patterns_within_rank_three():
 def test_pattern_enumeration_round_trips(n):
     en = pattern_enumeration(ALPHA, INTEGERS)
     assert en.rank_of(en.pattern(n)) == n
+
+
+@pytest.mark.parametrize("symbols, last", [(("p", "q"), 3 ** 8 - 1),
+                                           (("p", "q", "r"), 4 ** 6 - 1)])
+def test_pattern_decoding_matches_the_mask_scan(symbols, last):
+    # every pattern of the groups m <= 8 (two symbols) or m <= 6 (three)
+    en = pattern_enumeration(Alphabet(symbols, "p", "q"), INTEGERS)
+    for n in range(1, last + 1):
+        pat = en.pattern(n)
+        assert pat == scanned_pattern(en, n)
+        assert en.rank_of(pat) == n
+
+
+@pytest.mark.parametrize("n", [3 ** 23, 3 ** 23 + 12345, 2 * 3 ** 23, 3 ** 24 - 1])
+def test_pattern_round_trips_at_the_largest_decodable_rank(n):
+    en = pattern_enumeration(ALPHA, INTEGERS)
+    pat = en.pattern(n)
+    assert max(rank_of(INTEGERS, i) for i in pat.window) == 24
+    assert en.rank_of(pat) == n
+
+
+def test_pattern_decoding_stops_past_rank_24():
+    with pytest.raises(ValueError, match="too large"):
+        pattern_enumeration(ALPHA, INTEGERS).pattern(3 ** 24)
 
 
 def test_pattern_rank_of_window_pair():

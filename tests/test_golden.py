@@ -10,6 +10,7 @@ Regenerate (only after an intended behaviour change) with
     PYTHONPATH=src python tests/test_golden.py > tests/golden_profiles.json
 """
 
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -90,6 +91,21 @@ def test_golden_profile(name):
     assert got["profile"] == want["profile"]
     assert got["prediction"] == want["prediction"]
     assert got["points"] == want["points"]
+
+
+def test_shared_predictions_survive_a_table_sweep():
+    # predictions are shared per distinct profile: a union, a search and an
+    # unknown profile predicted before and after all 46,656 self-maps of 6
+    # points fill the caches still match the golden file
+    names = ("square_plus_one_union_table", "successor_union_parity_up",
+             "square_after_successor")
+    maps, want = golden_maps(), expected()
+    before = {name: record(maps[name]) for name in names}
+    for entries in itertools.product(range(6), repeat=6):
+        predict(map_profile(table_map(entries)))
+    for name in names:
+        assert before[name] == want[name]
+        assert record(maps[name]) == want[name]
 
 
 if __name__ == "__main__":

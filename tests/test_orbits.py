@@ -229,6 +229,15 @@ def test_large_tables_have_the_oracle_json():
     assert map_profile(table_map(late)).injective.witness == (ix(4), ix(n - 1))
 
 
+def test_equal_table_profiles_are_one_shared_object():
+    # each table's first collision is (0, 1) and its walk from 0 repeats 1
+    shared = map_profile(table_map((1, 1, 1)))
+    assert map_profile(table_map((1, 1, 0))) is shared
+    assert map_profile(table_map((1, 1, 3, 2))) is shared
+    # collision (1, 2), repeated point 2: a profile of its own
+    assert map_profile(table_map((1, 2, 2))) != shared
+
+
 def test_union_profile_combines_sides():
     u = disjoint_union_maps(successor(), parity_up())
     # injectivity survives (both sides injective); periodic point from the right

@@ -1,6 +1,7 @@
 """Chaos predictions from map facts, the curated suite, and the algebra laws."""
 
 import itertools
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from gshift.indexspace import (
     square,
     square_plus_one,
     successor,
+    table_map,
 )
 from gshift.orbits import (
     MapProfile,
@@ -81,6 +83,19 @@ def test_prediction_serializes():
     assert set(blob) == {"li_yorke", "distributional", "omega",
                          "dense_distributional", "transitive_distributional"}
     assert blob["li_yorke"]["truth"] == "proven_true"
+
+
+def test_an_equal_profile_built_by_hand_predicts_the_same_bytes():
+    shared = map_profile(table_map((1, 1, 1)))
+    by_hand = MapProfile(
+        proven_false(witness=(ix(0), ix(1)), provenance="exhaustive"),
+        proven_true(witness=(ix(1),), provenance="exhaustive"),
+        proven_false(certificate="finite domain forces every orbit onto a cycle",
+                     provenance="exhaustive"),
+    )
+    assert by_hand == shared and by_hand is not shared
+    assert json.dumps(predict(by_hand).to_json()) == json.dumps(predict(shared).to_json())
+    assert predict(by_hand) is predict(shared)
 
 
 # ---------------------------------------------------------------------------
