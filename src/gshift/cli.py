@@ -24,6 +24,7 @@ from typing import Optional
 from .indexspace import (
     Index,
     SelfMap,
+    domain_size,
     enumerate_index,
     map_spec,
     parse_map_spec,
@@ -94,13 +95,18 @@ class ExperimentConfig:
     anchor_rank: int = 1
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: JSON true/false load as bool, which Python counts as int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(obj: dict, key: str, types, path: str, default=None, required=False):
     if key not in obj:
         if required:
             raise ConfigError(f"{path}.{key}: required field missing")
         return default
     value = obj[key]
-    if types is not None and not isinstance(value, types):
+    if types is not None and not (_is_int(value) if types is int else isinstance(value, types)):
         raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
     return value
 
@@ -114,8 +120,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError(f"config.map: {exc}") from exc
     alpha_obj = _expect(obj, "alphabet", dict, "config",
                         default={"symbols": ["p", "q"], "p": "p", "q": "q"})
+    symbols = alpha_obj.get("symbols")
+    if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
+        raise ConfigError("config.alphabet.symbols: need a list of strings")
     try:
-        alphabet = Alphabet(tuple(alpha_obj["symbols"]), alpha_obj["p"], alpha_obj["q"])
+        alphabet = Alphabet(tuple(symbols), alpha_obj["p"], alpha_obj["q"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"config.alphabet: {exc}") from exc
     family_size = _expect(obj, "family_size", int, "config", default=3)
@@ -126,13 +135,17 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if variant not in ("plain", "weave"):
         raise ConfigError(f"config.lengths.variant: unknown variant {variant!r}")
     count = lengths_obj.get("count", 8)
-    if not isinstance(count, int) or count < 1:
+    if not _is_int(count) or count < 1:
         raise ConfigError("config.lengths.count: need a positive integer")
     windows_obj = _expect(obj, "windows", list, "config", default=[[1], [1, 2]])
+    if not windows_obj:
+        raise ConfigError("config.windows: need at least one window")
     windows = []
     for wi, w in enumerate(windows_obj):
-        if not isinstance(w, list) or not w or not all(isinstance(r, int) and r >= 1 for r in w):
+        if not isinstance(w, list) or not w or not all(_is_int(r) and r >= 1 for r in w):
             raise ConfigError(f"config.windows[{wi}]: need a nonempty list of ranks >= 1")
+        if len(set(w)) != len(w):
+            raise ConfigError(f"config.windows[{wi}]: need distinct ranks")
         windows.append(tuple(w))
     sched_obj = _expect(obj, "schedule", dict, "config",
                         default={"kind": "block_boundaries", "r_max": 8})
@@ -140,12 +153,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
     r_max, horizons = 8, ()
     if kind == "block_boundaries":
         r_max = sched_obj.get("r_max", 8)
-        if not isinstance(r_max, int) or r_max < 1:
+        if not _is_int(r_max) or r_max < 1:
             raise ConfigError("config.schedule.r_max: need a positive integer")
     elif kind == "explicit":
-        horizons = tuple(sched_obj.get("horizons", ()))
-        if not horizons or any(not isinstance(h, int) or h < 1 for h in horizons):
+        horizons = sched_obj.get("horizons")
+        if not isinstance(horizons, list) or not horizons or any(
+                not _is_int(h) or h < 1 for h in horizons):
             raise ConfigError("config.schedule.horizons: need positive integers")
+        horizons = tuple(horizons)
         if any(b <= a for a, b in zip(horizons, horizons[1:])):
             raise ConfigError("config.schedule.horizons: need strictly increasing horizons")
     else:
@@ -211,7 +226,10 @@ def _pick_anchor(cfg: ExperimentConfig, budget: int) -> tuple[Optional[Index], b
     `undecided` says whether some candidate's classification came back unknown,
     so that the absence of an anchor was not shown."""
     undecided = False
+    size = domain_size(cfg.map.domain)
     for rank in dict.fromkeys([cfg.anchor_rank, *range(1, 65)]):
+        if size is not None and rank > size:
+            continue
         candidate = enumerate_index(cfg.map.domain, rank)
         cls = classify_point(cfg.map, candidate, budget)
         if cls.is_non_quasi_periodic:
@@ -535,21 +553,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "classify":
-            return _cmd_classify(cfg, out, args)
-        if args.command == "predict":
-            return _cmd_predict(cfg, out, args)
-        if args.command == "construct-dc":
-            return _cmd_construct(cfg, out, args, "dc")
-        if args.command == "construct-dense":
-            return _cmd_construct(cfg, out, args, "dense")
-        if args.command == "construct-transitive":
-            return _cmd_construct(cfg, out, args, "transitive")
-        if args.command == "stats":
-            return _cmd_stats(cfg, out, args)
-        if args.command == "verify":
-            return _cmd_verify(cfg, out, args)
-        return _cmd_counterexamples(cfg, out, args)
+        if args.command.startswith("construct-"):
+            return _cmd_construct(cfg, out, args, args.command.removeprefix("construct-"))
+        command = {"classify": _cmd_classify, "predict": _cmd_predict, "stats": _cmd_stats,
+                   "verify": _cmd_verify, "counterexamples": _cmd_counterexamples}
+        return command[args.command](cfg, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

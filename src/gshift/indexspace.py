@@ -11,7 +11,7 @@ against runaway doubly-exponential orbits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Optional
 
 __all__ = [
@@ -249,8 +249,8 @@ class SelfMap:
 
     rule: "table" on a finite range, one of CATALOG_RULES on the integers,
     "compose" (outer after inner), or "disjoint_union" routing by tag.
-    record: the map's entry in the rule table; a composition of translations
-    (at any depth) gets the translation record of its closed form.
+    record: the map's entry in the rule table, built on first read; a composition
+    of translations (at any depth) gets the translation record of its closed form.
     """
 
     domain: IndexDomain
@@ -260,11 +260,11 @@ class SelfMap:
     inner: "Optional[SelfMap]" = None
     left: "Optional[SelfMap]" = None
     right: "Optional[SelfMap]" = None
-    record: "Rule" = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def record(self) -> "Rule":
         record = _composed(self.outer.record, self.inner.record) if self.outer is not None else None
-        object.__setattr__(self, "record", record or RULES[self.rule])
+        return record or RULES[self.rule]
 
 
 def table_map(entries) -> SelfMap:
@@ -622,14 +622,22 @@ def parse_map_spec(obj) -> SelfMap:
             raise ValueError(f"map.domain: rule {rule!r} lives on 'integers'")
         return _catalog(rule)
     if rule == "table":
-        if "entries" not in obj:
-            raise ValueError("map.entries: required for rule 'table'")
-        return table_map(obj["entries"])
+        entries = obj.get("entries")
+        if not isinstance(entries, list) or not all(
+                isinstance(e, int) and not isinstance(e, bool) for e in entries):
+            raise ValueError("map.entries: rule 'table' needs a list of integers")
+        return table_map(entries)
     if rule == "compose":
-        return compose_maps(parse_map_spec(obj["outer"]), parse_map_spec(obj["inner"]))
+        return compose_maps(_submap(obj, "outer"), _submap(obj, "inner"))
     if rule == "disjoint_union":
-        return disjoint_union_maps(parse_map_spec(obj["left"]), parse_map_spec(obj["right"]))
+        return disjoint_union_maps(_submap(obj, "left"), _submap(obj, "right"))
     raise ValueError(f"map.rule: unknown rule {rule!r}")
+
+
+def _submap(obj: dict, key: str) -> SelfMap:
+    if key not in obj:
+        raise ValueError(f"map.{key}: required for rule {obj['rule']!r}")
+    return parse_map_spec(obj[key])
 
 
 def map_spec(m: SelfMap) -> dict:

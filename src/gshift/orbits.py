@@ -11,7 +11,7 @@ analysis on finite domains or budgeted cycle detection elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .indexspace import (
@@ -191,6 +191,13 @@ class MapProfile:
     injective: Verdict
     has_periodic_point: Verdict
     has_non_quasi_periodic_point: Verdict
+
+    @cached_property
+    def _hash(self) -> int:  # shared profiles key caches: hash each one once
+        return hash((self.injective, self.has_periodic_point, self.has_non_quasi_periodic_point))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def truths(self) -> tuple[str, str, str]:
         return (

@@ -51,6 +51,35 @@ def test_config_defaults_fill_in():
     assert cfg.windows == ((1,), (1, 2))
 
 
+# configs that once crashed `verify` with a traceback or were silently misread
+NAMED_ERRORS = [pytest.param(broken, fragment, id=name) for name, broken, fragment in [
+    ("symbols-int", {"map": PHI1["map"], "alphabet": {"symbols": 5, "p": "p", "q": "q"}},
+     "config.alphabet.symbols"),
+    ("symbols-nested",
+     {"map": PHI1["map"], "alphabet": {"symbols": ["p", ["q"]], "p": "p", "q": "q"}},
+     "config.alphabet.symbols"),
+    ("compose-no-inner", {"map": {"rule": "compose", "outer": PHI1["map"]}}, "map.inner"),
+    ("union-no-left", {"map": {"rule": "disjoint_union", "right": PHI1["map"]}}, "map.left"),
+    ("union-no-right", {"map": {"rule": "disjoint_union", "left": PHI1["map"]}}, "map.right"),
+    ("entries-int", {"map": {"rule": "table", "entries": 5}}, "map.entries"),
+    ("entries-null", {"map": {"rule": "table", "entries": [None, 0]}}, "map.entries"),
+    ("entries-bool", {"map": {"rule": "table", "entries": [True, 0]}}, "map.entries"),
+    ("no-windows", dict(PHI1, windows=[]), "config.windows"),
+    ("repeated-rank", {"map": PHI1["map"], "windows": [[1, 1]]}, "config.windows[0]"),
+    ("bool-rank", {"map": PHI1["map"], "windows": [[1], [True]]}, "config.windows[1]"),
+    ("bool-family", {"map": PHI1["map"], "family_size": True}, "config.family_size"),
+    ("bool-count", {"map": PHI1["map"], "lengths": {"count": True}}, "config.lengths.count"),
+    ("bool-r_max", {"map": PHI1["map"], "schedule": {"kind": "block_boundaries", "r_max": True}},
+     "config.schedule.r_max"),
+    ("bool-horizon",
+     {"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": [True, 5]}},
+     "config.schedule.horizons"),
+    ("int-horizons", {"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": 5}},
+     "config.schedule.horizons"),
+    ("bool-anchor", {"map": PHI1["map"], "anchor_rank": True}, "config.anchor_rank"),
+]]
+
+
 @pytest.mark.parametrize("broken, fragment", [
     ({}, "config.map"),
     ({"map": {"kind": "catalog", "rule": "nope"}}, "config.map"),
@@ -60,11 +89,25 @@ def test_config_defaults_fill_in():
     ({"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": []}}, "horizons"),
     ({"map": PHI1["map"], "eps_low": "one quarter"}, "eps"),
     ({"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": [50, 5]}}, "horizons"),
-])
+] + NAMED_ERRORS)
 def test_config_errors_name_the_field(broken, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(broken)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("broken, fragment", NAMED_ERRORS)
+def test_verify_exits_2_naming_the_field(tmp_path, capsys, broken, fragment):
+    assert _run(tmp_path, "verify", config=broken) == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stats", "construct-dc", "construct-transitive"])
+def test_a_finite_table_has_no_anchor(tmp_path, capsys, command):
+    # anchor candidates stop at the domain's size instead of raising
+    config = {"map": {"rule": "table", "entries": [1, 0, 2]}, "anchor_rank": 5}
+    assert _run(tmp_path, command, config=config) == 1
+    assert "every candidate has a proven finite orbit" in capsys.readouterr().err
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):
@@ -135,9 +178,7 @@ def test_verify_rolls_up_pass_for_translation(tmp_path, capsys):
 @pytest.mark.parametrize("cfg", [
     # default windows sit on square's fixed points 0 and 1, off the anchor's orbit
     {"map": {"rule": "square"}, "schedule": {"kind": "block_boundaries", "r_max": 6}},
-    # no window at all: no pair can dip
-    dict(PHI1, windows=[], schedule={"kind": "block_boundaries", "r_max": 5}),
-], ids=["square", "no-windows"])
+], ids=["square"])
 def test_verify_names_the_pairs_a_failed_surrogate_check_failed_on(tmp_path, capsys, cfg):
     assert _run(tmp_path, "verify", config=cfg) == 1
     out = capsys.readouterr().out

@@ -94,18 +94,16 @@ def test_golden_profile(name):
 
 
 def test_shared_predictions_survive_a_table_sweep():
-    # predictions are shared per distinct profile: a union, a search and an
-    # unknown profile predicted before and after all 46,656 self-maps of 6
-    # points fill the caches still match the golden file
-    names = ("square_plus_one_union_table", "successor_union_parity_up",
-             "square_after_successor")
+    # profiles and predictions are shared per distinct value, and profiles
+    # hash once: every golden map predicted before and after all 46,656
+    # self-maps of 6 points fill the caches still matches the golden file
     maps, want = golden_maps(), expected()
-    before = {name: record(maps[name]) for name in names}
+    before = {name: record(m) for name, m in maps.items()}
     for entries in itertools.product(range(6), repeat=6):
         predict(map_profile(table_map(entries)))
-    for name in names:
+    for name, m in maps.items():
         assert before[name] == want[name]
-        assert record(maps[name]) == want[name]
+        assert record(m) == want[name]
 
 
 if __name__ == "__main__":

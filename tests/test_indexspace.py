@@ -1,5 +1,7 @@
 """Index domains, enumeration conventions, and self-map evaluation."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from gshift.indexspace import (
     INTEGERS,
     Index,
     NATURALS,
+    SelfMap,
     compose_maps,
     contains,
     disjoint_union,
@@ -183,9 +186,36 @@ def test_squaring_refuses_exactly_the_coordinates_past_the_budget(m):
     assert evaluate(m, ix((1 << half) - 1)).coord.bit_length() == COORD_BIT_BUDGET
 
 
+def test_record_is_built_on_first_read_and_never_compared():
+    assert [f.name for f in fields(SelfMap)] == [
+        "domain", "rule", "table", "outer", "inner", "left", "right"]
+    assert repr(successor()) == (
+        "SelfMap(domain=IndexDomain(kind='integers', size=None, left=None, right=None), "
+        "rule='successor', table=None, outer=None, inner=None, left=None, right=None)")
+    read, fresh = compose_maps(successor(), parity_up()), compose_maps(successor(), parity_up())
+    assert evaluate(read, ix(2)) == ix(4)
+    assert "record" in read.__dict__ and "record" not in fresh.__dict__
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    assert read.record is read.record
+
+
 # ---------------------------------------------------------------------------
 # Closed forms and inverses.
 # ---------------------------------------------------------------------------
+
+
+def test_three_level_translation_composition_keeps_its_closed_form():
+    # successor after parity_up after (successor after successor): n + (4, 2)[n mod 2]
+    parts = [successor(), parity_up(), successor(), successor()]  # outermost first
+    m = compose_maps(parts[0], compose_maps(parts[1], compose_maps(parts[2], parts[3])))
+    assert (m.record.name, m.record.shift) == ("compose", (4, 2))
+    for n in range(-7, 8):
+        point = ix(n)
+        for k in range(6):
+            assert iterate(m, ix(n), k) == point
+            for part in reversed(parts):
+                point = evaluate(part, point)
+        assert iterate(m, ix(n), 10**30) == ix(n + (2 if n % 2 else 4) * 10**30)
 
 
 @given(ints)

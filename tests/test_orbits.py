@@ -238,6 +238,14 @@ def test_equal_table_profiles_are_one_shared_object():
     assert map_profile(table_map((1, 2, 2))) != shared
 
 
+def test_profiling_a_table_builds_no_rule_record():
+    m = table_map((1, 2, 0))
+    predict(map_profile(m))
+    assert "record" not in m.__dict__
+    assert evaluate(m, ix(2)) == ix(0)  # a read builds it
+    assert m.record.name == "table"
+
+
 def test_union_profile_combines_sides():
     u = disjoint_union_maps(successor(), parity_up())
     # injectivity survives (both sides injective); periodic point from the right

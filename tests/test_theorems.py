@@ -94,8 +94,18 @@ def test_an_equal_profile_built_by_hand_predicts_the_same_bytes():
                      provenance="exhaustive"),
     )
     assert by_hand == shared and by_hand is not shared
+    assert hash(by_hand) == hash(shared) == hash(shared)
     assert json.dumps(predict(by_hand).to_json()) == json.dumps(predict(shared).to_json())
     assert predict(by_hand) is predict(shared)
+
+
+def test_profile_hash_is_the_hash_of_its_three_verdicts():
+    # computed once per profile, the hash is still the dataclass hash of its fields
+    first, second = map_profile(successor()), map_profile(successor())
+    assert first is not second and first == second
+    fields = (first.injective, first.has_periodic_point, first.has_non_quasi_periodic_point)
+    assert hash(first) == hash(first) == hash(second) == hash(fields)
+    assert {first: 1}[second] == 1
 
 
 # ---------------------------------------------------------------------------
