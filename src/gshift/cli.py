@@ -16,13 +16,13 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from .indexspace import (
     Index,
+    Record,
     SelfMap,
     domain_size,
     enumerate_index,
@@ -56,6 +56,7 @@ from .stats import (
     Schedule,
     block_boundary_schedule,
     dc_pair_report,
+    orbit_window,
     proof_bound_check_dc,
 )
 from .theorems import counterexample_suite, predict
@@ -78,15 +79,14 @@ class ConfigError(ValueError):
     """Configuration file failed validation; message names the offending field."""
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record):
     map: SelfMap
     alphabet: Alphabet
     family_size: int = 3
     lengths_variant: str = "plain"
     variant_given: bool = False  # the config set lengths.variant itself
     lengths_count: int = 8
-    windows: tuple[tuple[int, ...], ...] = ((1,), (1, 2))
+    windows: Optional[tuple[tuple[int, ...], ...]] = None  # None: two windows on the anchor's orbit
     schedule_kind: str = "block_boundaries"
     schedule_r_max: int = 8
     schedule_horizons: tuple[int, ...] = ()
@@ -109,6 +109,14 @@ def _expect(obj: dict, key: str, types, path: str, default=None, required=False)
     if types is not None and not (_is_int(value) if types is int else isinstance(value, types)):
         raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
     return value
+
+
+def _window_ranks(wi: int, w) -> tuple[int, ...]:
+    if not isinstance(w, list) or not w or not all(_is_int(r) and r >= 1 for r in w):
+        raise ConfigError(f"config.windows[{wi}]: need a nonempty list of ranks >= 1")
+    if len(set(w)) != len(w):
+        raise ConfigError(f"config.windows[{wi}]: need distinct ranks")
+    return tuple(w)
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
@@ -137,16 +145,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
     count = lengths_obj.get("count", 8)
     if not _is_int(count) or count < 1:
         raise ConfigError("config.lengths.count: need a positive integer")
-    windows_obj = _expect(obj, "windows", list, "config", default=[[1], [1, 2]])
-    if not windows_obj:
+    windows_obj = _expect(obj, "windows", list, "config")
+    if windows_obj == []:
         raise ConfigError("config.windows: need at least one window")
-    windows = []
-    for wi, w in enumerate(windows_obj):
-        if not isinstance(w, list) or not w or not all(_is_int(r) and r >= 1 for r in w):
-            raise ConfigError(f"config.windows[{wi}]: need a nonempty list of ranks >= 1")
-        if len(set(w)) != len(w):
-            raise ConfigError(f"config.windows[{wi}]: need distinct ranks")
-        windows.append(tuple(w))
+    windows = None if windows_obj is None else tuple(
+        _window_ranks(wi, w) for wi, w in enumerate(windows_obj))
     sched_obj = _expect(obj, "schedule", dict, "config",
                         default={"kind": "block_boundaries", "r_max": 8})
     kind = sched_obj.get("kind", "block_boundaries")
@@ -180,7 +183,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         lengths_variant=variant,
         variant_given="variant" in lengths_obj,
         lengths_count=count,
-        windows=tuple(windows),
+        windows=windows,
         schedule_kind=kind,
         schedule_r_max=r_max,
         schedule_horizons=horizons,
@@ -270,9 +273,14 @@ def _pairs(members) -> list[tuple[str, int, int]]:
             for i, j in itertools.combinations(range(len(members)), 2)]
 
 
-def _pair_reports(cfg: ExperimentConfig, members, schedule: Schedule) -> dict:
-    """`dc_pair_report` of every member pair on the configured windows, by pair id."""
-    windows = [window_from_ranks(cfg.map.domain, ranks) for ranks in cfg.windows]
+def _pair_reports(cfg: ExperimentConfig, anchor: Index, members, schedule: Schedule) -> dict:
+    """`dc_pair_report` of every member pair, by pair id, on the configured
+    windows; by default on the anchor alone and on the anchor with its image,
+    which lie on the orbit that the blocks are written along."""
+    if cfg.windows is None:
+        windows = [orbit_window(cfg.map, anchor, offsets) for offsets in ((0,), (0, 1))]
+    else:
+        windows = [window_from_ranks(cfg.map.domain, ranks) for ranks in cfg.windows]
     return {
         pair_id: dc_pair_report(cfg.map, members[i], members[j], windows, schedule,
                                 cfg.eps_low, cfg.eps_high)
@@ -368,7 +376,7 @@ def _cmd_construct(cfg: ExperimentConfig, out: Path, args, flavor: str) -> int:
         raise ConfigError(
             f"config.lengths.variant: construct-{flavor} builds {variant!r} blocks, "
             f"not {cfg.lengths_variant!r}; set {variant!r} or leave the field out")
-    cfg = replace(cfg, lengths_variant=variant)
+    cfg = cfg._replace(lengths_variant=variant)
     anchor, undecided = _pick_anchor(cfg, args.budget)
     if anchor is None:
         return _exit_without_anchor(undecided)
@@ -389,8 +397,13 @@ def _cmd_construct(cfg: ExperimentConfig, out: Path, args, flavor: str) -> int:
         else:
             manifest = _member_manifest(cfg, members, spec)
             if flavor == "transitive":
-                reps = chain_decomposition(cfg.map, 8, args.budget)
-                manifest["chain_representatives"] = [repr(r) for r in reps.representatives]
+                chains = chain_decomposition(cfg.map, 8, args.budget)
+                reps = [repr(r) for r in chains.representatives]
+                if len(reps) > 1:  # the weave is written along the anchor's chain only
+                    raise PreconditionError(
+                        f"the weave covers one chain, but the map has {len(reps)} chains "
+                        f"(representatives {', '.join(reps)})")
+                manifest["chain_representatives"] = reps
     except (PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -410,7 +423,7 @@ def _cmd_stats(cfg: ExperimentConfig, out: Path, args) -> int:
     except (PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rows = _stats_rows(_pair_reports(cfg, members, schedule))
+    rows = _stats_rows(_pair_reports(cfg, anchor, members, schedule))
     _write_csv(out / "stats.csv", rows)
     print(f"wrote {len(rows)} rows to {out / 'stats.csv'}")
     return 0
@@ -447,7 +460,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
                       if args.horizon_cap is None or lengths.horizon(r) <= args.horizon_cap]
             try:
                 spec, members = _family_for(cfg, anchor, lengths)
-                pair_reports = _pair_reports(cfg, members, schedule)
+                pair_reports = _pair_reports(cfg, anchor, members, schedule)
                 _write_csv(out / "stats.csv", _stats_rows(pair_reports))
                 bound_results = [
                     {"pair": pair_id, "r": bound.r, "ok": bound.ok}

@@ -10,13 +10,13 @@ threshold/window translations at the bottom of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .indexspace import (
     Index,
     IndexDomain,
+    Record,
     SelfMap,
     contains,
     enumerate_index,
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Record):
     """Finite symbol set with two distinguished distinct marks p and q."""
 
     symbols: tuple[str, ...]
@@ -325,17 +324,20 @@ def window_from_ranks(domain: IndexDomain, ranks: Sequence[int]) -> tuple[Index,
     return make_window([enumerate_index(domain, r) for r in ranks])
 
 
-@dataclass(frozen=True)
-class CylinderPattern:
+class CylinderPattern(Record):
     """Finite window plus a symbol prescription on it."""
 
     window: tuple[Index, ...]
     symbols: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.window) != len(self.symbols):
+    def __init__(self, window: tuple[Index, ...], symbols: tuple[str, ...]):
+        # spelled out: a weave entry check decodes one pattern per cylinder
+        if len(window) != len(symbols):
             raise ValueError("window and symbols must align")
-        make_window(self.window)
+        make_window(window)
+        state = self.__dict__
+        state["window"] = window
+        state["symbols"] = symbols
 
     def items(self):
         return zip(self.window, self.symbols)

@@ -10,13 +10,13 @@ every claim about one is either checked directly or derived from a certificate.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .indexspace import (
     INTEGERS,
     Index,
     IndexDomain,
+    Record,
     SelfMap,
     enumerate_index,
     rank_of,
@@ -156,8 +156,7 @@ def _odd_primes(count: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PrimePowerSet:
+class PrimePowerSet(Record):
     """{prime^e : e >= 1}, plus all even numbers when augmented."""
 
     prime: int
@@ -178,8 +177,7 @@ class PrimePowerSet:
         return {"kind": "prime_powers", "prime": self.prime, "augmented": self.augmented}
 
 
-@dataclass(frozen=True)
-class ExplicitBlockSet:
+class ExplicitBlockSet(Record):
     values: frozenset[int]
 
     def contains(self, n: int) -> bool:
@@ -189,8 +187,7 @@ class ExplicitBlockSet:
         return {"kind": "explicit", "values": sorted(self.values)}
 
 
-@dataclass(frozen=True)
-class AlmostDisjointFamily:
+class AlmostDisjointFamily(Record):
     """k raw prime-power sets (pairwise disjoint) and their augmented variants
     (pairwise intersections all equal to the evens, hence infinite)."""
 
@@ -210,8 +207,7 @@ def almost_disjoint_family(k: int) -> AlmostDisjointFamily:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScrambledFamilySpec:
+class ScrambledFamilySpec(Record):
     """Everything needed to lay out one family of block configurations.
 
     `anchors` is a one-element tuple: every member writes its blocks along the

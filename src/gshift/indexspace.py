@@ -10,11 +10,12 @@ against runaway doubly-exponential orbits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
 __all__ = [
+    "Record",
     "Index",
     "IndexDomain",
     "SelfMap",
@@ -68,15 +69,103 @@ class RankRangeError(ValueError):
     """Enumeration rank outside a finite domain."""
 
 
-@dataclass(frozen=True)
-class Index:
+class Record:
+    """Base of the package's records: named fields, equality, hash and repr.
+
+    A subclass lists its fields as class annotations, in order; a class-level
+    value is that field's default (shared by every instance, so immutable).
+    The names and defaults are read once, when the subclass is defined, into
+    `_fields` and `_defaults`.  Instances compare equal when they are of the
+    same class with equal field tuples (`_values()`), hash as that tuple, and
+    print as ``Name(field=value, ...)``.  `__init__` takes the fields
+    positionally or by name and then calls `__post_init__`;
+    `_replace(**changes)` builds a copy through it.  Records are frozen: assigning or deleting any attribute
+    raises AttributeError.  Instances keep a `__dict__`, so a
+    `functools.cached_property` works on them.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = tuple(own)
+        cls._defaults = {name: cls.__dict__[name] for name in own if name in cls.__dict__}
+        get = attrgetter(*own)  # one field gives a bare value, more give a tuple
+        cls._values = (lambda self: (get(self),)) if len(own) == 1 else (lambda self: get(self))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._arguments(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value in order, from positional and keyword arguments
+        and the defaults; TypeError for a missing, repeated or unknown field."""
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes at most {len(cls._fields)} fields")
+        values = {**cls._defaults, **dict(zip(cls._fields, args))}
+        for name, value in kwargs.items():
+            if name not in cls._fields or name in cls._fields[:len(args)]:
+                raise TypeError(f"{cls.__name__}: unexpected or repeated field {name!r}")
+            values[name] = value
+        missing = [name for name in cls._fields if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}: missing fields {missing}")
+        return tuple(values[name] for name in cls._fields)
+
+    def __post_init__(self) -> None:
+        """Validate the fields; called last by the generic `__init__`."""
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Index(Record):
     """A point of a domain: a tag path through disjoint unions plus an integer coordinate.
 
     ``path`` is a tuple of "L"/"R" tags, outermost first; plain domains use ``()``.
+    The hottest record, so its constructor, equality and hash are spelled out.
     """
 
     path: tuple[str, ...]
     coord: int
+
+    def __init__(self, path: tuple[str, ...], coord: int):
+        state = self.__dict__
+        state["path"] = path
+        state["coord"] = coord
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.path, self.coord) == (other.path, other.coord)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.coord))
 
     def __repr__(self) -> str:  # compact: "L0", "-3", "RL2"
         return format_index(self)
@@ -98,8 +187,7 @@ def parse_index(text: str) -> Index:
     return Index(tuple(text[:i]), int(text[i:]))
 
 
-@dataclass(frozen=True)
-class IndexDomain:
+class IndexDomain(Record):
     """Finite description of a countable set: finite range, naturals, integers, or a tagged union."""
 
     kind: str  # "finite_range" | "naturals" | "integers" | "disjoint_union"
@@ -243,8 +331,7 @@ def region_indices(domain: IndexDomain, bound: int) -> Iterator[Index]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelfMap:
+class SelfMap(Record):
     """A total self-map of a domain, from the closed rule catalog.
 
     rule: "table" on a finite range, one of CATALOG_RULES on the integers,
@@ -260,6 +347,19 @@ class SelfMap:
     inner: "Optional[SelfMap]" = None
     left: "Optional[SelfMap]" = None
     right: "Optional[SelfMap]" = None
+
+    def __init__(self, domain: IndexDomain, rule: str, table: Optional[tuple[int, ...]] = None,
+                 outer: Optional[SelfMap] = None, inner: Optional[SelfMap] = None,
+                 left: Optional[SelfMap] = None, right: Optional[SelfMap] = None):
+        # spelled out: every finite table of a sweep builds one
+        state = self.__dict__
+        state["domain"] = domain
+        state["rule"] = rule
+        state["table"] = table
+        state["outer"] = outer
+        state["inner"] = inner
+        state["left"] = left
+        state["right"] = right
 
     @cached_property
     def record(self) -> "Rule":
@@ -418,8 +518,7 @@ def cycle_walk(step, start, budget: int) -> Optional[tuple[list, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RuleFacts:
+class RuleFacts(Record):
     """Hand-certified dynamics of an integer rule, as plain data.
 
     Either every point is periodic with `period`, certified by `note` (only
@@ -435,14 +534,13 @@ class RuleFacts:
     note: str
     collision: Optional[tuple[int, int]] = None  # colliding pair when not injective
     period: Optional[int] = None
-    finite: dict = field(default_factory=dict)
+    finite: dict = {}  # the default is shared by every record, so it is only ever read
     finite_note: str = ""
     nqp_witness: int = 0
     period_parity: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """Everything the package knows about one kind of map.
 
     step(m, index) applies the map once.  The rest are certified shortcuts,

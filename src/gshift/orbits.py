@@ -10,7 +10,6 @@ analysis on finite domains or budgeted cycle detection elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -18,6 +17,7 @@ from .indexspace import (
     BudgetExceededError,
     DomainMismatchError,
     Index,
+    Record,
     SelfMap,
     contains,
     cycle_walk,
@@ -58,8 +58,7 @@ class UnresolvedOrbitError(RuntimeError):
     """Orbit membership could not be decided within the available certificates."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Three-valued answer with evidence.
 
     provenance: "exhaustive" (finite domain fully checked),
@@ -159,8 +158,7 @@ def v_or(a: Verdict, b: Verdict) -> Verdict:
     return a if a.is_unknown else b
 
 
-@dataclass(frozen=True)
-class PointClassification:
+class PointClassification(Record):
     """Forward-orbit shape of a single point.
 
     kind: "periodic" (returns to itself; period recorded), "quasi_periodic"
@@ -184,8 +182,7 @@ class PointClassification:
         return self.kind == "non_quasi_periodic"
 
 
-@dataclass(frozen=True)
-class MapProfile:
+class MapProfile(Record):
     """The three dynamical facts that drive every chaos prediction."""
 
     injective: Verdict
@@ -214,8 +211,7 @@ class MapProfile:
         }
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(Record):
     representatives: tuple[Index, ...]
     region_bound: int
     residual: tuple[Index, ...]

@@ -10,11 +10,10 @@ construction, by simulation, never by trusting the formula being tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .indexspace import Index, SelfMap, evaluate, preimage
+from .indexspace import Index, Record, SelfMap, evaluate, preimage
 from .configspace import Configuration, Run, make_window, metric_less_than, shifted
 from .constructions import BlockLengths, ScrambledFamilySpec
 
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Strictly increasing horizons at which statistics are sampled."""
 
     horizons: tuple[int, ...]
@@ -135,8 +133,7 @@ def xi_count(m: SelfMap, x: Configuration, y: Configuration, t: Fraction,
     return count
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(Record):
     horizon: int
     count: int
     fraction: Fraction
@@ -144,8 +141,7 @@ class DensityRow:
     running_max: Fraction
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(Record):
     window: tuple[Index, ...]
     rows: tuple[DensityRow, ...]
 
@@ -178,8 +174,7 @@ def density_profile(m: SelfMap, x: Configuration, y: Configuration,
     return DensityProfile(tuple(window), tuple(rows))
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(Record):
     """Finite-horizon surrogates for the two distributional-chaos conditions.
 
     dc1_surrogate: some window's running-min fraction dips to eps_low while every
@@ -222,8 +217,7 @@ def dc_pair_report(m: SelfMap, x: Configuration, y: Configuration,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockBound:
+class BlockBound(Record):
     """Block r's construction estimate, replayed for one pair of members."""
 
     r: int

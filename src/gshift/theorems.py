@@ -13,11 +13,11 @@ the product and composition laws for the shift algebra.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .indexspace import (
     Index,
+    Record,
     SelfMap,
     compose_maps,
     disjoint_union_maps,
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChaosPrediction:
+class ChaosPrediction(Record):
     """Predicted chaos profile of the shift generated by a map profile."""
 
     li_yorke: Verdict
@@ -91,8 +90,7 @@ def predict(profile: MapProfile) -> ChaosPrediction:
     )
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
+class SuiteEntry(Record):
     name: str
     map: SelfMap
     expected: tuple[str, str, str, str, str]

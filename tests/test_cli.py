@@ -48,7 +48,7 @@ def test_config_defaults_fill_in():
     cfg = parse_config({"map": {"kind": "catalog", "rule": "successor"}})
     assert cfg.family_size == 3
     assert cfg.lengths_variant == "plain"
-    assert cfg.windows == ((1,), (1, 2))
+    assert cfg.windows is None  # two windows on the anchor's orbit, placed at run time
 
 
 # configs that once crashed `verify` with a traceback or were silently misread
@@ -176,8 +176,9 @@ def test_verify_rolls_up_pass_for_translation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cfg", [
-    # default windows sit on square's fixed points 0 and 1, off the anchor's orbit
-    {"map": {"rule": "square"}, "schedule": {"kind": "block_boundaries", "r_max": 6}},
+    # ranks 1 and 2 are square's fixed points 0 and 1, off the anchor's orbit
+    {"map": {"rule": "square"}, "windows": [[1], [1, 2]],
+     "schedule": {"kind": "block_boundaries", "r_max": 6}},
 ], ids=["square"])
 def test_verify_names_the_pairs_a_failed_surrogate_check_failed_on(tmp_path, capsys, cfg):
     assert _run(tmp_path, "verify", config=cfg) == 1
@@ -186,6 +187,18 @@ def test_verify_names_the_pairs_a_failed_surrogate_check_failed_on(tmp_path, cap
     blob = json.loads((tmp_path / "out" / "verify.json").read_text())
     check = next(c for c in blob["checks"] if c["name"] == "dc-surrogate")
     assert check == {"name": "dc-surrogate", "ok": False, "note": "failing pairs 1-2, 1-3, 2-3"}
+
+
+def test_default_windows_sit_on_the_anchors_orbit(tmp_path, capsys):
+    # square's anchor is 2 (0 and 1 are fixed, -1 lands on 1): windows {2}, {2, 4}
+    assert _run(tmp_path, "verify", config={"map": {"rule": "square"}, "family_size": 3}) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "rollup: PASS"
+    # successor's anchor 0 and its image 1 are ranks 1 and 2
+    assert _run(tmp_path, "stats", config={"map": {"rule": "successor"}}) == 0
+    default = (tmp_path / "out" / "stats.csv").read_bytes()
+    cfg = {"map": {"rule": "successor"}, "windows": [[1], [1, 2]]}
+    assert _run(tmp_path, "stats", config=cfg) == 0
+    assert (tmp_path / "out" / "stats.csv").read_bytes() == default
 
 
 def test_verify_skips_construction_for_non_chaotic_map(tmp_path, capsys):
@@ -340,9 +353,26 @@ def test_construct_transitive_switches_to_weave(tmp_path, capsys):
         "lengths": {"count": 10},
     }
     assert _run(tmp_path, "construct-transitive", config=cfg) == 0
-    blob = json.loads((tmp_path / "out" / "family-transitive.json").read_text())
+    manifest = (tmp_path / "out" / "family-transitive.json").read_bytes()
+    blob = json.loads(manifest)
     assert blob["variant"] == "weave"
-    assert blob["chain_representatives"]
+    assert blob["chain_representatives"] == ["0"]
+    assert hashlib.sha256(manifest).hexdigest() == (
+        "c41da5fa97e2bb82e8477818acfbf9b26c844f85706b7d3bf5389c5394cd8612")
+
+
+# the weave is written along one chain, so a map with several is refused
+@pytest.mark.parametrize("map_obj, reps", [
+    ({"rule": "compose", "outer": {"rule": "successor"}, "inner": {"rule": "successor"}},
+     "0, 1"),
+    ({"rule": "disjoint_union", "left": {"rule": "successor"}, "right": {"rule": "successor"}},
+     "L0, R0"),
+], ids=["successor-after-successor", "successor-union-successor"])
+def test_construct_transitive_refuses_a_map_with_several_chains(tmp_path, capsys, map_obj,
+                                                               reps):
+    assert _run(tmp_path, "construct-transitive", config={"map": map_obj}) == 1
+    assert f"the map has 2 chains (representatives {reps})" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "family-transitive.json").exists()
 
 
 @pytest.mark.parametrize("command, variant, rc", [

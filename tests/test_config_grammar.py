@@ -1,6 +1,6 @@
 """Fuzzing the config grammar: every config that parses as JSON ends `gshift
-verify` with a documented exit code (0 pass, 1 fail, 2 config error,
-3 inconclusive) and never with a traceback.
+verify`, `stats` and each `construct-*` with a documented exit code (0 pass,
+1 fail, 2 config error, 3 inconclusive) and never with a traceback.
 
 Configs are drawn from the grammar (nested compositions and unions of catalog
 rules and tables, both schedule kinds, windows, alphabets), and any field may
@@ -14,6 +14,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -95,12 +96,25 @@ CONFIGS = _maybe(_fields({
 }))
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(config=CONFIGS)
-def test_verify_ends_with_a_documented_exit_code(config):
+def _exit_code(command: str, config) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            rc = main(["--config", str(path), "--out", str(Path(tmp) / "out"), "verify"])
-    assert rc in (0, 1, 2, 3)
+            return main(["--config", str(path), "--out", str(Path(tmp) / "out"), command])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=CONFIGS)
+def test_verify_ends_with_a_documented_exit_code(config):
+    assert _exit_code("verify", config) in (0, 1, 2, 3)
+
+
+# fewer draws than verify: a stats run on a composition with a squaring rule
+# can take seconds to find no anchor
+@pytest.mark.parametrize("command", [
+    "stats", "construct-dc", "construct-dense", "construct-transitive"])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=CONFIGS)
+def test_other_commands_end_with_a_documented_exit_code(command, config):
+    assert _exit_code(command, config) in (0, 1, 2, 3)

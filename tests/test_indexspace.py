@@ -1,6 +1,10 @@
-"""Index domains, enumeration conventions, and self-map evaluation."""
+"""Index domains, enumeration conventions, self-map evaluation, and records."""
 
-from dataclasses import fields
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,9 @@ from gshift.indexspace import (
     DomainMismatchError,
     INTEGERS,
     Index,
+    IndexDomain,
     NATURALS,
+    Record,
     SelfMap,
     compose_maps,
     contains,
@@ -186,8 +192,53 @@ def test_squaring_refuses_exactly_the_coordinates_past_the_budget(m):
     assert evaluate(m, ix((1 << half) - 1)).coord.bit_length() == COORD_BIT_BUDGET
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # pytest and hypothesis load both, so only a fresh interpreter can tell
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, gshift.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_every_record_is_frozen():
+    import gshift.cli  # noqa: F401  (defines the last record)
+
+    records = Record.__subclasses__()
+    assert len(records) == 23
+    for cls in records:
+        held = dict.fromkeys(cls._fields, 0)
+        blank = cls.__new__(cls)  # the refusal is the class's, whatever the field values
+        blank.__dict__.update(held)
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(blank, name, None)
+            with pytest.raises(AttributeError):
+                delattr(blank, name)
+        assert blank.__dict__ == held
+    m = successor()
+    with pytest.raises(AttributeError, match="cannot assign to field 'rule'"):
+        m.rule = "predecessor"
+    with pytest.raises(AttributeError, match="cannot delete field 'coord'"):
+        del ix(3).coord
+    assert m == successor() and m._replace(rule="predecessor") == predecessor()
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((), {}, "missing fields ['kind']"),
+    (("integers",), {"kind": "naturals"}, "repeated field 'kind'"),
+    (("integers",), {"sise": 3}, "unexpected or repeated field 'sise'"),
+    (("finite_range", 3, None, None, None), {}, "takes at most 4 fields"),
+])
+def test_record_constructor_names_the_field_it_cannot_place(args, kwargs, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        IndexDomain(*args, **kwargs)
+
+
 def test_record_is_built_on_first_read_and_never_compared():
-    assert [f.name for f in fields(SelfMap)] == [
+    assert list(SelfMap._fields) == [
         "domain", "rule", "table", "outer", "inner", "left", "right"]
     assert repr(successor()) == (
         "SelfMap(domain=IndexDomain(kind='integers', size=None, left=None, right=None), "
