@@ -79,6 +79,14 @@ class ConfigError(ValueError):
     """Configuration file failed validation; message names the offending field."""
 
 
+class NoAnchorError(PreconditionError):
+    """Every anchor candidate has a proven finite orbit."""
+
+
+CONFIG_FIELDS = frozenset({"map", "alphabet", "family_size", "lengths", "windows", "schedule",
+                           "eps_low", "eps_high", "anchor_rank"})
+
+
 class ExperimentConfig(Record):
     map: SelfMap
     alphabet: Alphabet
@@ -87,9 +95,8 @@ class ExperimentConfig(Record):
     variant_given: bool = False  # the config set lengths.variant itself
     lengths_count: int = 8
     windows: Optional[tuple[tuple[int, ...], ...]] = None  # None: two windows on the anchor's orbit
-    schedule_kind: str = "block_boundaries"
     schedule_r_max: int = 8
-    schedule_horizons: tuple[int, ...] = ()
+    schedule_horizons: tuple[int, ...] = ()  # nonempty: an explicit schedule
     eps_low: Fraction = Fraction(1, 4)
     eps_high: Fraction = Fraction(1, 4)
     anchor_rank: int = 1
@@ -122,6 +129,9 @@ def _window_ranks(wi: int, w) -> tuple[int, ...]:
 def parse_config(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config: top level must be an object")
+    unknown = sorted(obj.keys() - CONFIG_FIELDS)
+    if unknown:
+        raise ConfigError(f"config.{unknown[0]}: unknown field")
     try:
         m = parse_map_spec(_expect(obj, "map", dict, "config", required=True))
     except ValueError as exc:
@@ -184,7 +194,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
         variant_given="variant" in lengths_obj,
         lengths_count=count,
         windows=windows,
-        schedule_kind=kind,
         schedule_r_max=r_max,
         schedule_horizons=horizons,
         eps_low=eps_low,
@@ -210,24 +219,19 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _schedule_for(cfg: ExperimentConfig, lengths, horizon_cap: Optional[int]) -> Schedule:
-    if cfg.schedule_kind == "block_boundaries":
-        sched = block_boundary_schedule(lengths, cfg.schedule_r_max)
-    else:
-        sched = Schedule(cfg.schedule_horizons)
-    if horizon_cap is not None:
-        kept = tuple(h for h in sched.horizons if h <= horizon_cap)
-        if not kept:
-            raise ConfigError(f"--horizon-cap {horizon_cap} removes every checkpoint")
-        labels = tuple(sched.labels[: len(kept)]) if sched.labels else None
-        sched = Schedule(kept, labels)
-    return sched
+    horizons = (cfg.schedule_horizons
+                or block_boundary_schedule(lengths, cfg.schedule_r_max).horizons)
+    kept = tuple(h for h in horizons if horizon_cap is None or h <= horizon_cap)
+    if not kept:
+        raise ConfigError(f"--horizon-cap {horizon_cap} removes every checkpoint")
+    return Schedule(kept)
 
 
-def _pick_anchor(cfg: ExperimentConfig, budget: int) -> tuple[Optional[Index], bool]:
-    """(anchor, undecided): the configured anchor when its orbit is proven
-    infinite, else the first such point among ranks 1..64.  With no anchor,
-    `undecided` says whether some candidate's classification came back unknown,
-    so that the absence of an anchor was not shown."""
+def _pick_anchor(cfg: ExperimentConfig, budget: int) -> Index:
+    """The configured anchor when its orbit is proven infinite, else the first
+    such point among ranks 1..64.  With no anchor, UnresolvedOrbitError if some
+    candidate's classification came back unknown, so that the absence of an
+    anchor was not shown, else NoAnchorError."""
     undecided = False
     size = domain_size(cfg.map.domain)
     for rank in dict.fromkeys([cfg.anchor_rank, *range(1, 65)]):
@@ -236,26 +240,18 @@ def _pick_anchor(cfg: ExperimentConfig, budget: int) -> tuple[Optional[Index], b
         candidate = enumerate_index(cfg.map.domain, rank)
         cls = classify_point(cfg.map, candidate, budget)
         if cls.is_non_quasi_periodic:
-            return candidate, undecided
+            return candidate
         undecided = undecided or cls.kind == "unknown"
-    return None, undecided
-
-
-def _no_anchor(undecided: bool) -> str:
-    """Why `_pick_anchor` found no anchor."""
     if undecided:
-        return "no usable anchor: some candidate's classification came back unknown"
-    return "no usable anchor: every candidate has a proven finite orbit"
+        raise UnresolvedOrbitError(
+            "no usable anchor: some candidate's classification came back unknown")
+    raise NoAnchorError("no usable anchor: every candidate has a proven finite orbit")
 
 
-def _exit_without_anchor(undecided: bool) -> int:
-    """Report a missing anchor: inconclusive (3) when it was not shown, else failed (1)."""
-    print(f"{'inconclusive' if undecided else 'error'}: {_no_anchor(undecided)}",
-          file=sys.stderr)
-    return 3 if undecided else 1
-
-
-def _family_for(cfg: ExperimentConfig, anchor, lengths) -> tuple[ScrambledFamilySpec, list]:
+def _family_for(cfg: ExperimentConfig, lengths, budget: int) -> tuple[ScrambledFamilySpec, list]:
+    """The family that stats, verify and construct-* share, on the anchor that
+    `_pick_anchor` finds."""
+    anchor = _pick_anchor(cfg, budget)
     fam = almost_disjoint_family(cfg.family_size)
     spec = ScrambledFamilySpec(cfg.map, (anchor,), cfg.alphabet, lengths, fam,
                                cfg.lengths_variant)
@@ -273,10 +269,11 @@ def _pairs(members) -> list[tuple[str, int, int]]:
             for i, j in itertools.combinations(range(len(members)), 2)]
 
 
-def _pair_reports(cfg: ExperimentConfig, anchor: Index, members, schedule: Schedule) -> dict:
+def _pair_reports(cfg: ExperimentConfig, spec, members, schedule: Schedule) -> dict:
     """`dc_pair_report` of every member pair, by pair id, on the configured
     windows; by default on the anchor alone and on the anchor with its image,
     which lie on the orbit that the blocks are written along."""
+    anchor = spec.anchors[0]
     if cfg.windows is None:
         windows = [orbit_window(cfg.map, anchor, offsets) for offsets in ((0,), (0, 1))]
     else:
@@ -306,9 +303,9 @@ def _stats_rows(pair_reports: dict) -> list[dict]:
     return rows
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
+def _write_csv(path: Path, rows: list[dict], columns) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=STATS_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -345,86 +342,59 @@ def _member_manifest(cfg: ExperimentConfig, members, spec) -> dict:
 
 
 def _cmd_classify(cfg: ExperimentConfig, out: Path, args) -> int:
+    """classify, and predict, which adds the prediction."""
     profile = map_profile(cfg.map, args.budget)
     report = {
-        "schema": "gshift-classify/1",
+        "schema": f"gshift-{args.command}/1",
         "map": map_spec(cfg.map),
         "profile": profile.to_json(),
     }
+    if args.command == "predict":
+        report["prediction"] = predict(profile).to_json()
     print(json.dumps(report, indent=2, sort_keys=True))
-    _write_json(out / "classify.json", report)
+    _write_json(out / f"{args.command}.json", report)
     return 0
 
 
-def _cmd_predict(cfg: ExperimentConfig, out: Path, args) -> int:
-    profile = map_profile(cfg.map, args.budget)
-    prediction = predict(profile)
-    report = {
-        "schema": "gshift-predict/1",
-        "map": map_spec(cfg.map),
-        "profile": profile.to_json(),
-        "prediction": prediction.to_json(),
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
-    _write_json(out / "predict.json", report)
-    return 0
-
-
-def _cmd_construct(cfg: ExperimentConfig, out: Path, args, flavor: str) -> int:
+def _cmd_construct(cfg: ExperimentConfig, out: Path, args) -> int:
+    flavor = args.command.removeprefix("construct-")
     variant = "weave" if flavor == "transitive" else "plain"
     if cfg.variant_given and cfg.lengths_variant != variant:
         raise ConfigError(
             f"config.lengths.variant: construct-{flavor} builds {variant!r} blocks, "
             f"not {cfg.lengths_variant!r}; set {variant!r} or leave the field out")
     cfg = cfg._replace(lengths_variant=variant)
-    anchor, undecided = _pick_anchor(cfg, args.budget)
-    if anchor is None:
-        return _exit_without_anchor(undecided)
-    try:
-        spec, members = _family_for(
-            cfg, anchor, block_lengths(cfg.lengths_count, cfg.lengths_variant))
-        if flavor == "dense":
-            enum = pattern_enumeration(cfg.alphabet, cfg.map.domain)
-            dense = densify_family(cfg.map, members, enum, len(members))
-            manifest = _member_manifest(cfg, members, spec)
-            manifest["patches"] = [
-                {
-                    "member": i + 1,
-                    "pattern": pattern_json(cfg.map.domain, enum.pattern(i + 1)),
-                }
-                for i in range(len(dense))
-            ]
-        else:
-            manifest = _member_manifest(cfg, members, spec)
-            if flavor == "transitive":
-                chains = chain_decomposition(cfg.map, 8, args.budget)
-                reps = [repr(r) for r in chains.representatives]
-                if len(reps) > 1:  # the weave is written along the anchor's chain only
-                    raise PreconditionError(
-                        f"the weave covers one chain, but the map has {len(reps)} chains "
-                        f"(representatives {', '.join(reps)})")
-                manifest["chain_representatives"] = reps
-    except (PreconditionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec, members = _family_for(cfg, block_lengths(cfg.lengths_count, variant), args.budget)
+    manifest = _member_manifest(cfg, members, spec)
+    if flavor == "dense":
+        enum = pattern_enumeration(cfg.alphabet, cfg.map.domain)
+        dense = densify_family(cfg.map, members, enum, len(members))
+        manifest["patches"] = [
+            {
+                "member": i + 1,
+                "pattern": pattern_json(cfg.map.domain, enum.pattern(i + 1)),
+            }
+            for i in range(len(dense))
+        ]
+    elif flavor == "transitive":
+        chains = chain_decomposition(cfg.map, 8, args.budget)
+        reps = [repr(r) for r in chains.representatives]
+        if len(reps) > 1:  # the weave is written along the anchor's chain only
+            raise PreconditionError(
+                f"the weave covers one chain, but the map has {len(reps)} chains "
+                f"(representatives {', '.join(reps)})")
+        manifest["chain_representatives"] = reps
     print(json.dumps(manifest, indent=2, sort_keys=True))
     _write_json(out / f"family-{flavor}.json", manifest)
     return 0
 
 
 def _cmd_stats(cfg: ExperimentConfig, out: Path, args) -> int:
-    anchor, undecided = _pick_anchor(cfg, args.budget)
-    if anchor is None:
-        return _exit_without_anchor(undecided)
     lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
     schedule = _schedule_for(cfg, lengths, args.horizon_cap)
-    try:
-        _, members = _family_for(cfg, anchor, lengths)
-    except (PreconditionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rows = _stats_rows(_pair_reports(cfg, anchor, members, schedule))
-    _write_csv(out / "stats.csv", rows)
+    spec, members = _family_for(cfg, lengths, args.budget)
+    rows = _stats_rows(_pair_reports(cfg, spec, members, schedule))
+    _write_csv(out / "stats.csv", rows, STATS_COLUMNS)
     print(f"wrote {len(rows)} rows to {out / 'stats.csv'}")
     return 0
 
@@ -438,7 +408,6 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
         "map": map_spec(cfg.map),
         "profile": profile.to_json(),
         "prediction": prediction.to_json(),
-        "checks": [],
     }
     verdict = prediction.distributional
     inconclusive = None
@@ -447,37 +416,32 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     elif not verdict.is_true:
         inconclusive = f"distributional verdict is {verdict.truth}; no construction checked"
     else:
-        anchor, undecided = _pick_anchor(cfg, args.budget)
-        if anchor is None and undecided:
-            inconclusive = _no_anchor(undecided)
-        elif anchor is None:
-            checks.append(("anchor", False, _no_anchor(undecided)))
-        else:
-            lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
-            schedule = _schedule_for(cfg, lengths, args.horizon_cap)
-            r_cap = cfg.schedule_r_max if cfg.schedule_kind == "block_boundaries" else 8
-            blocks = [r for r in range(2, r_cap + 1)
-                      if args.horizon_cap is None or lengths.horizon(r) <= args.horizon_cap]
-            try:
-                spec, members = _family_for(cfg, anchor, lengths)
-                pair_reports = _pair_reports(cfg, anchor, members, schedule)
-                _write_csv(out / "stats.csv", _stats_rows(pair_reports))
-                bound_results = [
-                    {"pair": pair_id, "r": bound.r, "ok": bound.ok}
-                    for pair_id, i, j in _pairs(members)
-                    for bound in proof_bound_check_dc(spec, members, i, j, blocks, (0, 1))
-                ]
-                checks.append(("proof-bounds", all(b["ok"] for b in bound_results),
-                               f"{sum(b['ok'] for b in bound_results)}/{len(bound_results)}"))
-                failing = [pair_id for pair_id, v in pair_reports.items()
-                           if not (v.dc1_surrogate and v.dc2_surrogate)]
-                checks.append(("dc-surrogate", not failing,
-                               f"failing pairs {', '.join(failing)}" if failing else "all pairs"))
-                report["bounds"] = bound_results
-            except UnresolvedOrbitError as exc:
-                inconclusive = str(exc)
-            except (PreconditionError, ValueError) as exc:
-                checks.append(("construction", False, str(exc)))
+        lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
+        schedule = _schedule_for(cfg, lengths, args.horizon_cap)
+        blocks = [r for r in range(2, cfg.schedule_r_max + 1)
+                  if args.horizon_cap is None or lengths.horizon(r) <= args.horizon_cap]
+        try:
+            spec, members = _family_for(cfg, lengths, args.budget)
+            pair_reports = _pair_reports(cfg, spec, members, schedule)
+            _write_csv(out / "stats.csv", _stats_rows(pair_reports), STATS_COLUMNS)
+            bound_results = [
+                {"pair": pair_id, "r": bound.r, "ok": bound.ok}
+                for pair_id, i, j in _pairs(members)
+                for bound in proof_bound_check_dc(spec, members, i, j, blocks, (0, 1))
+            ]
+            checks.append(("proof-bounds", all(b["ok"] for b in bound_results),
+                           f"{sum(b['ok'] for b in bound_results)}/{len(bound_results)}"))
+            failing = [pair_id for pair_id, v in pair_reports.items()
+                       if not (v.dc1_surrogate and v.dc2_surrogate)]
+            checks.append(("dc-surrogate", not failing,
+                           f"failing pairs {', '.join(failing)}" if failing else "all pairs"))
+            report["bounds"] = bound_results
+        except NoAnchorError as exc:
+            checks.append(("anchor", False, str(exc)))
+        except UnresolvedOrbitError as exc:
+            inconclusive = str(exc)
+        except (PreconditionError, ValueError) as exc:
+            checks.append(("construction", False, str(exc)))
     for name, ok, note in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {note}")
     if verdict.is_false:
@@ -507,11 +471,7 @@ def _cmd_counterexamples(cfg_unused, out: Path, args) -> int:
             "computed": "/".join(t.removeprefix("proven_") for t in e.computed.truths()),
             "pass": str(e.passed).lower(),
         })
-    with open(out / "counterexamples.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=("map", "expected", "computed", "pass"),
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / "counterexamples.csv", rows, ("map", "expected", "computed", "pass"))
     width = max(len(r["map"]) for r in rows)
     header = f"{'map'.ljust(width)}  {'/'.join(names)}  pass"
     print(header)
@@ -520,6 +480,18 @@ def _cmd_counterexamples(cfg_unused, out: Path, args) -> int:
     passed = sum(e.passed for e in entries)
     print(f"{passed}/{len(entries)} suite entries match")
     return 0 if passed == len(entries) else 1
+
+
+COMMANDS = {
+    "classify": _cmd_classify,
+    "predict": _cmd_classify,
+    "construct-dc": _cmd_construct,
+    "construct-dense": _cmd_construct,
+    "construct-transitive": _cmd_construct,
+    "stats": _cmd_stats,
+    "verify": _cmd_verify,
+    "counterexamples": _cmd_counterexamples,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -539,19 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int,
                         default=int(os.environ.get("GSHIFT_BUDGET", "4096")),
                         help="step budget for bounded searches (env GSHIFT_BUDGET)")
-    parser.add_argument(
-        "command",
-        choices=(
-            "classify",
-            "predict",
-            "construct-dc",
-            "construct-dense",
-            "construct-transitive",
-            "stats",
-            "verify",
-            "counterexamples",
-        ),
-    )
+    parser.add_argument("command", choices=COMMANDS)
     return parser
 
 
@@ -566,17 +526,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command.startswith("construct-"):
-            return _cmd_construct(cfg, out, args, args.command.removeprefix("construct-"))
-        command = {"classify": _cmd_classify, "predict": _cmd_predict, "stats": _cmd_stats,
-                   "verify": _cmd_verify, "counterexamples": _cmd_counterexamples}
-        return command[args.command](cfg, out, args)
+        return COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UnresolvedOrbitError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
+    except (PreconditionError, ValueError) as exc:  # a construction's precondition failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

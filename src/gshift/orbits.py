@@ -174,10 +174,6 @@ class PointClassification(Record):
     budget: Optional[int] = None
 
     @property
-    def is_periodic(self) -> bool:
-        return self.kind == "periodic"
-
-    @property
     def is_non_quasi_periodic(self) -> bool:
         return self.kind == "non_quasi_periodic"
 

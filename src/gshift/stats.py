@@ -37,7 +37,6 @@ class Schedule(Record):
     """Strictly increasing horizons at which statistics are sampled."""
 
     horizons: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if not self.horizons:
@@ -49,9 +48,7 @@ class Schedule(Record):
 
 
 def block_boundary_schedule(lengths: BlockLengths, r_max: int) -> Schedule:
-    horizons = tuple(lengths.horizon(r) for r in range(1, r_max + 1))
-    labels = tuple(f"r={r}" for r in range(1, r_max + 1))
-    return Schedule(horizons, labels)
+    return Schedule(tuple(lengths.horizon(r) for r in range(1, r_max + 1)))
 
 
 def _disagreements(xs: list[Run], ys: list[Run]) -> list[tuple[int, int]]:

@@ -77,6 +77,9 @@ NAMED_ERRORS = [pytest.param(broken, fragment, id=name) for name, broken, fragme
     ("int-horizons", {"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": 5}},
      "config.schedule.horizons"),
     ("bool-anchor", {"map": PHI1["map"], "anchor_rank": True}, "config.anchor_rank"),
+    ("unknown-field", {"map": PHI1["map"], "windws": [[6]]}, "config.windws: unknown field"),
+    ("unknown-fields", {"map": PHI1["map"], "windws": [[6]], "eps_lo": "1/2"},
+     "config.eps_lo: unknown field"),  # the first in sorted order
 ]]
 
 
@@ -329,9 +332,36 @@ def test_verify_without_an_anchor(tmp_path, capsys, left, rc, checks):
         assert out.splitlines()[-1] == "rollup: FAIL"
 
 
+# the schedule is built before the anchor search, so a cap that empties it is
+# a config error even where no anchor would be found
+@pytest.mark.parametrize("command, map_obj", [
+    ("stats", {"rule": "parity_up"}),
+    ("verify", _nested_union({"rule": "parity_up"}, 7)),
+])
+def test_an_emptied_schedule_outranks_a_missing_anchor(tmp_path, capsys, command, map_obj):
+    assert _run(tmp_path, "--horizon-cap", "0", command, config={"map": map_obj}) == 2
+    assert "config error: --horizon-cap 0 removes every checkpoint" in capsys.readouterr().err
+
+
 def test_horizon_cap_truncates_and_can_empty_the_schedule(tmp_path, capsys):
     assert _run(tmp_path, "--horizon-cap", "250", "verify", config=PHI1) == 0
     assert _run(tmp_path, "--horizon-cap", "0", "verify", config=PHI1) == 2
+
+
+# the blocks whose proof bounds verify replays: 2..r_max, where an explicit
+# schedule keeps the default r_max 8, and --horizon-cap drops blocks that end
+# above it (horizon(5) = 206, horizon(6) = 1237)
+@pytest.mark.parametrize("schedule, argv, replayed", [
+    ({"kind": "explicit", "horizons": [1, 3, 10, 41, 206, 1237]}, [],
+     {"1-2": [2, 3, 4, 5, 6, 8], "1-3": [2, 3, 4, 6, 7, 8], "2-3": [2, 4, 5, 6, 7, 8]}),
+    (PHI1["schedule"], ["--horizon-cap", "250"],
+     {"1-2": [2, 3, 4, 5], "1-3": [2, 3, 4], "2-3": [2, 4, 5]}),
+], ids=["explicit", "capped"])
+def test_verify_replays_the_pinned_proof_bounds(tmp_path, capsys, schedule, argv, replayed):
+    assert _run(tmp_path, *argv, "verify", config=dict(PHI1, schedule=schedule)) == 0
+    bounds = json.loads((tmp_path / "out" / "verify.json").read_text())["bounds"]
+    assert bounds == [{"pair": pair, "r": r, "ok": True}
+                      for pair, rs in replayed.items() for r in rs]
 
 
 def test_construct_dense_manifest_lists_patterns(tmp_path, capsys):

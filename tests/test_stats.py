@@ -240,7 +240,6 @@ def test_schedule_validation():
 def test_block_boundary_schedule_is_frozen():
     sched = block_boundary_schedule(LENGTHS, 8)
     assert sched.horizons == (1, 3, 10, 41, 206, 1237, 8660, 69281)
-    assert sched.labels[0] == "r=1" and sched.labels[-1] == "r=8"
 
 
 def test_density_profile_counts_are_prefix_sums():
