@@ -85,6 +85,10 @@ class NoAnchorError(PreconditionError):
 
 CONFIG_FIELDS = frozenset({"map", "alphabet", "family_size", "lengths", "windows", "schedule",
                            "eps_low", "eps_high", "anchor_rank"})
+ALPHABET_FIELDS = frozenset({"symbols", "p", "q"})
+LENGTHS_FIELDS = frozenset({"variant", "count"})
+SCHEDULE_FIELDS = {"block_boundaries": frozenset({"kind", "r_max"}),
+                   "explicit": frozenset({"kind", "horizons"})}
 
 
 class ExperimentConfig(Record):
@@ -118,6 +122,13 @@ def _expect(obj: dict, key: str, types, path: str, default=None, required=False)
     return value
 
 
+def _reject_unknown(obj: dict, fields: frozenset, path: str) -> None:
+    """ConfigError naming the first key of obj, in sorted order, outside fields."""
+    unknown = sorted(obj.keys() - fields)
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown field")
+
+
 def _window_ranks(wi: int, w) -> tuple[int, ...]:
     if not isinstance(w, list) or not w or not all(_is_int(r) and r >= 1 for r in w):
         raise ConfigError(f"config.windows[{wi}]: need a nonempty list of ranks >= 1")
@@ -129,15 +140,14 @@ def _window_ranks(wi: int, w) -> tuple[int, ...]:
 def parse_config(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config: top level must be an object")
-    unknown = sorted(obj.keys() - CONFIG_FIELDS)
-    if unknown:
-        raise ConfigError(f"config.{unknown[0]}: unknown field")
+    _reject_unknown(obj, CONFIG_FIELDS, "config")
     try:
         m = parse_map_spec(_expect(obj, "map", dict, "config", required=True))
     except ValueError as exc:
         raise ConfigError(f"config.map: {exc}") from exc
     alpha_obj = _expect(obj, "alphabet", dict, "config",
                         default={"symbols": ["p", "q"], "p": "p", "q": "q"})
+    _reject_unknown(alpha_obj, ALPHABET_FIELDS, "config.alphabet")
     symbols = alpha_obj.get("symbols")
     if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
         raise ConfigError("config.alphabet.symbols: need a list of strings")
@@ -149,6 +159,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if family_size < 2:
         raise ConfigError("config.family_size: need at least two members")
     lengths_obj = _expect(obj, "lengths", dict, "config", default={})
+    _reject_unknown(lengths_obj, LENGTHS_FIELDS, "config.lengths")
     variant = lengths_obj.get("variant", "plain")
     if variant not in ("plain", "weave"):
         raise ConfigError(f"config.lengths.variant: unknown variant {variant!r}")
@@ -163,12 +174,15 @@ def parse_config(obj: dict) -> ExperimentConfig:
     sched_obj = _expect(obj, "schedule", dict, "config",
                         default={"kind": "block_boundaries", "r_max": 8})
     kind = sched_obj.get("kind", "block_boundaries")
+    if not isinstance(kind, str) or kind not in SCHEDULE_FIELDS:
+        raise ConfigError(f"config.schedule.kind: unknown kind {kind!r}")
+    _reject_unknown(sched_obj, SCHEDULE_FIELDS[kind], "config.schedule")
     r_max, horizons = 8, ()
     if kind == "block_boundaries":
         r_max = sched_obj.get("r_max", 8)
         if not _is_int(r_max) or r_max < 1:
             raise ConfigError("config.schedule.r_max: need a positive integer")
-    elif kind == "explicit":
+    else:
         horizons = sched_obj.get("horizons")
         if not isinstance(horizons, list) or not horizons or any(
                 not _is_int(h) or h < 1 for h in horizons):
@@ -176,8 +190,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
         horizons = tuple(horizons)
         if any(b <= a for a, b in zip(horizons, horizons[1:])):
             raise ConfigError("config.schedule.horizons: need strictly increasing horizons")
-    else:
-        raise ConfigError(f"config.schedule.kind: unknown kind {kind!r}")
     try:
         eps_low = Fraction(_expect(obj, "eps_low", str, "config", default="1/4"))
         eps_high = Fraction(_expect(obj, "eps_high", str, "config", default="1/4"))

@@ -215,7 +215,7 @@ class OrbitBlocks(Configuration):
     # -- configuration interface ----------------------------------------------
 
     def symbol_at(self, index: Index) -> str:
-        pos = self.orbit_position_of(index)
+        pos = orbit_position(self.map, self.anchor, index)
         if pos is None:
             return self.alphabet.q
         r, offset, in_splice = self.lengths.locate(pos)
@@ -356,7 +356,10 @@ def pattern_json(domain: IndexDomain, pattern: CylinderPattern) -> dict:
 
 
 def in_cylinder(config: Configuration, pattern: CylinderPattern) -> bool:
-    return all(config.symbol_at(i) == s for i, s in pattern.items())
+    for index, symbol in zip(pattern.window, pattern.symbols):
+        if config.symbol_at(index) != symbol:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

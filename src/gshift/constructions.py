@@ -10,6 +10,7 @@ every claim about one is either checked directly or derived from a certificate.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .indexspace import (
@@ -272,7 +273,9 @@ class PatternEnumeration:
         Group m holds the windows whose largest rank is m, ordered by the
         mask of their other ranks (bit r - 1 for rank r) and then by their
         symbols, earliest rank varying slowest.  The mask is read greedily
-        from its top bit down, so decoding costs O(m) steps.
+        from its top bit down, so decoding costs O(m) steps.  The window of
+        each rank set is built once and then reused from a bounded cache
+        (ranks <= 7 hold only 127 windows); the pattern still validates it.
         """
         if n < 1:
             raise ValueError("pattern index must be >= 1")
@@ -296,8 +299,7 @@ class PatternEnumeration:
             offset, d = divmod(offset, g)
             symbols.append(self.alphabet.symbols[d])
         symbols.reverse()  # lex order: earliest rank varies slowest
-        window = tuple(enumerate_index(self.domain, r) for r in ranks)
-        return CylinderPattern(window, tuple(symbols))
+        return CylinderPattern(_window(self.domain, tuple(ranks)), tuple(symbols))
 
     def rank_of(self, pattern: CylinderPattern) -> int:
         g = self._g
@@ -311,6 +313,12 @@ class PatternEnumeration:
         for r in ranks:
             value = value * g + self.alphabet.symbols.index(by_rank[r])
         return self._group_total(m - 1) + offset + value + 1
+
+
+@lru_cache(maxsize=1024)
+def _window(domain: IndexDomain, ranks: tuple[int, ...]) -> tuple[Index, ...]:
+    """The indices of the given ranks, shared per (domain, ranks): Index is frozen."""
+    return tuple(enumerate_index(domain, r) for r in ranks)
 
 
 def pattern_enumeration(alphabet: Alphabet, domain: IndexDomain) -> PatternEnumeration:

@@ -378,7 +378,10 @@ def table_map(entries) -> SelfMap:
     return SelfMap(finite_range(size), "table", table=entries)
 
 
+@lru_cache(maxsize=None)  # keyed by the catalog's few rule names
 def _catalog(rule: str) -> SelfMap:
+    """One shared (frozen) map per catalog rule, so comparing a map with its
+    catalog constructor's result usually stops at identity."""
     return SelfMap(INTEGERS, rule)
 
 
@@ -608,8 +611,9 @@ def _translation(name: str, d0: int, d1: int, note: str) -> Rule:
         return Index((), n - d[(n + d0) & 1])
 
     def position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
-        first = d[anchor.coord & 1]
-        offset = target.coord - anchor.coord
+        a = anchor.coord
+        first = d[a & 1]
+        offset = target.coord - a if a else target.coord  # x - 0 copies a 10^4000 int
         if not alternating:
             return _exact_quotient(offset, first)
         # 2j + r steps reach anchor + r * first + j * (d0 + d1)

@@ -529,12 +529,22 @@ def signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
                        radius: int) -> Optional[int]:
     """Exponent i with |i| <= radius and phi^i(anchor) == target, preferring i >= 0.
 
-    Negative exponents use certified preimages; None when target is not within
-    the +-radius window of the anchor's two-sided orbit.
+    None when target is not within the +-radius window of the anchor's
+    two-sided orbit.  A negative exponent -i means phi^i(target) == anchor:
+    for an injective rule with a closed-form orbit position (every
+    translation, composed ones included) it is read off that closed form;
+    every other map walks up to `radius` certified preimages of the anchor
+    (ValueError where no inverse is certified).
     """
     pos = orbit_position(m, anchor, target, walk_budget=max(radius + 2, 64))
     if pos is not None and pos <= radius:
         return pos
+    rule = m.record
+    if rule.position is not None and rule.facts is not None and rule.facts.injective:
+        if target.path != anchor.path:
+            return None
+        back = rule.position(m, target, anchor)
+        return -back if back is not None and 1 <= back <= radius else None
     cur = anchor
     for i in range(1, radius + 1):
         prev = preimage(m, cur)

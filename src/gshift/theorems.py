@@ -176,9 +176,10 @@ def counterexample_suite() -> list[SuiteEntry]:
 # ---------------------------------------------------------------------------
 
 
-def _sample_union_config(domain, rng: random.Random, alphabet=("p", "q")):
+def _sample_union_config(domain, region, rng: random.Random, alphabet=("p", "q")):
+    """A constant configuration patched at a random part of `region`."""
     patch = {}
-    for index in region_indices(domain, 12):
+    for index in region:
         if rng.random() < 0.35:
             patch[index] = rng.choice(alphabet)
     return FinitePatch(Constant(domain, alphabet[0]), patch)
@@ -195,11 +196,13 @@ def check_product_law(f: SelfMap, g: SelfMap, samples: int = 25,
     """
     union = disjoint_union_maps(f, g)
     rng = random.Random(seed)
+    patched = list(region_indices(union.domain, 12))
+    probed = list(region_indices(union.domain, 10))
     for _ in range(samples):
-        config = _sample_union_config(union.domain, rng)
+        config = _sample_union_config(union.domain, patched, rng)
         power = rng.randrange(1, 6)
         moved = shifted(config, union, power)
-        for index in rng.sample(list(region_indices(union.domain, 10)), 8):
+        for index in rng.sample(probed, 8):
             side_map = f if index.path[0] == "L" else g
             bare = Index(index.path[1:], index.coord)
             stepped = iterate(side_map, bare, power)
@@ -228,15 +231,13 @@ def check_composition_law(f: SelfMap, g: SelfMap, samples: int = 25,
         raise ValueError("composition law needs a shared domain")
     combined = compose_maps(g, f)
     rng = random.Random(seed)
+    patched = list(region_indices(f.domain, 12))
+    probed = list(region_indices(f.domain, 10))
     for _ in range(samples):
-        patch = {}
-        for index in region_indices(f.domain, 12):
-            if rng.random() < 0.35:
-                patch[index] = rng.choice(("p", "q"))
-        config = FinitePatch(Constant(f.domain, "p"), patch)
+        config = _sample_union_config(f.domain, patched, rng)
         stacked = shifted(shifted(config, g, 1), f, 1)
         direct = shifted(config, combined, 1)
-        for index in rng.sample(list(region_indices(f.domain, 10)), 8):
+        for index in rng.sample(probed, 8):
             if stacked.symbol_at(index) != direct.symbol_at(index):
                 return False
     return True

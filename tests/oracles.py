@@ -6,8 +6,8 @@ from typing import Optional, Sequence
 
 from gshift.configspace import Configuration, CylinderPattern, pattern_from_ranks
 from gshift.constructions import PatternEnumeration, ScrambledFamilySpec
-from gshift.indexspace import Index, IndexDomain, SelfMap, enumerate_index
-from gshift.orbits import MapProfile, proven_false, proven_true
+from gshift.indexspace import Index, IndexDomain, SelfMap, enumerate_index, preimage
+from gshift.orbits import MapProfile, orbit_position, proven_false, proven_true
 from gshift.stats import orbit_window
 
 
@@ -103,6 +103,24 @@ def scanned_pattern(en: PatternEnumeration, n: int) -> CylinderPattern:
                                    tuple(symbols[d] for d in digits))
         offset -= block
     raise AssertionError("group sizes disagree with the scan")
+
+
+def walked_signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
+                              radius: int) -> Optional[int]:
+    """signed_orbit_index by stepping: the forward orbit position when it is
+    at most radius, else the first of up to radius certified preimages of the
+    anchor that equals target, counted negatively."""
+    pos = orbit_position(m, anchor, target, walk_budget=max(radius + 2, 64))
+    if pos is not None and pos <= radius:
+        return pos
+    cur = anchor
+    for i in range(1, radius + 1):
+        cur = preimage(m, cur)
+        if cur is None:
+            return None
+        if cur == target:
+            return -i
+    return None
 
 
 def parse_pattern(domain: IndexDomain, obj) -> CylinderPattern:

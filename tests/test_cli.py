@@ -80,6 +80,19 @@ NAMED_ERRORS = [pytest.param(broken, fragment, id=name) for name, broken, fragme
     ("unknown-field", {"map": PHI1["map"], "windws": [[6]]}, "config.windws: unknown field"),
     ("unknown-fields", {"map": PHI1["map"], "windws": [[6]], "eps_lo": "1/2"},
      "config.eps_lo: unknown field"),  # the first in sorted order
+    ("unknown-lengths-fields",
+     {"map": PHI1["map"], "lengths": {"varient": "weave", "cout": 3},
+      "schedule": {"kind": "block_boundaries", "horizons": [5, 50]}},
+     "config.lengths.cout: unknown field"),
+    ("unknown-alphabet-field",
+     {"map": PHI1["map"], "alphabet": {"symbols": ["p", "q"], "p": "p", "q": "q", "r": "r"}},
+     "config.alphabet.r: unknown field"),
+    ("horizons-for-block-boundaries",
+     {"map": PHI1["map"], "schedule": {"kind": "block_boundaries", "horizons": [5, 50]}},
+     "config.schedule.horizons: unknown field"),
+    ("r_max-for-explicit",
+     {"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": [5], "r_max": 3}},
+     "config.schedule.r_max: unknown field"),
 ]]
 
 

@@ -1,5 +1,7 @@
 """Block-length recurrences, almost-disjoint families, and the three constructions."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,13 @@ from gshift.indexspace import (
     INTEGERS,
     Index,
     NATURALS,
+    SelfMap,
+    compose_maps,
     ix,
     rank_of,
     iterate,
     parity_up,
+    predecessor,
     square,
     square_plus_one,
     successor,
@@ -420,6 +425,42 @@ def test_weave_members_share_their_source_reads(monkeypatch):
         expo = weave_entry_exponent(spec, source, pat)
         assert all(in_cylinder(shifted(x, m, expo), pat) for x in members), n
     assert len(calls) == 26
+
+
+# sha256 of the hex exponents of patterns 1..80, one per line, on block_lengths(12, "weave")
+EXPONENT_DIGESTS = {
+    0: "5f5ecfc6d834f6c6e667942c671eee9611c59626729e350c01d7967e1824e672",
+    3: "30f7052cd28073234b3fca0f879c5dfc76863c45c4d679798ba2dc917bf587cd",
+    -2: "d647412061b9dfb87c63e68830837984907b12a20d5281aadfa07793bc12ed2f",
+}
+
+
+@pytest.mark.parametrize("anchor", sorted(EXPONENT_DIGESTS))
+def test_weave_entry_exponents_are_pinned(anchor):
+    spec = ScrambledFamilySpec(successor(), (ix(anchor),), ALPHA, block_lengths(12, "weave"),
+                               almost_disjoint_family(2), "weave")
+    source = full_shift_transitive_point(ALPHA)
+    en = pattern_enumeration(ALPHA, INTEGERS)
+    exponents = [weave_entry_exponent(spec, source, en.pattern(n)) for n in range(1, 81)]
+    text = "\n".join(format(e, "x") for e in exponents)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPONENT_DIGESTS[anchor]
+
+
+def test_a_hand_built_successor_gets_the_shared_maps_exponents():
+    source = full_shift_transitive_point(ALPHA)
+    pat = pattern_enumeration(ALPHA, INTEGERS).pattern(40)
+
+    def exponent(m):
+        spec = ScrambledFamilySpec(m, (ix(3),), ALPHA, block_lengths(12, "weave"),
+                                   almost_disjoint_family(2), "weave")
+        return weave_entry_exponent(spec, source, pat)
+
+    hand_built = SelfMap(INTEGERS, "successor")
+    assert hand_built is not successor() and hand_built == successor()
+    assert exponent(hand_built) == exponent(successor())
+    for m in (predecessor(), compose_maps(successor(), successor())):
+        with pytest.raises(ValueError, match="translation layouts"):
+            exponent(m)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,17 @@ def test_record_is_built_on_first_read_and_never_compared():
     assert read.record is read.record
 
 
+@pytest.mark.parametrize("constructor", [
+    successor, predecessor, square, square_plus_one, parity_up, parity_down])
+def test_each_catalog_rule_is_one_shared_map(constructor):
+    m = constructor()
+    assert constructor() is m
+    assert parse_map_spec({"rule": m.rule}) is m
+    assert parse_map_spec({"rule": m.rule, "domain": "integers"}) is m
+    hand_built = SelfMap(INTEGERS, m.rule)  # equality between maps stays by value
+    assert hand_built is not m and hand_built == m and hash(hand_built) == hash(m)
+
+
 # ---------------------------------------------------------------------------
 # Closed forms and inverses.
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gshift.indexspace import (
+    Index,
     compose_maps,
     disjoint_union_maps,
     evaluate,
@@ -23,6 +24,7 @@ from gshift.indexspace import (
     table_map,
 )
 from gshift.orbits import (
+    UnresolvedOrbitError,
     _injectivity_by_scan,
     chain_decomposition,
     classify_point,
@@ -37,7 +39,18 @@ from gshift.orbits import (
     v_or,
 )
 from gshift.theorems import predict
-from oracles import brute_force_profile, table_json
+from oracles import brute_force_profile, table_json, walked_signed_orbit_index
+
+SIGNED_MAPS = {
+    "successor": successor(),
+    "predecessor": predecessor(),
+    "parity_up": parity_up(),
+    "parity_down": parity_down(),
+    "plus_two": compose_maps(successor(), successor()),
+    "up_after_down": compose_maps(parity_up(), parity_down()),
+    "union": disjoint_union_maps(successor(), parity_up()),
+    "square": square(),
+}
 
 tables = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * n)
@@ -321,3 +334,33 @@ def test_signed_orbit_index_round_trips_on_translation(k):
 
     target = iterate(successor(), ix(-5), k)
     assert signed_orbit_index(successor(), ix(-5), target, 64) == k
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, UnresolvedOrbitError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED_MAPS))
+def test_signed_orbit_index_matches_the_preimage_walk(name):
+    m = SIGNED_MAPS[name]
+    tags = [("L",), ("R",)] if m.left is not None else [()]
+    for radius in (0, 1, 5, 64):
+        for a in range(-20, 21):
+            tag = tags[a % len(tags)]  # a union's anchors alternate sides
+            anchor = Index(tag, a)
+            targets = [Index(tag, t) for t in range(a - radius - 3, a + radius + 4)]
+            # a union never maps one side onto the other
+            targets += [Index(other, a) for other in tags if other != tag]
+            for target in targets:
+                got = _outcome(signed_orbit_index, m, anchor, target, radius)
+                want = _outcome(walked_signed_orbit_index, m, anchor, target, radius)
+                assert got == want, (anchor, target, radius)
+
+
+def test_square_still_refuses_a_negative_exponent():
+    assert signed_orbit_index(square(), ix(2), ix(16), 5) == 2
+    with pytest.raises(ValueError, match="preimage not certified"):
+        signed_orbit_index(square(), ix(4), ix(2), 5)

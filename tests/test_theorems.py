@@ -6,8 +6,10 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gshift import theorems
 from gshift.indexspace import (
     compose_maps,
+    format_index,
     ix,
     parity_down,
     parity_up,
@@ -171,3 +173,34 @@ def test_composition_law_on_parity_swaps():
 def test_laws_hold_for_arbitrary_seeds(seed):
     assert check_product_law(successor(), parity_up(), samples=8, seed=seed)
     assert check_composition_law(parity_up(), parity_down(), samples=8, seed=seed)
+
+
+# the first three patches each law draws at seed 0, as "coordinate:symbol" in draw order
+FIRST_PATCHES = {
+    "product": [
+        "R1:q L2:q R-2:p L3:p L-3:p R-3:p R-4:q L5:p L6:p R6:q R-7:q R8:p L-8:p R9:q R10:q",
+        "L0:p R-2:p L-5:p L-6:q R-6:p R7:q R-7:p R8:p L-8:p L10:p R10:p R11:p R12:p",
+        "L-1:p L2:p L-2:q R-2:q R3:q L5:p L-5:p L6:q L-6:q L-7:q L-8:p L9:p L-11:q R-11:p",
+    ],
+    "composition": [
+        "2:q -3:q 5:p -5:p -6:p 7:p 9:q -9:p -11:p 12:q",
+        "0:p 1:p -2:q -4:q -10:p -11:q -12:p",
+        "0:p -5:p -7:q 8:p 9:q 10:p 11:p -11:p",
+    ],
+}
+
+
+def test_the_laws_draw_their_pinned_patches_at_seed_zero(monkeypatch):
+    drawn = []
+
+    class Recorded(theorems.FinitePatch):
+        def __init__(self, base, patch):
+            super().__init__(base, patch)
+            drawn.append(" ".join(f"{format_index(i)}:{s}" for i, s in patch.items()))
+
+    monkeypatch.setattr(theorems, "FinitePatch", Recorded)
+    assert check_product_law(successor(), parity_up(), samples=3)
+    assert drawn == FIRST_PATCHES["product"]
+    drawn.clear()
+    assert check_composition_law(parity_up(), parity_down(), samples=3)
+    assert drawn == FIRST_PATCHES["composition"]
