@@ -82,6 +82,20 @@ def _push_run(runs: list[Run], length: int, symbol: str) -> None:
         runs.append((length, symbol))
 
 
+def _cut_runs(runs: list[Run], count: int) -> list[Run]:
+    """A new list of the first `count` positions of `runs` (which cover at
+    least that many): still maximal runs, the last one cut short."""
+    out: list[Run] = []
+    for length, symbol in runs:
+        if length >= count:
+            if count:
+                out.append((count, symbol))
+            return out
+        out.append((length, symbol))
+        count -= length
+    return out
+
+
 class Configuration:
     """Total lazy assignment of symbols to domain indices."""
 
@@ -177,6 +191,8 @@ class OrbitBlocks(Configuration):
     certifies it never joins (another union side, a finite orbit against an
     infinite anchor orbit, or an injective map whose two orbits miss each
     other's start); otherwise it is stepped until it joins, or to the count.
+    The layout keeps each walk's runs along its own map, keyed by start: the
+    longest read so far serves every shorter one, cut at its count.
 
     The anchor must have a proven infinite orbit (PreconditionError, a
     ValueError, otherwise).
@@ -196,6 +212,7 @@ class OrbitBlocks(Configuration):
         if (lengths.variant == "weave") != (weave_source is not None):
             raise ValueError("weave layout and weave source must come together")
         self._source_cache = {} if source_cache is None else source_cache
+        self._walks: dict[Index, tuple[int, list[Run]]] = {}  # start -> (count, runs)
 
     def orbit_position_of(self, index: Index) -> Optional[int]:
         """Forward-orbit position of `index` from the anchor, or None when off it."""
@@ -226,7 +243,15 @@ class OrbitBlocks(Configuration):
     def runs_along(self, m: SelfMap, start: Index, count: int) -> list[Run]:
         if m != self.map:
             return super().runs_along(m, start, count)
-        done, cur = 0, start
+        hit = self._walks.get(start)
+        if hit is not None and hit[0] >= count:
+            return _cut_runs(hit[1], count)
+        runs = self._walk(start, count)
+        self._walks[start] = (count, runs)
+        return list(runs)
+
+    def _walk(self, start: Index, count: int) -> list[Run]:
+        m, done, cur = self.map, 0, start
         pos = self.orbit_position_of(cur)
         # off the orbit every coordinate reads q: one run when the walk is
         # certified never to join it, otherwise step until it does

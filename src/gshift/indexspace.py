@@ -714,11 +714,26 @@ CATALOG_RULES = tuple(name for name, rule in RULES.items() if rule.facts is not 
 # ---------------------------------------------------------------------------
 
 
+# the fields a map object may hold besides "rule", per rule
+_MAP_FIELDS = {**dict.fromkeys(CATALOG_RULES, ("domain",)), "table": ("entries",),
+               "compose": ("outer", "inner"), "disjoint_union": ("left", "right")}
+
+
 def parse_map_spec(obj) -> SelfMap:
-    """Parse the JSON map grammar into a SelfMap, validating structure."""
+    """Parse the JSON map grammar into a SelfMap, validating structure.
+
+    An unknown rule is reported first, then the first unknown field of the
+    object in sorted order, before any nested map is read.
+    """
     if not isinstance(obj, dict) or "rule" not in obj:
         raise ValueError("map spec must be an object with a 'rule' field")
     rule = obj["rule"]
+    fields = _MAP_FIELDS.get(rule) if isinstance(rule, str) else None
+    if fields is None:
+        raise ValueError(f"map.rule: unknown rule {rule!r}")
+    unknown = sorted(obj.keys() - {"rule", *fields})
+    if unknown:
+        raise ValueError(f"map.{unknown[0]}: unknown field")
     if rule in CATALOG_RULES:
         if obj.get("domain", "integers") != "integers":
             raise ValueError(f"map.domain: rule {rule!r} lives on 'integers'")
@@ -731,9 +746,7 @@ def parse_map_spec(obj) -> SelfMap:
         return table_map(entries)
     if rule == "compose":
         return compose_maps(_submap(obj, "outer"), _submap(obj, "inner"))
-    if rule == "disjoint_union":
-        return disjoint_union_maps(_submap(obj, "left"), _submap(obj, "right"))
-    raise ValueError(f"map.rule: unknown rule {rule!r}")
+    return disjoint_union_maps(_submap(obj, "left"), _submap(obj, "right"))
 
 
 def _submap(obj: dict, key: str) -> SelfMap:

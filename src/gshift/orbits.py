@@ -534,8 +534,15 @@ def signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
     for an injective rule with a closed-form orbit position (every
     translation, composed ones included) it is read off that closed form;
     every other map walks up to `radius` certified preimages of the anchor
-    (ValueError where no inverse is certified).
+    (ValueError where no inverse is certified).  A union answers on the side
+    that owns both points, so its translation sides keep their closed form;
+    points on different sides are never on one orbit.
     """
+    if m.left is not None:
+        if anchor.path[0] != target.path[0]:
+            return None
+        return route(m, anchor, signed_orbit_index, Index(target.path[1:], target.coord),
+                     radius)
     pos = orbit_position(m, anchor, target, walk_budget=max(radius + 2, 64))
     if pos is not None and pos <= radius:
         return pos

@@ -90,3 +90,20 @@ def evaluate_calls(monkeypatch):
                 if value is evaluate:
                     monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture
+def orbit_lookups(monkeypatch):
+    """The targets of the `orbit_position` calls that `gshift.configspace`
+    makes while the test runs, in call order."""
+    import gshift.configspace as configspace
+
+    lookups = []
+    lookup = configspace.orbit_position
+
+    def counting(m, anchor, target, *args, **kwargs):
+        lookups.append(target)
+        return lookup(m, anchor, target, *args, **kwargs)
+
+    monkeypatch.setattr(configspace, "orbit_position", counting)
+    return lookups

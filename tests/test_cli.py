@@ -9,7 +9,7 @@ import pytest
 from gshift.cli import ConfigError, ExperimentConfig, main, parse_config
 
 PHI1 = {
-    "map": {"kind": "catalog", "rule": "successor"},
+    "map": {"rule": "successor"},
     "family_size": 3,
     "lengths": {"variant": "plain", "count": 8},
     "windows": [[1], [1, 2]],
@@ -45,7 +45,7 @@ def test_config_round_trips(tmp_path):
 
 
 def test_config_defaults_fill_in():
-    cfg = parse_config({"map": {"kind": "catalog", "rule": "successor"}})
+    cfg = parse_config({"map": {"rule": "successor"}})
     assert cfg.family_size == 3
     assert cfg.lengths_variant == "plain"
     assert cfg.windows is None  # two windows on the anchor's orbit, placed at run time
@@ -87,6 +87,18 @@ NAMED_ERRORS = [pytest.param(broken, fragment, id=name) for name, broken, fragme
     ("unknown-alphabet-field",
      {"map": PHI1["map"], "alphabet": {"symbols": ["p", "q"], "p": "p", "q": "q", "r": "r"}},
      "config.alphabet.r: unknown field"),
+    ("unknown-catalog-map-field",
+     {"map": {"rule": "successor", "kind": "catalog", "outr": {"rule": "square"}}},
+     "config.map: map.kind: unknown field"),
+    ("unknown-table-map-field",
+     {"map": {"rule": "table", "entries": [1, 0], "domain": "integers"}},
+     "config.map: map.domain: unknown field"),
+    ("unknown-nested-map-field",
+     {"map": {"rule": "compose", "outer": {"rule": "successor"},
+              "inner": {"rule": "successor", "inverse": True}}},
+     "config.map: map.inverse: unknown field"),
+    ("unknown-rule-before-field", {"map": {"rule": "nope", "kind": "catalog"}},
+     "config.map: map.rule: unknown rule 'nope'"),
     ("horizons-for-block-boundaries",
      {"map": PHI1["map"], "schedule": {"kind": "block_boundaries", "horizons": [5, 50]}},
      "config.schedule.horizons: unknown field"),
@@ -218,7 +230,7 @@ def test_default_windows_sit_on_the_anchors_orbit(tmp_path, capsys):
 
 
 def test_verify_skips_construction_for_non_chaotic_map(tmp_path, capsys):
-    cfg = {"map": {"kind": "catalog", "rule": "parity_up"}}
+    cfg = {"map": {"rule": "parity_up"}}
     assert _run(tmp_path, "verify", config=cfg) == 0
     out = capsys.readouterr().out
     assert "SKIP construction" in out
@@ -287,6 +299,17 @@ def test_verify_at_r_max_20_reads_runs_not_positions(tmp_path, capsys, evaluate_
     assert _run(tmp_path, "verify", config=cfg) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "rollup: PASS"
     assert 0 < len(evaluate_calls) < 1000
+
+
+def test_verify_reads_each_members_walks_once(tmp_path, capsys, orbit_lookups):
+    # three members, window coordinates 0 and 1: the surrogate profiles and
+    # the bound replays read the same six walks, and each member keeps its
+    # runs, so one orbit lookup per member and start (36 without them)
+    cfg = dict(PHI1, lengths={"variant": "plain", "count": 9},
+               schedule={"kind": "block_boundaries", "r_max": 9})
+    assert _run(tmp_path, "verify", config=cfg) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "rollup: PASS"
+    assert len(orbit_lookups) <= 6
 
 
 # a window coordinate whose walk never meets the anchor's orbit is one q run:
@@ -379,7 +402,7 @@ def test_verify_replays_the_pinned_proof_bounds(tmp_path, capsys, schedule, argv
 
 def test_construct_dense_manifest_lists_patterns(tmp_path, capsys):
     cfg = {
-        "map": {"kind": "catalog", "rule": "square_plus_one"},
+        "map": {"rule": "square_plus_one"},
         "family_size": 6,
     }
     assert _run(tmp_path, "construct-dense", config=cfg) == 0
@@ -391,7 +414,7 @@ def test_construct_dense_manifest_lists_patterns(tmp_path, capsys):
 def test_construct_transitive_switches_to_weave(tmp_path, capsys):
     # a config that leaves the variant out gets the flavor's own blocks
     cfg = {
-        "map": {"kind": "catalog", "rule": "successor"},
+        "map": {"rule": "successor"},
         "family_size": 2,
         "lengths": {"count": 10},
     }
@@ -428,7 +451,7 @@ def test_construct_transitive_refuses_a_map_with_several_chains(tmp_path, capsys
 ])
 def test_construct_honours_or_rejects_a_configured_variant(tmp_path, capsys, command,
                                                            variant, rc):
-    cfg = {"map": {"kind": "catalog", "rule": "successor"}, "family_size": 2,
+    cfg = {"map": {"rule": "successor"}, "family_size": 2,
            "lengths": {"variant": variant, "count": 10}}
     assert _run(tmp_path, command, config=cfg) == rc
     family = tmp_path / "out" / f"family-{command.removeprefix('construct-')}.json"
@@ -441,5 +464,5 @@ def test_construct_honours_or_rejects_a_configured_variant(tmp_path, capsys, com
 
 
 def test_construct_rejects_map_without_infinite_orbit(tmp_path, capsys):
-    cfg = {"map": {"kind": "catalog", "rule": "parity_up"}}
+    cfg = {"map": {"rule": "parity_up"}}
     assert _run(tmp_path, "construct-dc", config=cfg) == 1

@@ -324,6 +324,104 @@ def test_a_layout_refuses_an_anchor_without_an_infinite_orbit(m, anchor, kind):
 
 
 # ---------------------------------------------------------------------------
+# A layout keeps each walk's runs: reads in any order equal fresh reads.
+# ---------------------------------------------------------------------------
+
+MEMO_LENGTHS = {variant: block_lengths(9, variant) for variant in ("plain", "weave")}
+
+
+def _memo_member(variant, member_ranks):
+    # n -> n + 2 from 0: even starts >= 0 lie on the orbit, negative even ones
+    # join it later, and odd ones are certified never to join
+    source = full_shift_transitive_point(ALPHA) if variant == "weave" else None
+    return OrbitBlocks(PLUS_TWO, ix(0), MEMO_LENGTHS[variant],
+                       ExplicitBlockSet(frozenset(member_ranks)), ALPHA, weave_source=source)
+
+
+def _near_boundaries(variant):
+    """Orbit positions around the end of each block r <= 9: its last three,
+    then the r + 1 after it (the splice that follows it in the weave, the
+    start of block r + 1 in the plain layout)."""
+    lengths = MEMO_LENGTHS[variant]
+    return st.integers(1, 9).flatmap(lambda r: st.integers(-3, r + 1).map(
+        lambda d: max(0, lengths.horizon(r) + d)))
+
+
+def _memo_starts(variant):
+    return st.one_of(
+        st.integers(0, 30).map(lambda k: ix(2 * k)),                    # on the orbit
+        _near_boundaries(variant).map(lambda pos: ix(2 * pos)),         # deep on it
+        st.integers(-20, -1).map(lambda k: ix(2 * k)),                  # before it
+        st.integers(-15, 15).map(lambda k: ix(2 * k + 1)),              # off it
+    )
+
+
+def _memo_counts(variant):
+    return st.one_of(st.just(0), st.integers(1, 60), _near_boundaries(variant))
+
+
+def _check_pointwise(x, m, start, runs, full_up_to=3000):
+    """runs against symbol_at: every position when short, else both ends of
+    every run (the far-horizon test's check)."""
+    count = sum(length for length, _ in runs)
+    if count <= full_up_to:
+        assert _expand(runs) == _pointwise(x, m, start, count)
+        return
+    pos = 0
+    for length, symbol in runs:
+        for i in (pos, pos + length - 1):
+            assert x.symbol_at(iterate(m, start, i)) == symbol
+        pos += length
+
+
+@given(st.sampled_from(["plain", "weave"]).flatmap(lambda variant: st.tuples(
+    st.just(variant),
+    st.sets(st.integers(1, 9)),
+    st.lists(_memo_starts(variant), min_size=1, max_size=3),
+    # (which start, count, shift power): reads of one start in any order, some
+    # through a shifted member that reads its base at that start
+    st.lists(st.tuples(st.integers(0, 2), _memo_counts(variant), st.integers(0, 3)),
+             min_size=1, max_size=8))))
+@settings(max_examples=60, deadline=None)
+def test_kept_runs_equal_fresh_reads_in_any_order(case):
+    variant, member_ranks, starts, reads = case
+    m = PLUS_TWO
+    x = _memo_member(variant, member_ranks)
+    for which, count, power in reads:
+        start = starts[which % len(starts)]
+        runs = shifted(x, m, power).runs_along(m, Index((), start.coord - 2 * power), count) \
+            if power else x.runs_along(m, start, count)
+        assert runs == _memo_member(variant, member_ranks).runs_along(m, start, count)
+        assert sum(length for length, _ in runs) == count
+        assert all(a[1] != b[1] for a, b in zip(runs, runs[1:]))  # maximal runs
+        _check_pointwise(x, m, start, runs)
+        # the caller owns the returned list: changing it changes no later read
+        runs.append((1, P))
+        runs[:1] = [(7, Q)]
+        assert x.runs_along(m, start, count) == \
+            _memo_member(variant, member_ranks).runs_along(m, start, count)
+
+
+def test_a_shorter_read_is_cut_from_the_kept_walk(orbit_lookups):
+    # one orbit lookup per start, however many reads of it: the longest so
+    # far serves every shorter one, a longer one reads again
+    lookups = orbit_lookups
+    x = _blocks({2, 4}, count=6)
+    m = successor()
+    far = x.lengths.horizon(5) + 2
+    assert x.runs_along(m, ix(0), far) == [(1, Q), (2, P), (7, Q), (31, P), (167, Q)]
+    assert x.runs_along(m, ix(0), 4) == [(1, Q), (2, P), (1, Q)]
+    assert x.runs_along(m, ix(0), 0) == []
+    assert lookups == [ix(0)]
+    x.runs_along(m, ix(0), far + 1)
+    x.runs_along(m, ix(-3), 5)
+    assert lookups == [ix(0), ix(0), ix(-3), ix(-2), ix(-1), ix(0)]
+    x.runs_along(m, ix(-3), 2)
+    x.runs_along(predecessor(), ix(3), 2)  # not the layout's own map: stepped pointwise
+    assert lookups[6:] == [ix(3), ix(2)]
+
+
+# ---------------------------------------------------------------------------
 # Embedded configurations.
 # ---------------------------------------------------------------------------
 
