@@ -83,13 +83,12 @@ def _push_run(runs: list[Run], length: int, symbol: str) -> None:
 
 
 def _cut_runs(runs: list[Run], count: int) -> list[Run]:
-    """A new list of the first `count` positions of `runs` (which cover at
-    least that many): still maximal runs, the last one cut short."""
+    """A new list of the first `count` > 0 positions of `runs` (which cover
+    at least that many): still maximal runs, the last one cut short."""
     out: list[Run] = []
     for length, symbol in runs:
         if length >= count:
-            if count:
-                out.append((count, symbol))
+            out.append((count, symbol))
             return out
         out.append((length, symbol))
         count -= length
@@ -134,7 +133,7 @@ class Constant(Configuration):
         return self.symbol
 
     def runs_along(self, m: SelfMap, start: Index, count: int) -> list[Run]:
-        return [(count, self.symbol)] if count else []
+        return [(count, self.symbol)] if count > 0 else []
 
 
 class FinitePatch(Configuration):
@@ -241,6 +240,8 @@ class OrbitBlocks(Configuration):
         return self.block_symbol(r)
 
     def runs_along(self, m: SelfMap, start: Index, count: int) -> list[Run]:
+        if count <= 0:
+            return []
         if m != self.map:
             return super().runs_along(m, start, count)
         hit = self._walks.get(start)
@@ -255,7 +256,7 @@ class OrbitBlocks(Configuration):
         pos = self.orbit_position_of(cur)
         # off the orbit every coordinate reads q: one run when the walk is
         # certified never to join it, otherwise step until it does
-        if pos is None and count and never_joins(m, start, self.anchor):
+        if pos is None and never_joins(m, start, self.anchor):
             return [(count, self.alphabet.q)]
         while pos is None and done < count:
             done += 1

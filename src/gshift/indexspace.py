@@ -11,6 +11,7 @@ against runaway doubly-exponential orbits.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from heapq import merge
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
@@ -307,23 +308,28 @@ def rank_of(domain: IndexDomain, index: Index) -> int:
 
 
 def region_indices(domain: IndexDomain, bound: int) -> Iterator[Index]:
-    """All indices with |coordinate| <= bound, in enumeration-rank order."""
-    rank, emitted_gap = 1, 0
-    total = domain_size(domain)
-    while True:
-        if total is not None and rank > total:
-            return
-        index = enumerate_index(domain, rank)
-        if abs(index.coord) <= bound:
-            emitted_gap = 0
-            yield index
-        else:
-            emitted_gap += 1
-            # domains interleave finitely many monotone coordinate streams, so
-            # a long run of out-of-region ranks means every stream has escaped
-            if emitted_gap > 8 * bound + 64:
-                return
-        rank += 1
+    """All indices with |coordinate| <= bound, in enumeration-rank order.
+
+    Built from the domain's description and lazy, so a caller that stops
+    early never builds the rest: each side of a union comes in its own rank
+    order, which the union's ranks keep, so merging the sides by rank is
+    enough.
+    """
+    if domain.kind == "disjoint_union":
+        return merge(_tagged("L", domain.left, bound), _tagged("R", domain.right, bound),
+                     key=lambda index: rank_of(domain, index))
+    if domain.kind == "finite_range":
+        coords = range(min(bound, domain.size - 1) + 1)
+    elif domain.kind == "naturals":
+        coords = range(1, bound + 1)
+    else:  # integers: 0, 1, -1, 2, -2, ...
+        coords = (c for k in range(bound + 1) for c in ((k, -k) if k else (0,)))
+    return (Index((), c) for c in coords)
+
+
+def _tagged(side: str, sub: IndexDomain, bound: int) -> Iterator[Index]:
+    for index in region_indices(sub, bound):
+        yield Index((side,) + index.path, index.coord)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +457,7 @@ def _step(m: SelfMap, index: Index) -> Index:
     return m.record.step(m, index)
 
 
-def iterate(m: SelfMap, index: Index, steps: int, *, step_budget: int = DEFAULT_STEP_BUDGET) -> Index:
+def iterate(m: SelfMap, index: Index, steps: int) -> Index:
     """Apply the map `steps` times (steps >= 0), using closed forms where certified.
 
     Closed forms keep huge step counts (block-construction horizons) cheap for
@@ -461,17 +467,17 @@ def iterate(m: SelfMap, index: Index, steps: int, *, step_budget: int = DEFAULT_
         raise ValueError("steps must be >= 0")
     if not contains(m.domain, index):
         raise DomainMismatchError(f"{index!r} not in map domain")
-    return _iterate(m, index, steps, step_budget)
+    return _iterate(m, index, steps)
 
 
-def _iterate(m: SelfMap, index: Index, steps: int, step_budget: int) -> Index:
+def _iterate(m: SelfMap, index: Index, steps: int) -> Index:
     if steps == 0:
         return index
     rule = m.record
     if rule.iterate is not None:
-        return rule.iterate(m, index, steps, step_budget)
-    if steps > step_budget:
-        raise BudgetExceededError(f"{steps} explicit steps exceed budget {step_budget}")
+        return rule.iterate(m, index, steps)
+    if steps > DEFAULT_STEP_BUDGET:
+        raise BudgetExceededError(f"{steps} explicit steps exceed budget {DEFAULT_STEP_BUDGET}")
     for _ in range(steps):
         index = rule.step(m, index)
     return index
@@ -547,8 +553,8 @@ class Rule(Record):
     """Everything the package knows about one kind of map.
 
     step(m, index) applies the map once.  The rest are certified shortcuts,
-    each optional: iterate(m, index, steps, step_budget) is a closed form
-    (else explicit stepping under the budget), preimage(m, index) a certified
+    each optional: iterate(m, index, steps) is a closed form (else explicit
+    stepping under DEFAULT_STEP_BUDGET), preimage(m, index) a certified
     inverse (else ValueError), position(m, anchor, target) a closed-form orbit
     position (else a bounded walk), facts the certified dynamics (else
     search).  grows: once |coord| >= 2, after two steps, magnitudes strictly
@@ -558,7 +564,7 @@ class Rule(Record):
 
     name: str
     step: Callable[[SelfMap, Index], Index]
-    iterate: Optional[Callable[[SelfMap, Index, int, int], Index]] = None
+    iterate: Optional[Callable[[SelfMap, Index, int], Index]] = None
     preimage: Optional[Callable[[SelfMap, Index], Optional[Index]]] = None
     position: Optional[Callable[[SelfMap, Index, Index], Optional[int]]] = None
     facts: Optional[RuleFacts] = None
@@ -595,7 +601,7 @@ def _translation(name: str, d0: int, d1: int, note: str) -> Rule:
     def step(m: SelfMap, index: Index) -> Index:
         return Index((), index.coord + d[index.coord & 1])
 
-    def iterate(m: SelfMap, index: Index, steps: int, step_budget: int) -> Index:
+    def iterate(m: SelfMap, index: Index, steps: int) -> Index:
         n = index.coord
         first = d[n & 1]
         if alternating:
@@ -654,7 +660,7 @@ def _square_plus(name: str, c: int, facts: RuleFacts) -> Rule:
     return Rule(name, step, facts=facts, grows=True)
 
 
-def _table_power(m: SelfMap, index: Index, steps: int, step_budget: int) -> Index:
+def _table_power(m: SelfMap, index: Index, steps: int) -> Index:
     points, pre = cycle_walk(m.table.__getitem__, index.coord, len(m.table))
     if steps >= len(points):
         steps = pre + (steps - pre) % (len(points) - pre)
@@ -702,7 +708,7 @@ RULES = {rule.name: rule for rule in (
     Rule("compose", lambda m, index: _step(m.outer, _step(m.inner, index)),
          preimage=_compose_preimage),
     Rule("disjoint_union", lambda m, index: route(m, index, _step),
-         lambda m, index, steps, step_budget: route(m, index, _iterate, steps, step_budget),
+         lambda m, index, steps: route(m, index, _iterate, steps),
          lambda m, index: route(m, index, preimage)),
 )}
 

@@ -208,10 +208,10 @@ class MapProfile(Record):
 
 
 class ChainDecomposition(Record):
+    """One representative per chain that meets the region |coord| <= region_bound."""
+
     representatives: tuple[Index, ...]
     region_bound: int
-    residual: tuple[Index, ...]
-    covered: int
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +353,11 @@ def _union_profile(lp: MapProfile, rp: MapProfile) -> MapProfile:
 
 
 def _profile_by_search(m: SelfMap, budget: int) -> MapProfile:
-    # sound partial rules first: a collision inside the inner map survives composition
-    inj: Verdict
-    if m.inner is not None:
-        inner_prof = map_profile(m.inner, budget)
-        if inner_prof.injective.is_false and inner_prof.injective.witness is not None:
-            a, b = inner_prof.injective.witness
-            inj = proven_false(witness=(a, b), certificate="inner collision survives composition")
-        else:
-            inj = _injectivity_by_scan(m, budget)
+    # only compositions lack certified facts; a collision inside the inner map
+    # survives composition
+    inner = map_profile(m.inner, budget).injective
+    if inner.is_false and inner.witness is not None:
+        inj = proven_false(witness=inner.witness, certificate="inner collision survives composition")
     else:
         inj = _injectivity_by_scan(m, budget)
     per = unknown(budget)
@@ -374,9 +370,8 @@ def _profile_by_search(m: SelfMap, budget: int) -> MapProfile:
             points, pre = walk
             per = proven_true(witness=(points[pre],), provenance="bounded-search")
             break
-    nqp = unknown(budget)
-    profile = MapProfile(inj, per, nqp)
-    return _coherent(profile)
+    # a search proves a periodic point or nothing: it never shows every orbit infinite
+    return MapProfile(inj, per, unknown(budget))
 
 
 def _injectivity_by_scan(m: SelfMap, budget: int) -> Verdict:
@@ -393,28 +388,21 @@ def _injectivity_by_scan(m: SelfMap, budget: int) -> Verdict:
     return unknown(budget)
 
 
-def _coherent(profile: MapProfile) -> MapProfile:
-    # no periodic point forces every orbit infinite (finite orbits end on cycles)
-    if profile.has_periodic_point.is_false and not profile.has_non_quasi_periodic_point.is_true:
-        nqp = proven_true(
-            certificate="aperiodicity forces every forward orbit to be infinite",
-            provenance=profile.has_periodic_point.provenance,
-        )
-        return MapProfile(profile.injective, profile.has_periodic_point, nqp)
-    return profile
-
-
 # ---------------------------------------------------------------------------
 # Chain decomposition for injective aperiodic maps.
 # ---------------------------------------------------------------------------
 
 
 def chain_decomposition(m: SelfMap, bound: int, budget: int = DEFAULT_BUDGET) -> ChainDecomposition:
-    """Split the region |coord| <= bound into forward/backward chains.
+    """One representative per chain of the region |coord| <= bound.
 
-    Representatives are the minimal-rank member of each chain met while scanning
-    ranks upward.  Requires a certified injective, aperiodic map; the profile is
-    re-checked here so callers cannot feed a map whose chains could collide.
+    Representatives are the minimal-rank member of each chain, found by
+    walking the region in rank order: a point starts a new chain unless an
+    earlier representative lies on its forward orbit or it lies on theirs,
+    which in an injective map is exactly sharing a chain (never_joins (iii)).
+    Requires a certified injective, aperiodic map; the profile is re-checked
+    here so callers cannot feed a map whose chains could collide.
+    UnresolvedOrbitError propagates when a lookup has no certificate.
     """
     profile = map_profile(m, budget)
     if not profile.injective.is_true:
@@ -423,42 +411,12 @@ def chain_decomposition(m: SelfMap, bound: int, budget: int = DEFAULT_BUDGET) ->
         raise ValueError(
             f"chain decomposition needs proven aperiodicity, got {profile.has_periodic_point.truth}"
         )
-    region = list(region_indices(m.domain, bound))
-    in_region = set(region)
-    visited: set[Index] = set()
     reps: list[Index] = []
-    for start in region:
-        if start in visited:
-            continue
-        reps.append(start)
-        visited.add(start)
-        # forward sweep
-        cur, steps = start, 0
-        while steps < budget:
-            cur = evaluate(m, cur)
-            steps += 1
-            if cur in in_region:
-                if cur in visited:
-                    raise RuntimeError("chain collision: injectivity certificate violated")
-                visited.add(cur)
-            elif abs(cur.coord) > 4 * bound + 8:
-                break
-        # backward sweep
-        cur, steps = start, 0
-        while steps < budget:
-            prev = preimage(m, cur)
-            if prev is None:
-                break
-            cur = prev
-            steps += 1
-            if cur in in_region:
-                if cur in visited:
-                    raise RuntimeError("chain collision: injectivity certificate violated")
-                visited.add(cur)
-            elif abs(cur.coord) > 4 * bound + 8:
-                break
-    residual = tuple(i for i in region if i not in visited)
-    return ChainDecomposition(tuple(reps), bound, residual, len(visited & in_region))
+    for x in region_indices(m.domain, bound):
+        if all(orbit_position(m, r, x) is None and orbit_position(m, x, r) is None
+               for r in reps):
+            reps.append(x)
+    return ChainDecomposition(tuple(reps), bound)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,15 @@ from typing import Optional, Sequence
 
 from gshift.configspace import Configuration, CylinderPattern, pattern_from_ranks
 from gshift.constructions import PatternEnumeration, ScrambledFamilySpec
-from gshift.indexspace import Index, IndexDomain, SelfMap, enumerate_index, preimage
+from gshift.indexspace import (
+    Index,
+    IndexDomain,
+    SelfMap,
+    enumerate_index,
+    evaluate,
+    preimage,
+    region_indices,
+)
 from gshift.orbits import MapProfile, orbit_position, proven_false, proven_true
 from gshift.stats import orbit_window
 
@@ -121,6 +129,29 @@ def walked_signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
         if cur == target:
             return -i
     return None
+
+
+def stepped_chain_representatives(m: SelfMap, bound: int, steps: int) -> list[Index]:
+    """Chain representatives of the region |coord| <= bound by stepping: in
+    rank order, a point not yet met starts a chain, and `steps` forward and
+    `steps` backward moves from it mark the region points of its chain.  Exact
+    when any two region points on one chain lie at most `steps` moves apart:
+    an aperiodic translation n -> n + d[n mod 2] moves at least one coordinate
+    per step on average, so 4 * bound + 8 steps are enough when |d| <= 4."""
+    met: set[Index] = set()
+    reps: list[Index] = []
+    for start in region_indices(m.domain, bound):
+        if start in met:
+            continue
+        reps.append(start)
+        for move in (lambda i: evaluate(m, i), lambda i: preimage(m, i)):
+            cur = start
+            for _ in range(steps):
+                cur = move(cur)
+                if cur is None:
+                    break
+                met.add(cur)
+    return reps
 
 
 def parse_pattern(domain: IndexDomain, obj) -> CylinderPattern:

@@ -441,6 +441,17 @@ def test_construct_transitive_refuses_a_map_with_several_chains(tmp_path, capsys
     assert not (tmp_path / "out" / "family-transitive.json").exists()
 
 
+def test_construct_transitive_counts_every_chain_of_a_deep_union(tmp_path, capsys):
+    # sixteen successors nested to the left: each side's orbit is one chain
+    map_obj = {"rule": "successor"}
+    for _ in range(15):
+        map_obj = {"rule": "disjoint_union", "left": map_obj, "right": {"rule": "successor"}}
+    assert _run(tmp_path, "construct-transitive", config={"map": map_obj}) == 1
+    err = capsys.readouterr().err
+    assert "the map has 16 chains (representatives LLLLLLLLLLLLLLL0, " in err
+    assert not (tmp_path / "out" / "family-transitive.json").exists()
+
+
 @pytest.mark.parametrize("command, variant, rc", [
     ("construct-dc", "plain", 0),
     ("construct-dense", "plain", 0),

@@ -421,6 +421,37 @@ def test_a_shorter_read_is_cut_from_the_kept_walk(orbit_lookups):
     assert lookups[6:] == [ix(3), ix(2)]
 
 
+def _warmed(x, m, start):
+    x.runs_along(m, start, 10)  # a longer read kept, so a later one is cut from it
+    return x
+
+
+# every kind of configuration, each read from a start that reaches its own path
+EMPTY_READS = {
+    "constant": lambda: (Constant(INTEGERS, P), successor(), ix(0)),
+    "finite-patch": lambda: (FinitePatch(Constant(INTEGERS, Q), {ix(1): P}),
+                             successor(), ix(0)),
+    "orbit-blocks": lambda: (_blocks({1, 2}), successor(), ix(0)),
+    "orbit-blocks-weave": lambda: (_blocks({1}, "weave", weave=True), successor(), ix(0)),
+    "orbit-blocks-off-orbit": lambda: (_on_orbit_of(UNION, ix(0, "L")), UNION, ix(3, "R")),
+    "orbit-blocks-kept": lambda: (_warmed(_blocks({1}), successor(), ix(-4)),
+                                  successor(), ix(-4)),
+    "orbit-blocks-other-map": lambda: (_blocks({1}), predecessor(), ix(2)),
+    "shifted": lambda: (shifted(_blocks({1}), successor(), 3), successor(), ix(0)),
+    "embedded": lambda: (Embedded(successor(), ix(0), Constant(NATURALS, P), Q),
+                         successor(), ix(0)),
+    "length-lex-word": lambda: (full_shift_transitive_point(ALPHA), successor(), ix(0)),
+}
+
+
+@pytest.mark.parametrize("count", [-3, 0])
+@pytest.mark.parametrize("kind", sorted(EMPTY_READS))
+def test_a_count_below_one_reads_no_runs(kind, count):
+    x, m, start = EMPTY_READS[kind]()
+    assert x.runs_along(m, start, count) == []
+    assert x.symbols_along(m, start, count) == []
+
+
 # ---------------------------------------------------------------------------
 # Embedded configurations.
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,53 @@ def test_index_formatting_round_trips():
 def test_region_indices_covers_small_ball():
     coords = {i.coord for i in region_indices(INTEGERS, 3)}
     assert {-3, -2, -1, 0, 1, 2, 3} <= coords
+
+
+def _filtered_ranks(domain, bound, depth):
+    """The region by brute force: the first 2^depth * (2 * bound + 1) ranks,
+    kept where |coord| <= bound.  A leaf domain holds its region within its
+    first 2 * bound + 1 ranks, and each union level at most doubles a rank,
+    so no region point lies past the ranks filtered."""
+    last = 2 ** depth * (2 * bound + 1)
+    total = domain_size(domain)
+    if total is not None:
+        last = min(last, total)
+    indices = (enumerate_index(domain, r) for r in range(1, last + 1))
+    return [i for i in indices if abs(i.coord) <= bound]
+
+
+LEAVES = {
+    "integers": [INTEGERS],
+    "mixed": [INTEGERS, NATURALS, finite_range(1), finite_range(5), NATURALS, finite_range(13)],
+}
+
+
+@pytest.mark.parametrize("bound", [0, 1, 3])
+@pytest.mark.parametrize("depth", [1, 2, 5, 12])
+@pytest.mark.parametrize("leaves", sorted(LEAVES))
+@pytest.mark.parametrize("nest", ["left", "right"])
+def test_region_of_a_nested_union_matches_a_rank_filter(nest, leaves, depth, bound):
+    kinds = LEAVES[leaves]
+    parts = [kinds[k % len(kinds)] for k in range(depth + 1)]
+    join = disjoint_union if nest == "left" else lambda a, b: disjoint_union(b, a)
+    domain = reduce(join, parts)
+    assert list(region_indices(domain, bound)) == _filtered_ranks(domain, bound, depth)
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, NATURALS] + [finite_range(n) for n in range(1, 41)],
+                         ids=lambda d: d.kind if d.size is None else f"range{d.size}")
+def test_region_of_a_plain_domain_matches_a_rank_filter(domain):
+    for bound in range(45):
+        assert list(region_indices(domain, bound)) == _filtered_ranks(domain, bound, 0), bound
+    assert list(region_indices(domain, -1)) == []
+
+
+def test_a_ten_sided_union_keeps_every_side_at_bound_zero():
+    domain = reduce(disjoint_union, [INTEGERS] * 10)
+    region = list(region_indices(domain, 0))
+    assert len(region) == 10
+    assert {i.coord for i in region} == {0}
+    assert region[0] == Index(("L",) * 9, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Point classification, map profiles, and three-valued verdict algebra."""
 
 import json
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -39,7 +40,12 @@ from gshift.orbits import (
     v_or,
 )
 from gshift.theorems import predict
-from oracles import brute_force_profile, table_json, walked_signed_orbit_index
+from oracles import (
+    brute_force_profile,
+    stepped_chain_representatives,
+    table_json,
+    walked_signed_orbit_index,
+)
 
 SIGNED_MAPS = {
     "successor": successor(),
@@ -290,13 +296,56 @@ def test_injectivity_witness_examples():
 def test_chain_decomposition_examples():
     cd = chain_decomposition(successor(), 10)
     assert [format_index(r) for r in cd.representatives] == ["0"]
-    assert cd.residual == ()
 
     cd2 = chain_decomposition(compose_maps(parity_up(), parity_down()), 10)
     assert sorted(format_index(r) for r in cd2.representatives) == ["0", "1"]
 
     cd3 = chain_decomposition(disjoint_union_maps(successor(), successor()), 5)
     assert sorted(format_index(r) for r in cd3.representatives) == ["L0", "R0"]
+
+
+TRANSLATIONS = {"s": successor(), "p": predecessor(), "u": parity_up(), "d": parity_down()}
+
+
+def _compositions(depth):
+    """Every composition of `depth` catalog translations, nested to the right."""
+    if depth == 1:
+        return dict(TRANSLATIONS)
+    return {f"{a}.{rest}": compose_maps(TRANSLATIONS[a], m)
+            for a in TRANSLATIONS for rest, m in _compositions(depth - 1).items()}
+
+
+CHAIN_MAPS = {name: m for depth in (1, 2, 3) for name, m in _compositions(depth).items()}
+# unions of the one- and two-step compositions, on both sides
+_SHORT = [name for name in CHAIN_MAPS if name.count(".") < 2]
+CHAIN_MAPS.update({f"[{a}|{b}]": disjoint_union_maps(CHAIN_MAPS[a], CHAIN_MAPS[b])
+                   for a in _SHORT[:8] for b in _SHORT[4:12]})
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_MAPS))
+def test_chain_decomposition_matches_two_sided_stepping(name):
+    m = CHAIN_MAPS[name]
+    profile = map_profile(m)
+    for bound in range(11):
+        if not (profile.injective.is_true and profile.has_periodic_point.is_false):
+            with pytest.raises(ValueError, match="chain decomposition needs proven"):
+                chain_decomposition(m, bound)
+            continue
+        cd = chain_decomposition(m, bound)
+        assert cd.region_bound == bound
+        assert list(cd.representatives) == stepped_chain_representatives(
+            m, bound, 4 * bound + 8), bound
+
+
+@pytest.mark.parametrize("nest", ["left", "right"])
+def test_every_side_of_a_deep_union_is_its_own_chain(nest):
+    # sixteen successors: the chains are the sixteen sides' orbits of 0
+    join = disjoint_union_maps if nest == "left" else lambda a, b: disjoint_union_maps(b, a)
+    m = reduce(join, [successor()] * 16)
+    cd = chain_decomposition(m, 8)
+    assert len(cd.representatives) == 16
+    assert {r.coord for r in cd.representatives} == {0}
+    assert len({r.path for r in cd.representatives}) == 16
 
 
 def test_chain_decomposition_rejects_non_injective_maps():
