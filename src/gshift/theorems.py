@@ -30,7 +30,7 @@ from .indexspace import (
     square,
     square_plus_one,
 )
-from .orbits import MapProfile, Verdict, map_profile, v_and, v_not, v_or
+from .orbits import MapProfile, Verdict, VerdictFields, map_profile, v_and, v_not, v_or
 from .configspace import Constant, FinitePatch, shifted
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-class ChaosPrediction(Record):
+class ChaosPrediction(VerdictFields, Record):
     """Predicted chaos profile of the shift generated by a map profile."""
 
     li_yorke: Verdict
@@ -51,24 +51,6 @@ class ChaosPrediction(Record):
     omega: Verdict
     dense_distributional: Verdict
     transitive_distributional: Verdict
-
-    def truths(self) -> tuple[str, str, str, str, str]:
-        return (
-            self.li_yorke.truth,
-            self.distributional.truth,
-            self.omega.truth,
-            self.dense_distributional.truth,
-            self.transitive_distributional.truth,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "li_yorke": self.li_yorke.to_json(),
-            "distributional": self.distributional.to_json(),
-            "omega": self.omega.to_json(),
-            "dense_distributional": self.dense_distributional.to_json(),
-            "transitive_distributional": self.transitive_distributional.to_json(),
-        }
 
 
 @lru_cache(maxsize=1024)

@@ -4,7 +4,7 @@ library's answers are checked against."""
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from gshift.configspace import Configuration, CylinderPattern, pattern_from_ranks
+from gshift.configspace import Configuration, CylinderPattern, window_from_ranks
 from gshift.constructions import PatternEnumeration, ScrambledFamilySpec
 from gshift.indexspace import (
     Index,
@@ -152,6 +152,19 @@ def stepped_chain_representatives(m: SelfMap, bound: int, steps: int) -> list[In
                     break
                 met.add(cur)
     return reps
+
+
+def parse_index(text: str) -> Index:
+    """Inverse of format_index: "L0" -> Index(("L",), 0), "-3" -> Index((), -3)."""
+    i = 0
+    while i < len(text) and text[i] in "LR":
+        i += 1
+    return Index(tuple(text[:i]), int(text[i:]))
+
+
+def pattern_from_ranks(domain: IndexDomain, ranks: Sequence[int],
+                       symbols: Sequence[str]) -> CylinderPattern:
+    return CylinderPattern(window_from_ranks(domain, ranks), tuple(symbols))
 
 
 def parse_pattern(domain: IndexDomain, obj) -> CylinderPattern:

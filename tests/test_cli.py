@@ -105,6 +105,11 @@ NAMED_ERRORS = [pytest.param(broken, fragment, id=name) for name, broken, fragme
     ("r_max-for-explicit",
      {"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": [5], "r_max": 3}},
      "config.schedule.r_max: unknown field"),
+    ("unknown-schedule-kind", {"map": PHI1["map"], "schedule": {"kind": "fixed"}},
+     "config.schedule.kind: unknown kind 'fixed'"),
+    ("int-schedule-kind", {"map": PHI1["map"], "schedule": {"kind": 3}},
+     "config.schedule.kind: unknown kind 3"),
+    ("zero-anchor", {"map": PHI1["map"], "anchor_rank": 0}, "config.anchor_rank"),
 ]]
 
 
@@ -147,6 +152,30 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
 
 def test_config_required_for_map_commands(tmp_path):
     assert main(["--out", str(tmp_path), "classify"]) == 2
+
+
+@pytest.mark.parametrize("flag, env, error", [
+    (None, "abc", "GSHIFT_BUDGET: need an integer >= 1, got 'abc'"),
+    (None, "0", "GSHIFT_BUDGET: need an integer >= 1, got '0'"),
+    (None, "-3", "GSHIFT_BUDGET: need an integer >= 1, got '-3'"),
+    ("abc", None, "--budget: need an integer >= 1, got 'abc'"),
+    ("-1", None, "--budget: need an integer >= 1, got '-1'"),
+    ("0", None, "--budget: need an integer >= 1, got '0'"),
+    ("2.5", "8", "--budget: need an integer >= 1, got '2.5'"),  # the flag is read first
+    ("8", "abc", None),
+    (None, "8", None),
+    (None, None, None),
+])
+def test_a_budget_that_is_not_an_integer_of_at_least_1_exits_2(tmp_path, capsys, monkeypatch,
+                                                                 flag, env, error):
+    if env is None:
+        monkeypatch.delenv("GSHIFT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("GSHIFT_BUDGET", env)
+    argv = ["classify"] if flag is None else ["--budget", flag, "classify"]
+    rc = _run(tmp_path, *argv, config=PHI1)
+    assert (rc, capsys.readouterr().err) == ((0, "") if error is None
+                                             else (2, f"config error: {error}\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from gshift.configspace import (
     in_cylinder,
     make_window,
     metric_less_than,
-    pattern_from_ranks,
     pattern_json,
     shifted,
     threshold_to_window,
@@ -48,7 +47,7 @@ from gshift.constructions import (
     block_lengths,
     full_shift_transitive_point,
 )
-from oracles import agree_on_window, parse_pattern, truncated_distance
+from oracles import agree_on_window, parse_pattern, pattern_from_ranks, truncated_distance
 
 ALPHA = default_alphabet()
 P, Q = ALPHA.p, ALPHA.q

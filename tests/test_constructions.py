@@ -29,7 +29,6 @@ from gshift.configspace import (
     OrbitBlocks,
     default_alphabet,
     in_cylinder,
-    pattern_from_ranks,
     shifted,
 )
 from gshift.constructions import (
@@ -53,7 +52,7 @@ from gshift.constructions import (
 )
 from gshift.orbits import classify_point, orbit_position
 
-from oracles import scanned_pattern
+from oracles import pattern_from_ranks, scanned_pattern
 
 ALPHA = default_alphabet()
 P, Q = ALPHA.p, ALPHA.q
@@ -317,6 +316,16 @@ def test_distinctness_witness_skips_patches_and_separates_the_pair(variant, firs
     assert coord not in a.patch and coord not in b.patch
     assert a.symbol_at(coord) != b.symbol_at(coord)
     assert pos == c + 3
+
+
+def test_two_patches_of_one_base_have_no_distinctness_witness():
+    from gshift.constructions import _distinctness_witness
+
+    spec = ScrambledFamilySpec(successor(), (ix(0),), ALPHA, block_lengths(8, "plain"),
+                               almost_disjoint_family(2), "plain")
+    x, _ = dc_family(spec)
+    # the patches conflict at 5, but only a difference between block sets is a witness
+    assert _distinctness_witness(FinitePatch(x, {ix(5): P}), FinitePatch(x, {ix(5): Q})) is None
 
 
 def test_densify_rejects_maps_with_periodic_points():

@@ -34,7 +34,6 @@ from gshift.indexspace import (
     map_spec,
     parity_down,
     parity_up,
-    parse_index,
     parse_map_spec,
     predecessor,
     preimage,
@@ -46,6 +45,7 @@ from gshift.indexspace import (
     table_map,
 )
 from gshift.indexspace import COORD_BIT_BUDGET
+from oracles import parse_index
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 
@@ -349,6 +349,12 @@ def test_preimage_of_invertible_rules():
 def test_preimage_rejects_non_injective_table():
     with pytest.raises(ValueError):
         preimage(table_map((0, 0)), ix(0))
+
+
+def test_a_composition_that_is_not_a_translation_has_no_certified_inverse():
+    swap = table_map((1, 0))
+    with pytest.raises(ValueError, match="'compose'"):
+        preimage(compose_maps(swap, swap), ix(0))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from gshift.indexspace import (
     ix,
     parity_down,
     parity_up,
-    parse_index,
     predecessor,
     square,
     square_plus_one,
@@ -42,6 +41,7 @@ from gshift.orbits import (
 from gshift.theorems import predict
 from oracles import (
     brute_force_profile,
+    parse_index,
     stepped_chain_representatives,
     table_json,
     walked_signed_orbit_index,
@@ -411,5 +411,41 @@ def test_signed_orbit_index_matches_the_preimage_walk(name):
 
 def test_square_still_refuses_a_negative_exponent():
     assert signed_orbit_index(square(), ix(2), ix(16), 5) == 2
-    with pytest.raises(ValueError, match="preimage not certified"):
+    with pytest.raises(ValueError, match="negative exponents need a closed-form orbit position"):
         signed_orbit_index(square(), ix(4), ix(2), 5)
+
+
+def test_a_permutation_table_reads_forward_exponents_only():
+    m = table_map((1, 2, 0))
+    assert signed_orbit_index(m, ix(0), ix(2), 3) == 2
+    with pytest.raises(ValueError, match="rule 'table' has none"):
+        signed_orbit_index(m, ix(0), ix(2), 1)  # phi^-1(0) == 2, but tables have no inverse form
+
+
+# ---------------------------------------------------------------------------
+# Bounded search: compositions that are not translations carry no facts.
+# ---------------------------------------------------------------------------
+
+SQUARE_AFTER_PREDECESSOR = compose_maps(square(), predecessor())  # (n - 1)^2
+
+
+def test_an_inner_collision_survives_composition():
+    verdict = map_profile(compose_maps(successor(), square())).injective
+    assert verdict == proven_false(witness=(ix(-1), ix(1)),
+                                   certificate="inner collision survives composition")
+
+
+def test_bounded_search_profiles_a_composition_without_facts():
+    profile = map_profile(SQUARE_AFTER_PREDECESSOR)  # the inner map is injective
+    assert profile.injective == proven_false(witness=(ix(0), ix(2)), provenance="bounded-search")
+    assert profile.has_periodic_point == proven_true(witness=(ix(0),),
+                                                     provenance="bounded-search")
+
+
+def test_bounded_search_classifies_points_of_a_composition():
+    cls = classify_point(SQUARE_AFTER_PREDECESSOR, ix(0))  # 0 -> 1 -> 0
+    assert (cls.kind, cls.preperiod, cls.period, cls.provenance) == (
+        "periodic", 0, 2, "bounded-search")
+    cls = classify_point(compose_maps(successor(), SQUARE_AFTER_PREDECESSOR), ix(0))  # 0 -> 2 -> 2
+    assert (cls.kind, cls.preperiod, cls.period, cls.provenance) == (
+        "quasi_periodic", 1, 1, "bounded-search")
