@@ -103,6 +103,20 @@ class Configuration:
     def symbol_at(self, index: Index) -> str:
         raise NotImplementedError
 
+    def symbols_at(self, window: Sequence[Index]) -> list[str]:
+        """The symbols on a window of coordinates, in window order."""
+        return [self.symbol_at(index) for index in window]
+
+    def symbol_after(self, m: SelfMap, index: Index, power: int) -> str:
+        """The symbol at phi^power(index)."""
+        return self.symbols_after(m, (index,), power)[0]
+
+    def symbols_after(self, m: SelfMap, window: Sequence[Index], power: int) -> list[str]:
+        """The symbols at phi^power(i) for each i of a window, in window order.
+        This base iterates the map and reads there; a layout that knows where
+        the orbit lands reads it directly."""
+        return [self.symbol_at(iterate(m, index, power)) for index in window]
+
     def runs_along(self, m: SelfMap, start: Index, count: int) -> list[Run]:
         """Symbols at phi^i(start) for i = 0..count-1 as maximal (length, symbol)
         runs.  This base steps `symbol_at` position by position; subclasses that
@@ -193,6 +207,13 @@ class OrbitBlocks(Configuration):
     The layout keeps each walk's runs along its own map, keyed by start: the
     longest read so far serves every shorter one, cut at its count.
 
+    A shifted read (`symbols_after`, and `symbol_after` through it) along
+    the layout's own map is made at the orbit position it lands on, without
+    building the shifted coordinate, when the map's record has a closed-form
+    position (every translation) and every index lies on the anchor's
+    two-sided chain; a window is located once when its positions share one
+    splice.  Any other read iterates the map first.
+
     The anchor must have a proven infinite orbit (PreconditionError, a
     ValueError, otherwise).
     """
@@ -232,7 +253,40 @@ class OrbitBlocks(Configuration):
 
     def symbol_at(self, index: Index) -> str:
         pos = orbit_position(self.map, self.anchor, index)
-        if pos is None:
+        return self.alphabet.q if pos is None else self._symbol_at_position(pos)
+
+    def symbols_after(self, m: SelfMap, window: Sequence[Index], power: int) -> list[str]:
+        offsets = [self._orbit_offset(m, index) for index in window]
+        if not offsets or None in offsets or power < 0:
+            return super().symbols_after(m, window, power)
+        # a weave entry check reads a whole window inside one splice: locate
+        # the lowest position once and read the rest at their distance from it
+        low = min(offsets)
+        if power + low >= 0:
+            r, offset, in_splice = self.lengths.locate(power + low)
+            if in_splice and offset + max(offsets) - low < r:
+                return [self._source_symbol(offset + k - low) for k in offsets]
+        return [self._symbol_at_position(power + k) for k in offsets]
+
+    def _orbit_offset(self, m: SelfMap, index: Index) -> Optional[int]:
+        """Signed steps k from the anchor to `index` along the layout's own map:
+        phi^k(anchor) == index when k >= 0, phi^-k(index) == anchor when k < 0.
+        None unless m is the layout's map, its record has a closed-form
+        position, and `index` is in the domain on the anchor's two-sided chain."""
+        position = m.record.position
+        if m != self.map or position is None or not contains(m.domain, index):
+            return None
+        k = position(m, self.anchor, index)
+        if k is None:
+            back = position(m, index, self.anchor)
+            k = None if back is None else -back
+        return k
+
+    def _symbol_at_position(self, pos: int) -> str:
+        # phi^power(index) sits at orbit position power + k when k is the
+        # index's offset; a negative one is off the forward orbit, because
+        # landing on it would close the anchor's orbit into a cycle
+        if pos < 0:
             return self.alphabet.q
         r, offset, in_splice = self.lengths.locate(pos)
         if in_splice:
@@ -317,7 +371,10 @@ class Shifted(Configuration):
         self.power = power
 
     def symbol_at(self, index: Index) -> str:
-        return self.base.symbol_at(iterate(self.map, index, self.power))
+        return self.base.symbol_after(self.map, index, self.power)
+
+    def symbols_at(self, window: Sequence[Index]) -> list[str]:
+        return self.base.symbols_after(self.map, window, self.power)
 
     def runs_along(self, m: SelfMap, start: Index, count: int) -> list[Run]:
         if m == self.map:
@@ -377,10 +434,7 @@ def pattern_json(domain: IndexDomain, pattern: CylinderPattern) -> dict:
 
 
 def in_cylinder(config: Configuration, pattern: CylinderPattern) -> bool:
-    for index, symbol in zip(pattern.window, pattern.symbols):
-        if config.symbol_at(index) != symbol:
-            return False
-    return True
+    return tuple(config.symbols_at(pattern.window)) == pattern.symbols
 
 
 # ---------------------------------------------------------------------------

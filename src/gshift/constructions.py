@@ -86,6 +86,7 @@ class BlockLengths:
         self.count = count
         self._stride = 2 if variant == "weave" else 1  # segments per block
         self._ends: list[int] = []  # segment ends: block 1[, splice 1], block 2, ...
+        self._last = (0, 0, 1, False)  # (lo, hi, r, in_splice) of the last segment located
         self._extend_to(count)
 
     def _extend_to(self, r: int) -> None:
@@ -113,13 +114,22 @@ class BlockLengths:
 
     def locate(self, position: int) -> tuple[int, int, bool]:
         """(r, offset, in_splice): orbit position `position` lies `offset` symbols
-        into block r, or into the splice after block r when in_splice."""
+        into block r, or into the splice after block r when in_splice.
+
+        The last segment found answers a position inside it without a search:
+        members sharing these lengths are read at the same positions, one after
+        the other.  The ends only grow by appending, so it never goes stale."""
+        lo, hi, r, in_splice = self._last
+        if lo <= position < hi:
+            return r, position - lo, in_splice
         ends = self._ends
         while ends[-1] <= position:
             self._extend_to(len(ends) // self._stride + 1)
         seg = bisect_right(ends, position)
         r, in_splice = divmod(seg, self._stride)
-        return r + 1, position - (ends[seg - 1] if seg else 0), bool(in_splice)
+        lo = ends[seg - 1] if seg else 0
+        self._last = (lo, ends[seg], r + 1, bool(in_splice))
+        return r + 1, position - lo, bool(in_splice)
 
     def values(self) -> tuple[int, ...]:
         return tuple(self.value(r) for r in range(1, self.count + 1))

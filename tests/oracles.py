@@ -1,6 +1,7 @@
 """Test-only oracles: independent, deliberately naive recomputations that the
 library's answers are checked against."""
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -111,6 +112,28 @@ def scanned_pattern(en: PatternEnumeration, n: int) -> CylinderPattern:
                                    tuple(symbols[d] for d in digits))
         offset -= block
     raise AssertionError("group sizes disagree with the scan")
+
+
+def bisected_location(variant: str, position: int) -> tuple[int, int, bool]:
+    """BlockLengths.locate by a plain bisect over segment starts, rebuilt from
+    the length rule for every query: block n starts at orbit position b and
+    has (n - 1) * b + 1 symbols, and in the weave layout a splice of n symbols
+    follows it."""
+    starts: list[int] = []
+    segments: list[tuple[int, bool]] = []
+    start, n = 0, 0
+    while start <= position:
+        n += 1
+        starts.append(start)
+        segments.append((n, False))
+        start += (n - 1) * start + 1
+        if variant == "weave":
+            starts.append(start)
+            segments.append((n, True))
+            start += n
+    seg = bisect_right(starts, position) - 1
+    r, in_splice = segments[seg]
+    return r, position - starts[seg], in_splice
 
 
 def walked_signed_orbit_index(m: SelfMap, anchor: Index, target: Index,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gshift.indexspace import (
     INTEGERS,
     NATURALS,
+    DomainMismatchError,
     Index,
     compose_maps,
     disjoint_union_maps,
@@ -31,6 +32,7 @@ from gshift.configspace import (
     FinitePatch,
     MetricResolutionError,
     OrbitBlocks,
+    Shifted,
     default_alphabet,
     in_cylinder,
     make_window,
@@ -499,6 +501,106 @@ def test_stacked_shifts_compose_additively(coord):
     twice = shifted(shifted(x, m, 2), m, 3)
     once = shifted(x, m, 5)
     assert twice.symbol_at(ix(coord)) == once.symbol_at(ix(coord))
+
+
+# ---------------------------------------------------------------------------
+# Shifted block layouts are read at their orbit position; the oracle is the
+# pointwise read of the base at the iterated coordinate.
+# ---------------------------------------------------------------------------
+
+COORDS = [ix(c) for c in range(-40, 41)]
+
+
+def _layout(m, anchor, variant, count=12):
+    source = full_shift_transitive_point(ALPHA) if variant == "weave" else None
+    return OrbitBlocks(m, anchor, block_lengths(count, variant),
+                       ExplicitBlockSet(frozenset({1, 3, 4, 8, 11})), ALPHA,
+                       weave_source=source)
+
+
+def _edge_powers(lengths, blocks=6):
+    """Powers that put the coordinates' positions across every segment edge of
+    the first blocks and of block 12, plus small ones that leave the
+    coordinates behind the anchor reading q."""
+    edges = {0}
+    for r in [*range(1, blocks + 1), 12]:
+        hi = lengths.horizon(r)
+        edges |= {hi - lengths.value(r), hi}
+        if lengths.variant == "weave":
+            edges.add(hi + r)  # the splice after block r
+    return sorted({e + d for e in edges for d in (-41, -1, 0, 1, 40) if e + d >= 0}
+                  | set(range(6)))
+
+
+def _assert_reads_match_the_oracle(base, m, powers, coords) -> int:
+    """Compare every shifted read with the oracle; returns how many coordinates
+    were read through the shift."""
+    windows = [coords[i:i + w] for w in (3, 7) for i in range(0, len(coords) - w + 1, 5)]
+    windows += [window[::-1] for window in windows]  # the lowest position last
+    for power in powers:
+        moved = Shifted(base, m, power)
+        want = {i: base.symbol_at(iterate(m, i, power)) for i in coords}
+        assert [moved.symbol_at(i) for i in coords] == [want[i] for i in coords], power
+        for window in windows:
+            assert moved.symbols_at(window) == [want[i] for i in window], (power, window)
+    return len(powers) * (len(coords) + sum(map(len, windows)))
+
+
+@pytest.mark.parametrize("variant", ["plain", "weave"])
+@pytest.mark.parametrize("anchor", [0, 3, -2])
+def test_a_shifted_layout_reads_the_iterated_coordinate(variant, anchor, monkeypatch):
+    import gshift.configspace as configspace
+    base = _layout(successor(), ix(anchor), variant)
+    powers = _edge_powers(base.lengths)
+    _assert_reads_match_the_oracle(base, successor(), powers, COORDS)
+    # the positioned read never builds the shifted coordinate: the only
+    # iterations left are the weave's source reads, a few steps from the anchor
+    steps = []
+    monkeypatch.setattr(configspace, "iterate",
+                        lambda m, index, power: steps.append(power) or iterate(m, index, power))
+    moved = Shifted(_layout(successor(), ix(anchor), variant), successor(), powers[-1])
+    assert [moved.symbol_at(i) for i in COORDS] == moved.symbols_at(COORDS)
+    assert max(steps, default=0) < 100
+
+
+def test_n_plus_two_reads_off_chain_coordinates_through_the_map():
+    # the anchor's chain holds the even coordinates; the odd ones never meet it
+    m = compose_maps(successor(), successor())
+    for variant in ("plain", "weave"):
+        base = _layout(m, ix(0), variant)
+        _assert_reads_match_the_oracle(base, m, _edge_powers(base.lengths), COORDS)
+
+
+@pytest.mark.parametrize("m, anchor, coords, powers", [
+    (disjoint_union_maps(successor(), parity_up()), ix(0, "L"),
+     [ix(c, side) for c in range(-20, 21) for side in "LR"], [0, 1, 2, 5, 9, 10, 41, 42]),
+    (square(), ix(2), [ix(c) for c in range(-12, 13)], [0, 1, 2, 3]),
+])
+def test_maps_without_a_closed_form_position_iterate_first(m, anchor, coords, powers,
+                                                           monkeypatch):
+    import gshift.configspace as configspace
+    base = OrbitBlocks(m, anchor, block_lengths(6, "plain"),
+                       ExplicitBlockSet(frozenset({2, 3})), ALPHA)
+    iterated = []
+    monkeypatch.setattr(configspace, "iterate",
+                        lambda *args: iterated.append(args) or iterate(*args))
+    reads = _assert_reads_match_the_oracle(base, m, powers, coords)
+    assert len(iterated) == reads
+
+
+@pytest.mark.parametrize("m, anchor, index", [
+    (successor(), ix(0), ix(3, "L")),
+    (compose_maps(successor(), successor()), ix(0), ix(-7, "R")),
+    (disjoint_union_maps(successor(), parity_up()), ix(0, "L"), ix(3)),
+])
+@pytest.mark.parametrize("power", [0, 5])
+def test_an_off_domain_index_still_raises_through_a_shifted_layout(m, anchor, index, power):
+    moved = Shifted(OrbitBlocks(m, anchor, block_lengths(6, "plain"),
+                                ExplicitBlockSet(frozenset({2})), ALPHA), m, power)
+    with pytest.raises(DomainMismatchError):
+        moved.symbol_at(index)
+    with pytest.raises(DomainMismatchError):
+        moved.symbols_at([ix(0, *anchor.path), index])
 
 
 # ---------------------------------------------------------------------------

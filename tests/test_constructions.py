@@ -1,6 +1,7 @@
 """Block-length recurrences, almost-disjoint families, and the three constructions."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from gshift.configspace import (
 )
 from gshift.constructions import (
     AlmostDisjointFamily,
+    BlockLengths,
     ExplicitBlockSet,
     LengthLexWord,
     PreconditionError,
@@ -52,7 +54,7 @@ from gshift.constructions import (
 )
 from gshift.orbits import classify_point, orbit_position
 
-from oracles import pattern_from_ranks, scanned_pattern
+from oracles import bisected_location, pattern_from_ranks, scanned_pattern
 
 ALPHA = default_alphabet()
 P, Q = ALPHA.p, ALPHA.q
@@ -113,6 +115,23 @@ def test_length_recurrence_oracle(n, variant):
         denom = partial + s[n - 1] + n * (n - 1) // 2
     assert n * s[n - 1] > (n - 1) * denom
     assert bl.horizon(n) == denom
+
+
+@pytest.mark.parametrize("variant", ["plain", "weave"])
+def test_locate_matches_a_plain_bisect_in_any_query_order(variant):
+    # each segment's first and last position and the one just past it, twice
+    # over, in a seeded shuffle; from count 1, most early queries extend the ends
+    ref = block_lengths(9, variant)
+    segments = []
+    for r in range(1, 10):
+        hi = ref.horizon(r)
+        segments.append((hi - ref.value(r), hi))
+        if variant == "weave":
+            segments.append((hi, hi + r))
+    positions = [p for lo, hi in segments for p in (lo, hi - 1, hi)] * 2
+    random.Random(17).shuffle(positions)
+    bl = BlockLengths(variant, 1)
+    assert [bl.locate(p) for p in positions] == [bisected_location(variant, p) for p in positions]
 
 
 def test_block_lengths_reject_unknown_variant():
@@ -434,6 +453,27 @@ def test_weave_members_share_their_source_reads(monkeypatch):
         expo = weave_entry_exponent(spec, source, pat)
         assert all(in_cylinder(shifted(x, m, expo), pat) for x in members), n
     assert len(calls) == 26
+
+
+def test_an_entry_check_locates_its_window_once_for_both_members(monkeypatch):
+    # every coordinate of one pattern lands in one splice of the shared lengths
+    import gshift.constructions as constructions
+    searches = []
+    search = constructions.bisect_right
+    monkeypatch.setattr(constructions, "bisect_right",
+                        lambda *args: searches.append(None) or search(*args))
+    m = successor()
+    spec = ScrambledFamilySpec(m, (ix(0),), ALPHA, block_lengths(16, "weave"),
+                               almost_disjoint_family(2), "weave")
+    source = full_shift_transitive_point(ALPHA)
+    members = transitive_weave_family(spec, source)
+    en = pattern_enumeration(ALPHA, INTEGERS)
+    for n in range(1, 81):
+        pat = en.pattern(n)
+        expo = weave_entry_exponent(spec, source, pat)
+        before = len(searches)
+        assert all(in_cylinder(shifted(x, m, expo), pat) for x in members), n
+        assert len(searches) - before <= 1, n
 
 
 # sha256 of the hex exponents of patterns 1..80, one per line, on block_lengths(12, "weave")

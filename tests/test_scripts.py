@@ -38,3 +38,10 @@ def test_verify_translation_script_writes_into_out(tmp_path):
     lines = _run("run_verify_translation.py", tmp_path, "--out", str(out))
     assert lines[-2:] == ["rollup: PASS", f"artifacts in {out.resolve()}"]
     assert (out / "stats.csv").is_file() and (out / "verify.json").is_file()
+
+
+def test_weave_demo_prints_exponents_past_the_decimal_digit_limit(tmp_path):
+    # pattern 2187 enters at an exponent of ~94,600 bits, past int -> str's limit
+    lines = _run("run_weave_entry_demo.py", tmp_path, "--patterns", "2187")
+    assert lines[-1] == "2187/2187 cylinders entered at their computed exponents"
+    assert lines[-3].startswith("pattern 2187 ") and "exponent ~2^94596 entered" in lines[-3]
