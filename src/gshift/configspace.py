@@ -24,7 +24,7 @@ from .indexspace import (
     iterate,
     rank_of,
 )
-from .orbits import classify_point, never_joins, orbit_position
+from .orbits import classify_point, never_joins, orbit_position, window_offsets
 
 __all__ = [
     "Alphabet",
@@ -208,11 +208,14 @@ class OrbitBlocks(Configuration):
     longest read so far serves every shorter one, cut at its count.
 
     A shifted read (`symbols_after`, and `symbol_after` through it) along
-    the layout's own map is made at the orbit position it lands on, without
-    building the shifted coordinate, when the map's record has a closed-form
-    position (every translation) and every index lies on the anchor's
-    two-sided chain; a window is located once when its positions share one
-    splice.  Any other read iterates the map first.
+    the layout's own map reads each index's signed offset k from the anchor
+    off `orbits.window_offsets`, the one closed-form offset resolution, kept
+    per window: a weave entry check resolves its pattern's window once, for
+    the exponent and for every member.  The index then reads orbit position
+    power + k without building the shifted coordinate, and a window whose
+    positions share one splice is located once.  A map without a closed-form
+    position, an index off the domain or off the anchor's two-sided chain,
+    or a negative power iterates the map first.
 
     The anchor must have a proven infinite orbit (PreconditionError, a
     ValueError, otherwise).
@@ -256,8 +259,8 @@ class OrbitBlocks(Configuration):
         return self.alphabet.q if pos is None else self._symbol_at_position(pos)
 
     def symbols_after(self, m: SelfMap, window: Sequence[Index], power: int) -> list[str]:
-        offsets = [self._orbit_offset(m, index) for index in window]
-        if not offsets or None in offsets or power < 0:
+        offsets = window_offsets(m, self.anchor, tuple(window)) if m == self.map else None
+        if not offsets or power < 0:
             return super().symbols_after(m, window, power)
         # a weave entry check reads a whole window inside one splice: locate
         # the lowest position once and read the rest at their distance from it
@@ -267,20 +270,6 @@ class OrbitBlocks(Configuration):
             if in_splice and offset + max(offsets) - low < r:
                 return [self._source_symbol(offset + k - low) for k in offsets]
         return [self._symbol_at_position(power + k) for k in offsets]
-
-    def _orbit_offset(self, m: SelfMap, index: Index) -> Optional[int]:
-        """Signed steps k from the anchor to `index` along the layout's own map:
-        phi^k(anchor) == index when k >= 0, phi^-k(index) == anchor when k < 0.
-        None unless m is the layout's map, its record has a closed-form
-        position, and `index` is in the domain on the anchor's two-sided chain."""
-        position = m.record.position
-        if m != self.map or position is None or not contains(m.domain, index):
-            return None
-        k = position(m, self.anchor, index)
-        if k is None:
-            back = position(m, index, self.anchor)
-            k = None if back is None else -back
-        return k
 
     def _symbol_at_position(self, pos: int) -> str:
         # phi^power(index) sits at orbit position power + k when k is the

@@ -23,7 +23,7 @@ from .indexspace import (
     rank_of,
     successor,
 )
-from .orbits import classify_point, map_profile, signed_orbit_index
+from .orbits import classify_point, map_profile, window_offsets
 from .configspace import (
     Alphabet,
     Configuration,
@@ -490,11 +490,15 @@ def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,
                          pattern: CylinderPattern) -> int:
     """Constructive shift exponent at which every weave member enters the cylinder.
 
-    Recipe: resolve each window coordinate as phi^i(anchor) with |i| <= N; find
-    the shift h > N at which the source, read from the anchor on, matches the
-    pattern on the radius-N orbit window; the splice after block h+N+1 replays
-    the source at phi^j(anchor) for j <= h+N, so the member enters the cylinder
-    at exponent l + h where l is that splice's starting position.
+    Recipe: take each window coordinate's signed offset i (the coordinate is
+    phi^i(anchor)) from `orbits.window_offsets`, with N = max |i|; a window
+    with N > 64, or with a coordinate off the domain or off the anchor's
+    chain, raises ValueError.  Find the shift h > N at which the source, read
+    from the anchor on, matches the pattern on the radius-N orbit window; the
+    splice after block h+N+1 replays the source at phi^j(anchor) for
+    j <= h+N, so the member enters the cylinder at exponent l + h where l is
+    that splice's starting position.  The offsets stay cached per window, so
+    the members' shifted reads of the pattern do not resolve them again.
     """
     if not isinstance(source, LengthLexWord):
         raise ValueError("entry bound needs the length-lex source")
@@ -503,13 +507,11 @@ def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,
         raise ValueError("entry bound is implemented for translation layouts")
     # the source must realize the pattern on the full +-N orbit window of the
     # anchor; unconstrained coordinates there may read anything, so fill with q
-    want: dict[int, str] = {}
-    for coord, sym in pattern.items():
-        offset = signed_orbit_index(m, anchor, coord, radius=64)
-        if offset is None:
-            raise ValueError(f"window coordinate {coord!r} not within reach of the anchor")
-        want[offset] = sym
-    n_rad = max(abs(offset) for offset in want)
+    offsets = window_offsets(m, anchor, tuple(pattern.window))
+    n_rad = None if offsets is None else max(abs(offset) for offset in offsets)
+    if n_rad is None or n_rad > 64:
+        raise ValueError(f"window {pattern.window!r} not within reach of the anchor")
+    want = dict(zip(offsets, pattern.symbols))
     word = [want.get(i, spec.alphabet.q) for i in range(-n_rad, n_rad + 1)]
     # splice offset j reads the source at coordinate anchor + j, so offset i of
     # the window sits at splice offset h + i when the word starts at anchor + h - N

@@ -44,6 +44,7 @@ __all__ = [
     "orbit_position",
     "never_joins",
     "signed_orbit_index",
+    "window_offsets",
 ]
 
 PROVEN_TRUE = "proven_true"
@@ -490,11 +491,12 @@ def signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
     position and certified injectivity (every translation, composed ones
     included); any other map raises ValueError once the forward lookup
     misses at radius >= 1.  A union answers on the side that owns both
-    points; points on different sides are never on one orbit.
+    points; a target off the domain, or on another tag path than the
+    anchor, is never on its orbit.
     """
+    if anchor.path != target.path or not contains(m.domain, target):
+        return None
     if m.left is not None:
-        if anchor.path[0] != target.path[0]:
-            return None
         return route(m, anchor, signed_orbit_index, Index(target.path[1:], target.coord),
                      radius)
     pos = orbit_position(m, anchor, target, walk_budget=max(radius + 2, 64))
@@ -508,3 +510,34 @@ def signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
                          f"rule {m.rule!r} has none")
     back = rule.position(m, target, anchor)
     return -back if back is not None and 1 <= back <= radius else None
+
+
+@lru_cache(maxsize=1024)
+def window_offsets(m: SelfMap, anchor: Index,
+                   window: tuple[Index, ...]) -> Optional[tuple[int, ...]]:
+    """Signed steps k from the anchor to each index of a window, in window order:
+    phi^k(anchor) == index when k >= 0, phi^-k(index) == anchor when k < 0.
+
+    The one closed-form offset resolution: read off the record's closed-form
+    orbit position (every translation, composed ones included), forward first,
+    then backward.  None when the record has no closed form (a union, a
+    composition that is not a translation, a growing rule), or an index is
+    off the domain or off the anchor's two-sided chain.  Kept per (map,
+    anchor, window) in a bounded cache: a weave entry check resolves its
+    pattern's window once, for the exponent and for every member's read.
+    """
+    position = m.record.position
+    if position is None:
+        return None
+    out = []
+    for index in window:
+        if not contains(m.domain, index):
+            return None
+        k = position(m, anchor, index)
+        if k is None:
+            back = position(m, index, anchor)
+            if back is None:
+                return None
+            k = -back
+        out.append(k)
+    return tuple(out)

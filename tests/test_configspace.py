@@ -588,6 +588,16 @@ def test_maps_without_a_closed_form_position_iterate_first(m, anchor, coords, po
     assert len(iterated) == reads
 
 
+@pytest.mark.parametrize("variant", ["plain", "weave"])
+def test_a_window_list_reads_as_its_tuple(variant):
+    base = _layout(successor(), ix(-2), variant)
+    window = [ix(5), ix(-7), ix(0), ix(-2)]
+    for power in _edge_powers(base.lengths):
+        want = base.symbols_after(successor(), tuple(window), power)
+        assert base.symbols_after(successor(), window, power) == want, power
+        assert Shifted(base, successor(), power).symbols_at(window) == want, power
+
+
 @pytest.mark.parametrize("m, anchor, index", [
     (successor(), ix(0), ix(3, "L")),
     (compose_maps(successor(), successor()), ix(0), ix(-7, "R")),

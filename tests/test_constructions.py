@@ -26,6 +26,7 @@ from gshift.indexspace import (
 from gshift.configspace import (
     Alphabet,
     Constant,
+    CylinderPattern,
     FinitePatch,
     OrbitBlocks,
     default_alphabet,
@@ -474,6 +475,44 @@ def test_an_entry_check_locates_its_window_once_for_both_members(monkeypatch):
         before = len(searches)
         assert all(in_cylinder(shifted(x, m, expo), pat) for x in members), n
         assert len(searches) - before <= 1, n
+
+
+def test_an_entry_check_resolves_each_window_once(monkeypatch):
+    # ranks <= 7 give 2,186 patterns over 127 windows: each window index costs
+    # one closed-form lookup, or two for a coordinate behind the anchor
+    from gshift.orbits import window_offsets
+    m = successor()
+    lookups = []
+    position = m.record.position
+    monkeypatch.setitem(m.record.__dict__, "position",
+                        lambda *args: lookups.append(None) or position(*args))
+    window_offsets.cache_clear()
+    spec = ScrambledFamilySpec(m, (ix(0),), ALPHA, block_lengths(16, "weave"),
+                               almost_disjoint_family(2), "weave")
+    source = full_shift_transitive_point(ALPHA)
+    members = transitive_weave_family(spec, source)
+    en = pattern_enumeration(ALPHA, INTEGERS)
+    windows = set()
+    for n in range(1, 3 ** 7):
+        pat = en.pattern(n)
+        windows.add(pat.window)
+        expo = weave_entry_exponent(spec, source, pat)
+        assert all(in_cylinder(shifted(x, m, expo), pat) for x in members), n
+    assert len(windows) == 127
+    assert len(lookups) <= 2 * sum(map(len, windows))
+
+
+@pytest.mark.parametrize("window", [
+    (ix(0), Index(("L",), -2)),  # off the domain: refused before any read
+    (ix(0), Index(("L",), 2)),
+    (ix(-65),),  # past radius 64
+    (ix(65),),
+])
+def test_a_window_out_of_reach_has_no_entry_exponent(window):
+    m, spec, source, members = _weave_setup()
+    pat = CylinderPattern(window, (P,) * len(window))
+    with pytest.raises(ValueError, match="not within reach of the anchor"):
+        weave_entry_exponent(spec, source, pat)
 
 
 # sha256 of the hex exponents of patterns 1..80, one per line, on block_lengths(12, "weave")

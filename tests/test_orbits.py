@@ -14,6 +14,7 @@ from gshift.indexspace import (
     disjoint_union_maps,
     evaluate,
     format_index,
+    iterate,
     ix,
     parity_down,
     parity_up,
@@ -37,6 +38,7 @@ from gshift.orbits import (
     v_and,
     v_not,
     v_or,
+    window_offsets,
 )
 from gshift.theorems import predict
 from oracles import (
@@ -420,6 +422,65 @@ def test_a_permutation_table_reads_forward_exponents_only():
     assert signed_orbit_index(m, ix(0), ix(2), 3) == 2
     with pytest.raises(ValueError, match="rule 'table' has none"):
         signed_orbit_index(m, ix(0), ix(2), 1)  # phi^-1(0) == 2, but tables have no inverse form
+
+
+@pytest.mark.parametrize("coord", [-2, 2])
+@pytest.mark.parametrize("target_path", [("L",), ("R", "L")])
+def test_a_target_on_another_path_is_off_the_orbit_on_both_sides(coord, target_path):
+    # n -> n + 1 reaches 2 forward and -2 backward, but only on its own path
+    m = successor()
+    assert signed_orbit_index(m, ix(0), ix(coord), 64) == coord
+    assert signed_orbit_index(m, ix(0), Index(target_path, coord), 64) is None
+    union = disjoint_union_maps(successor(), successor())
+    assert signed_orbit_index(union, ix(0, "L"), ix(coord, "L"), 64) == coord
+    assert signed_orbit_index(union, ix(0, "L"), ix(coord, "R"), 64) is None
+    assert signed_orbit_index(union, ix(0, "L"), Index(("L", "L"), coord), 64) is None
+
+
+def test_an_off_domain_target_is_off_every_orbit():
+    # the anchor's cycle 0 -> 1 -> 2 -> 0 never reaches coordinate 5
+    m = table_map((1, 2, 0))
+    assert signed_orbit_index(m, ix(0), ix(5), 3) is None
+    assert signed_orbit_index(m, ix(0), ix(-1), 3) is None
+
+
+# ---------------------------------------------------------------------------
+# window_offsets: the one closed-form offset resolution; the oracle is the
+# preimage walk, and iterating by the offset lands on the index or the anchor.
+# ---------------------------------------------------------------------------
+
+OFFSET_MAPS = {name: SIGNED_MAPS[name]
+               for name in ("successor", "predecessor", "plus_two", "up_after_down")}
+
+
+@pytest.mark.parametrize("name", sorted(OFFSET_MAPS))
+@pytest.mark.parametrize("a", [0, 3, -2])
+def test_window_offsets_match_the_preimage_walk(name, a):
+    m, anchor = OFFSET_MAPS[name], ix(a)
+    targets = [ix(t) for t in range(a - 12, a + 13)]
+    want = [walked_signed_orbit_index(m, anchor, t, 64) for t in targets]
+    for target, k in zip(targets, want):
+        assert window_offsets(m, anchor, (target,)) == (None if k is None else (k,)), target
+        if k is not None and k >= 0:
+            assert iterate(m, anchor, k) == target
+        elif k is not None:
+            assert iterate(m, target, -k) == anchor
+    # a window resolves to every offset in order, or to None when one is off the chain
+    for i in range(0, len(targets) - 4, 3):
+        window = tuple(targets[i:i + 5])[::-1]
+        offsets = want[i:i + 5][::-1]
+        expected = None if None in offsets else tuple(offsets)
+        assert window_offsets(m, anchor, window) == expected, window
+
+
+@pytest.mark.parametrize("m, anchor, window", [
+    (disjoint_union_maps(successor(), parity_up()), ix(0, "L"), (ix(1, "L"),)),
+    (square(), ix(2), (ix(4),)),
+    (successor(), ix(0), (ix(1), ix(2, "L"))),
+    (table_map((1, 2, 0)), ix(0), (ix(2), ix(3))),
+])
+def test_window_offsets_refuse_unions_growth_and_off_domain_indices(m, anchor, window):
+    assert window_offsets(m, anchor, window) is None
 
 
 # ---------------------------------------------------------------------------
