@@ -261,6 +261,11 @@ def dc_family(spec: ScrambledFamilySpec) -> list[OrbitBlocks]:
 # ---------------------------------------------------------------------------
 
 
+# The largest rank a pattern may use: `pattern` and `rank_of` both refuse the
+# patterns past it, whose numbers exceed (1 + g)^24 - 1 for g symbols.
+_MAX_RANK = 24
+
+
 class PatternEnumeration:
     def __init__(self, alphabet: Alphabet, domain: IndexDomain):
         self.alphabet = alphabet
@@ -293,7 +298,7 @@ class PatternEnumeration:
         m = 1
         while self._group_total(m) < n:
             m += 1
-            if m > 24:
+            if m > _MAX_RANK:
                 raise ValueError("pattern index too large to decode")
         offset = n - self._group_total(m - 1) - 1
         ranks = []
@@ -312,10 +317,13 @@ class PatternEnumeration:
         return CylinderPattern(_window(self.domain, tuple(ranks)), tuple(symbols))
 
     def rank_of(self, pattern: CylinderPattern) -> int:
+        """The n with pattern(n) == pattern; ValueError past rank _MAX_RANK."""
         g = self._g
         ranks = sorted(rank_of(self.domain, i) for i in pattern.window)
         by_rank = {rank_of(self.domain, i): s for i, s in pattern.items()}
         m = ranks[-1]
+        if m > _MAX_RANK:
+            raise ValueError("pattern index too large to decode")
         offset = 0
         for chosen, r in enumerate(reversed(ranks[:-1])):
             offset += self._before(r - 1, chosen)

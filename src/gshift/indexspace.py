@@ -76,9 +76,10 @@ class Record:
     value is that field's default (shared by every instance, so immutable).
     The names and defaults are read once, when the subclass is defined, into
     `_fields` and `_defaults`.  Instances compare equal when they are of the
-    same class with equal field tuples (`_values()`), hash as that tuple, and
-    print as ``Name(field=value, ...)``.  `__init__` takes the fields
-    positionally or by name and then calls `__post_init__`;
+    same class with equal field tuples (`_values()`), hash as that tuple
+    (computed on first use and kept, so a record keying caches is hashed
+    once), and print as ``Name(field=value, ...)``.  `__init__` takes the
+    fields positionally or by name and then calls `__post_init__`;
     `_replace(**changes)` builds a copy through it.  Records are frozen: assigning or deleting any attribute
     raises AttributeError.  Instances keep a `__dict__`, so a
     `functools.cached_property` works on them.
@@ -130,8 +131,12 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:  # records key lru caches: hash each one once
         return hash(self._values())
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
@@ -148,7 +153,7 @@ class Index(Record):
     """A point of a domain: a tag path through disjoint unions plus an integer coordinate.
 
     ``path`` is a tuple of "L"/"R" tags, outermost first; plain domains use ``()``.
-    The hottest record, so its constructor, equality and hash are spelled out.
+    The hottest record, so its constructor and equality are spelled out.
     """
 
     path: tuple[str, ...]
@@ -164,8 +169,7 @@ class Index(Record):
             return (self.path, self.coord) == (other.path, other.coord)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.path, self.coord))
+    __hash__ = Record.__hash__  # defining __eq__ would otherwise clear it
 
     def __repr__(self) -> str:  # compact: "L0", "-3", "RL2"
         return format_index(self)
@@ -366,14 +370,33 @@ class SelfMap(Record):
 
 
 def table_map(entries) -> SelfMap:
-    entries = tuple(map(int, entries))
-    size = len(entries)
+    """The map i -> entries[i] on finite_range(len(entries)).
+
+    Entries go through `int`, so ``"1"`` and ``2.0`` read as 1 and 2; an entry
+    that `int` would truncate (``2.5``, ``1.9999``) is refused with a
+    ValueError that names it, as is one outside 0..len - 1.
+    """
+    entries = tuple(entries)  # the same object when given a tuple
+    table = tuple(map(int, entries))
+    if table != entries:  # some conversion changed a value: refuse a truncation
+        for entry, value in zip(entries, table):
+            if value != entry and not isinstance(entry, (str, bytes)):
+                raise ValueError(f"table entry {entry!r} is not an integer")
+    size = len(table)
     if size < 1:
         raise ValueError("table_map needs at least one entry")
-    if min(entries) < 0 or max(entries) >= size:
-        bad = next(e for e in entries if not 0 <= e < size)  # name the first one
+    domain, points = _table_domain(size)
+    if not points.issuperset(table):
+        bad = next(e for e in table if e not in points)  # name the first one
         raise ValueError(f"table entry {bad} outside range 0..{size - 1}")
-    return SelfMap(finite_range(size), "table", table=entries)
+    return SelfMap(domain, "table", table)
+
+
+@lru_cache(maxsize=64)
+def _table_domain(size: int) -> tuple[IndexDomain, frozenset[int]]:
+    """finite_range(size) with its point set, so a table's range check is one
+    C-level `issuperset`; the set is no larger than the table it checks."""
+    return finite_range(size), frozenset(range(size))
 
 
 @lru_cache(maxsize=None)  # keyed by the catalog's few rule names

@@ -10,7 +10,7 @@ analysis on finite domains or budgeted cycle detection elsewhere.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 from .indexspace import (
@@ -197,13 +197,6 @@ class MapProfile(VerdictFields, Record):
     has_periodic_point: Verdict
     has_non_quasi_periodic_point: Verdict
 
-    @cached_property
-    def _hash(self) -> int:  # shared profiles key caches: hash each one once
-        return hash((self.injective, self.has_periodic_point, self.has_non_quasi_periodic_point))
-
-    def __hash__(self) -> int:
-        return self._hash
-
 
 class ChainDecomposition(Record):
     """One representative per chain that meets the region |coord| <= region_bound."""
@@ -314,18 +307,17 @@ def _table_profile(table: tuple[int, ...]) -> MapProfile:
     one) and its periodic witness, so equal profiles are one frozen object
     from a bounded cache keyed by those plain ints.  The witnesses are the
     first collision in coordinate order (rank order on finite ranges) and
-    the first point the walk from 0 repeats.
+    the first point the walk from 0 repeats.  One pass over the entries
+    finds the first collision, or proves injectivity by running off the end.
     """
-    size = len(table)
     pair = None
-    if len(set(table)) != size:
-        first_source: dict[int, int] = {}
-        for src, tgt in enumerate(table):
-            a = first_source.setdefault(tgt, src)
-            if a != src:
-                pair = (a, src)
-                break
-    seen = [False] * size
+    first_source: dict[int, int] = {}
+    for src, tgt in enumerate(table):
+        a = first_source.setdefault(tgt, src)
+        if a != src:
+            pair = (a, src)
+            break
+    seen = [False] * len(table)
     cur = 0
     while not seen[cur]:
         seen[cur] = True

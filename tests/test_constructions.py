@@ -274,8 +274,13 @@ def test_pattern_round_trips_at_the_largest_decodable_rank(n):
 
 
 def test_pattern_decoding_stops_past_rank_24():
+    # 3^24 would be the first pattern of group 25: the one coordinate of rank 25
+    # (the round trip at rank 24, from 3^23, is checked above)
+    en = pattern_enumeration(ALPHA, INTEGERS)
     with pytest.raises(ValueError, match="too large"):
-        pattern_enumeration(ALPHA, INTEGERS).pattern(3 ** 24)
+        en.pattern(3 ** 24)
+    with pytest.raises(ValueError, match="too large"):
+        en.rank_of(pattern_from_ranks(INTEGERS, (25,), (P,)))
 
 
 def test_pattern_rank_of_window_pair():

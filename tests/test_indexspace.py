@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -274,6 +275,20 @@ def test_every_record_is_frozen():
     assert m == successor() and m._replace(rule="predecessor") == predecessor()
 
 
+def test_every_record_hashes_its_field_tuple_once(monkeypatch):
+    import gshift.cli  # noqa: F401  (defines the last record)
+
+    for cls in Record.__subclasses__():
+        record = cls.__new__(cls)
+        record.__dict__.update(zip(cls._fields, range(len(cls._fields))))
+        values, reads = cls._values, []
+        monkeypatch.setattr(cls, "_values", lambda self: reads.append(None) or values(self))
+        assert hash(record) == hash(record) == hash(values(record)), cls.__name__
+        assert len(reads) == 1, cls.__name__
+        monkeypatch.undo()
+    assert hash(ix(3, "L", "R")) == hash((("L", "R"), 3))
+
+
 @pytest.mark.parametrize("args, kwargs, message", [
     ((), {}, "missing fields ['kind']"),
     (("integers",), {"kind": "naturals"}, "repeated field 'kind'"),
@@ -401,6 +416,17 @@ def test_table_map_names_the_first_bad_entry(entries, message):
     with pytest.raises(ValueError) as exc:
         table_map(entries)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entries, bad", [
+    ((0, 2.5, 1), "2.5"),
+    ((0, 1.9999), "1.9999"),
+    ((Fraction(1, 2), 0), "Fraction(1, 2)"),
+])
+def test_table_map_refuses_an_entry_int_would_truncate(entries, bad):
+    with pytest.raises(ValueError) as exc:
+        table_map(entries)
+    assert str(exc.value) == f"table entry {bad} is not an integer"
 
 
 def test_table_map_accepts_a_generator_of_int_convertible_entries():
