@@ -91,6 +91,11 @@ LENGTHS_FIELDS = frozenset({"variant", "count"})
 SCHEDULE_FIELDS = {"block_boundaries": frozenset({"kind", "r_max"}),
                    "explicit": frozenset({"kind", "horizons"})}
 
+# The most blocks lengths.count and schedule.r_max may ask for: past block
+# ~1,558 a horizon has more than 4,300 decimal digits, which Python refuses
+# to convert to text, so stats.csv and the family manifest could not hold it.
+MAX_BLOCKS = 1500
+
 
 class ExperimentConfig(Record):
     map: SelfMap
@@ -165,8 +170,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if variant not in ("plain", "weave"):
         raise ConfigError(f"config.lengths.variant: unknown variant {variant!r}")
     count = lengths_obj.get("count", 8)
-    if not _is_int(count) or count < 1:
-        raise ConfigError("config.lengths.count: need a positive integer")
+    if not _is_int(count) or not 1 <= count <= MAX_BLOCKS:
+        raise ConfigError(f"config.lengths.count: need an integer from 1 to {MAX_BLOCKS}")
     windows_obj = _expect(obj, "windows", list, "config")
     if windows_obj == []:
         raise ConfigError("config.windows: need at least one window")
@@ -181,8 +186,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     r_max, horizons = 8, ()
     if kind == "block_boundaries":
         r_max = sched_obj.get("r_max", 8)
-        if not _is_int(r_max) or r_max < 1:
-            raise ConfigError("config.schedule.r_max: need a positive integer")
+        if not _is_int(r_max) or not 1 <= r_max <= MAX_BLOCKS:
+            raise ConfigError(f"config.schedule.r_max: need an integer from 1 to {MAX_BLOCKS}")
     else:
         horizons = sched_obj.get("horizons")
         if not isinstance(horizons, list) or not horizons or any(
@@ -286,7 +291,7 @@ def _pair_reports(cfg: ExperimentConfig, spec, members, schedule: Schedule) -> d
     """`dc_pair_report` of every member pair, by pair id, on the configured
     windows; by default on the anchor alone and on the anchor with its image,
     which lie on the orbit that the blocks are written along."""
-    anchor = spec.anchors[0]
+    anchor = spec.anchor
     if cfg.windows is None:
         windows = [orbit_window(cfg.map, anchor, offsets) for offsets in ((0,), (0, 1))]
     else:

@@ -19,6 +19,7 @@ from .indexspace import (
     Record,
     SelfMap,
     contains,
+    domain_size,
     enumerate_index,
     evaluate,
     iterate,
@@ -107,10 +108,6 @@ class Configuration:
         """The symbols on a window of coordinates, in window order."""
         return [self.symbol_at(index) for index in window]
 
-    def symbol_after(self, m: SelfMap, index: Index, power: int) -> str:
-        """The symbol at phi^power(index)."""
-        return self.symbols_after(m, (index,), power)[0]
-
     def symbols_after(self, m: SelfMap, window: Sequence[Index], power: int) -> list[str]:
         """The symbols at phi^power(i) for each i of a window, in window order.
         This base iterates the map and reads there; a layout that knows where
@@ -127,13 +124,6 @@ class Configuration:
             _push_run(runs, 1, self.symbol_at(cur))
             cur = evaluate(m, cur)
         return runs
-
-    def symbols_along(self, m: SelfMap, start: Index, count: int) -> list[str]:
-        """Symbols at phi^i(start) for i = 0..count-1: `runs_along` expanded."""
-        out: list[str] = []
-        for length, symbol in self.runs_along(m, start, count):
-            out += [symbol] * length
-        return out
 
 
 class Constant(Configuration):
@@ -207,15 +197,15 @@ class OrbitBlocks(Configuration):
     The layout keeps each walk's runs along its own map, keyed by start: the
     longest read so far serves every shorter one, cut at its count.
 
-    A shifted read (`symbols_after`, and `symbol_after` through it) along
-    the layout's own map reads each index's signed offset k from the anchor
-    off `orbits.window_offsets`, the one closed-form offset resolution, kept
-    per window: a weave entry check resolves its pattern's window once, for
-    the exponent and for every member.  The index then reads orbit position
-    power + k without building the shifted coordinate, and a window whose
-    positions share one splice is located once.  A map without a closed-form
-    position, an index off the domain or off the anchor's two-sided chain,
-    or a negative power iterates the map first.
+    A shifted read (`symbols_after`) along the layout's own map reads each
+    index's signed offset k from the anchor off `orbits.window_offsets`, the
+    one closed-form offset resolution, kept per window: a weave entry check
+    resolves its pattern's window once, for the exponent and for every
+    member.  The index then reads orbit position power + k without building
+    the shifted coordinate, and a window whose positions share one splice is
+    located once.  A map without a closed-form position, an index off the
+    domain or off the anchor's two-sided chain, or a negative power iterates
+    the map first.
 
     The anchor must have a proven infinite orbit (PreconditionError, a
     ValueError, otherwise).
@@ -236,10 +226,6 @@ class OrbitBlocks(Configuration):
             raise ValueError("weave layout and weave source must come together")
         self._source_cache = {} if source_cache is None else source_cache
         self._walks: dict[Index, tuple[int, list[Run]]] = {}  # start -> (count, runs)
-
-    def orbit_position_of(self, index: Index) -> Optional[int]:
-        """Forward-orbit position of `index` from the anchor, or None when off it."""
-        return orbit_position(self.map, self.anchor, index)
 
     def _source_symbol(self, j: int) -> str:
         hit = self._source_cache.get(j)
@@ -295,16 +281,16 @@ class OrbitBlocks(Configuration):
         return list(runs)
 
     def _walk(self, start: Index, count: int) -> list[Run]:
-        m, done, cur = self.map, 0, start
-        pos = self.orbit_position_of(cur)
+        m, anchor, done, cur = self.map, self.anchor, 0, start
+        pos = orbit_position(m, anchor, cur)
         # off the orbit every coordinate reads q: one run when the walk is
         # certified never to join it, otherwise step until it does
-        if pos is None and never_joins(m, start, self.anchor):
+        if pos is None and never_joins(m, start, anchor):
             return [(count, self.alphabet.q)]
         while pos is None and done < count:
             done += 1
             cur = evaluate(m, cur)
-            pos = self.orbit_position_of(cur)
+            pos = orbit_position(m, anchor, cur)
         runs: list[Run] = [(done, self.alphabet.q)] if done else []
         # once on the orbit, positions advance by one per shift: one run per
         # block, one per splice symbol
@@ -360,7 +346,7 @@ class Shifted(Configuration):
         self.power = power
 
     def symbol_at(self, index: Index) -> str:
-        return self.base.symbol_after(self.map, index, self.power)
+        return self.base.symbols_after(self.map, (index,), self.power)[0]
 
     def symbols_at(self, window: Sequence[Index]) -> list[str]:
         return self.base.symbols_after(self.map, window, self.power)
@@ -439,8 +425,10 @@ def metric_less_than(x: Configuration, y: Configuration, t: Fraction,
         return False
     t = Fraction(t)
     domain = x.domain
+    size = domain_size(domain)
+    last = depth_cap if size is None else min(depth_cap, size)
     partial = Fraction(0)
-    for m in range(1, depth_cap + 1):
+    for m in range(1, last + 1):
         beta = enumerate_index(domain, m)
         if x.symbol_at(beta) != y.symbol_at(beta):
             partial += Fraction(1, 2 ** m)
@@ -448,21 +436,26 @@ def metric_less_than(x: Configuration, y: Configuration, t: Fraction,
             return False
         if partial + Fraction(1, 2 ** m) < t:
             return True
+    if last == size:  # past a finite domain's last rank the partial sum is the distance
+        return True
     raise MetricResolutionError(
         f"comparison with {t} unresolved after {depth_cap} ranks"
     )
 
 
 def threshold_to_window(domain: IndexDomain, t: Fraction) -> tuple[Index, ...]:
-    """Smallest initial window {beta_1..beta_m} with 2^-m < t.
+    """Smallest initial window {beta_1..beta_m} with 2^-m < t, or the whole
+    of a finite domain that has fewer ranks.
 
-    Agreement on the window forces metric distance below t via the tail bound.
+    Agreement on the window forces metric distance below t via the tail bound
+    (on a whole finite domain, distance 0).
     """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("threshold must be > 0")
+    size = domain_size(domain)
     m = 1
-    while Fraction(1, 2 ** m) >= t:
+    while Fraction(1, 2 ** m) >= t and m != size:
         m += 1
         if m > 4096:
             raise ValueError("threshold too small to bracket")

@@ -23,7 +23,7 @@ from .indexspace import (
     rank_of,
     successor,
 )
-from .orbits import classify_point, map_profile, window_offsets
+from .orbits import classify_point, map_profile, orbit_position, window_offsets
 from .configspace import (
     Alphabet,
     Configuration,
@@ -70,6 +70,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# Every segment end is kept exactly, and block n's end has about log2(n!)
+# bits: 10,000 weave blocks hold about 165 MB.  A weave entry exponent for a
+# window at offset 5 from the anchor would need 30,000 to 41,000 blocks.
+_MAX_BLOCKS = 10_000
+
+
 class BlockLengths:
     """Lazily extendable strictly increasing block lengths of one variant.
 
@@ -93,6 +99,8 @@ class BlockLengths:
         ends, stride = self._ends, self._stride
         while len(ends) < stride * r:
             n = len(ends) // stride + 1
+            if n > _MAX_BLOCKS:
+                raise ValueError(f"block {r} lies past the {_MAX_BLOCKS}-block ceiling")
             start = ends[-1] if ends else 0
             ends.append(start + (n - 1) * start + 1)
             if stride == 2:
@@ -407,7 +415,7 @@ def _distinctness_witness(a: FinitePatch, b: FinitePatch):
     if block is None:
         return None
     hi = ba.lengths.horizon(block)
-    patched_positions = {ba.orbit_position_of(coord)
+    patched_positions = {orbit_position(ba.map, ba.anchor, coord)
                          for patch in (a.patch, b.patch) for coord in patch}
     for pos in range(hi - ba.lengths.value(block), hi):
         if pos not in patched_positions:
@@ -457,10 +465,8 @@ class LengthLexWord(Configuration):
     first symbol.
     """
 
-    def __init__(self, alphabet: Alphabet, domain: IndexDomain = INTEGERS):
-        if domain.kind != "integers":
-            raise ValueError("the length-lex word lives on the integers")
-        self.domain = domain
+    def __init__(self, alphabet: Alphabet):
+        self.domain = INTEGERS
         self.alphabet = alphabet
 
     def symbol_at(self, index: Index) -> str:
@@ -489,9 +495,8 @@ class LengthLexWord(Configuration):
         return acc + word_i * length
 
 
-def full_shift_transitive_point(alphabet: Alphabet,
-                                domain: IndexDomain = INTEGERS) -> LengthLexWord:
-    return LengthLexWord(alphabet, domain)
+def full_shift_transitive_point(alphabet: Alphabet) -> LengthLexWord:
+    return LengthLexWord(alphabet)
 
 
 def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,

@@ -43,7 +43,6 @@ __all__ = [
     "chain_decomposition",
     "orbit_position",
     "never_joins",
-    "signed_orbit_index",
     "window_offsets",
 ]
 
@@ -52,6 +51,7 @@ PROVEN_FALSE = "proven_false"
 UNKNOWN = "unknown"
 
 DEFAULT_BUDGET = 4096
+WALK_STEPS = 512  # steps orbit_position walks on a map without a closed-form position
 
 
 class UnresolvedOrbitError(RuntimeError):
@@ -416,21 +416,19 @@ def chain_decomposition(m: SelfMap, bound: int, budget: int = DEFAULT_BUDGET) ->
 # ---------------------------------------------------------------------------
 
 
-def orbit_position(m: SelfMap, anchor: Index, target: Index,
-                   walk_budget: int = 512) -> Optional[int]:
+def orbit_position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
     """Position n >= 0 with iterate(m, anchor, n) == target, or None when off-orbit."""
     if anchor.path != target.path:
         return None
     if m.left is not None:
-        return route(m, anchor, orbit_position, Index(target.path[1:], target.coord),
-                     walk_budget)
+        return route(m, anchor, orbit_position, Index(target.path[1:], target.coord))
     rule = m.record
     if rule.position is not None:
         return rule.position(m, anchor, target)
     # bounded walk, exact only when found; a growing rule also settles a miss
     # once magnitudes pass |target|; otherwise refuse to guess
     cur = anchor
-    for n in range(walk_budget + 1):
+    for n in range(WALK_STEPS + 1):
         if cur == target:
             return n
         if rule.grows and n >= 2 and abs(cur.coord) >= 2 and abs(cur.coord) > abs(target.coord):
@@ -440,10 +438,8 @@ def orbit_position(m: SelfMap, anchor: Index, target: Index,
         except BudgetExceededError as exc:
             raise UnresolvedOrbitError(str(exc)) from exc
     if rule.grows:
-        raise UnresolvedOrbitError(f"growth walk exhausted after {walk_budget} steps")
-    raise UnresolvedOrbitError(
-        f"orbit membership of {target!r} undecided within {walk_budget} steps"
-    )
+        raise UnresolvedOrbitError(f"growth walk exhausted after {WALK_STEPS} steps")
+    raise UnresolvedOrbitError(f"orbit membership of {target!r} undecided within {WALK_STEPS} steps")
 
 
 def never_joins(m: SelfMap, walker: Index, anchor: Index) -> bool:
@@ -471,37 +467,6 @@ def never_joins(m: SelfMap, walker: Index, anchor: Index) -> bool:
                 and orbit_position(m, anchor, walker) is None)
     except UnresolvedOrbitError:
         return False
-
-
-def signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
-                       radius: int) -> Optional[int]:
-    """Exponent i with |i| <= radius and phi^i(anchor) == target, preferring i >= 0.
-
-    None when target is not within the +-radius window of the anchor's
-    two-sided orbit.  A negative exponent -i (phi^i(target) == anchor) is
-    read off a closed form only, so the rule needs a closed-form orbit
-    position and certified injectivity (every translation, composed ones
-    included); any other map raises ValueError once the forward lookup
-    misses at radius >= 1.  A union answers on the side that owns both
-    points; a target off the domain, or on another tag path than the
-    anchor, is never on its orbit.
-    """
-    if anchor.path != target.path or not contains(m.domain, target):
-        return None
-    if m.left is not None:
-        return route(m, anchor, signed_orbit_index, Index(target.path[1:], target.coord),
-                     radius)
-    pos = orbit_position(m, anchor, target, walk_budget=max(radius + 2, 64))
-    if pos is not None and pos <= radius:
-        return pos
-    if radius < 1:
-        return None
-    rule = m.record
-    if rule.position is None or rule.facts is None or not rule.facts.injective:
-        raise ValueError(f"negative exponents need a closed-form orbit position; "
-                         f"rule {m.rule!r} has none")
-    back = rule.position(m, target, anchor)
-    return -back if back is not None and 1 <= back <= radius else None
 
 
 @lru_cache(maxsize=1024)

@@ -138,10 +138,11 @@ def bisected_location(variant: str, position: int) -> tuple[int, int, bool]:
 
 def walked_signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
                               radius: int) -> Optional[int]:
-    """signed_orbit_index by stepping: the forward orbit position when it is
-    at most radius, else the first of up to radius certified preimages of the
-    anchor that equals target, counted negatively."""
-    pos = orbit_position(m, anchor, target, walk_budget=max(radius + 2, 64))
+    """The signed orbit index of target by stepping: its forward orbit
+    position from the anchor when that is at most radius, else the first of
+    up to radius certified preimages of the anchor that equals target,
+    counted negatively."""
+    pos = orbit_position(m, anchor, target)
     if pos is not None and pos <= radius:
         return pos
     cur = anchor
@@ -196,6 +197,11 @@ def parse_pattern(domain: IndexDomain, obj) -> CylinderPattern:
     return pattern_from_ranks(domain, obj["window"], obj["symbols"])
 
 
+def expand(runs: Sequence[tuple[int, str]]) -> list[str]:
+    """Maximal (length, symbol) runs, as from runs_along, one symbol per position."""
+    return [symbol for length, symbol in runs for _ in range(length)]
+
+
 def agree_on_window(x: Configuration, y: Configuration,
                     window: Sequence[Index]) -> bool:
     return all(x.symbol_at(i) == y.symbol_at(i) for i in window)
@@ -218,8 +224,8 @@ def agreement_flags(m: SelfMap, x: Configuration, y: Configuration,
     compared symbol by symbol."""
     flags = [True] * n
     for d in window:
-        sx = x.symbols_along(m, d, n)
-        sy = y.symbols_along(m, d, n)
+        sx = expand(x.runs_along(m, d, n))
+        sy = expand(y.runs_along(m, d, n))
         for i in range(n):
             if flags[i] and sx[i] != sy[i]:
                 flags[i] = False

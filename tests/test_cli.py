@@ -110,6 +110,11 @@ NAMED_ERRORS = [pytest.param(broken, fragment, id=name) for name, broken, fragme
     ("int-schedule-kind", {"map": PHI1["map"], "schedule": {"kind": 3}},
      "config.schedule.kind: unknown kind 3"),
     ("zero-anchor", {"map": PHI1["map"], "anchor_rank": 0}, "config.anchor_rank"),
+    # past ~1,558 blocks a horizon has too many digits to print
+    ("r_max-2000", {"map": PHI1["map"], "schedule": {"kind": "block_boundaries", "r_max": 2000}},
+     "config.schedule.r_max: need an integer from 1 to 1500"),
+    ("count-2000", {"map": PHI1["map"], "lengths": {"count": 2000}},
+     "config.lengths.count: need an integer from 1 to 1500"),
 ]]
 
 
@@ -122,6 +127,9 @@ NAMED_ERRORS = [pytest.param(broken, fragment, id=name) for name, broken, fragme
     ({"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": []}}, "horizons"),
     ({"map": PHI1["map"], "eps_low": "one quarter"}, "eps"),
     ({"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": [50, 5]}}, "horizons"),
+    # kept out of NAMED_ERRORS: verify would try to build all 40,000 blocks
+    pytest.param({"map": PHI1["map"], "lengths": {"count": 40000}},
+                 "config.lengths.count: need an integer from 1 to 1500", id="count-40000"),
 ] + NAMED_ERRORS)
 def test_config_errors_name_the_field(broken, fragment):
     with pytest.raises(ConfigError) as err:

@@ -13,7 +13,9 @@ from gshift.indexspace import (
     Index,
     compose_maps,
     disjoint_union_maps,
+    enumerate_index,
     evaluate,
+    finite_range,
     ix,
     iterate,
     parity_up,
@@ -43,13 +45,19 @@ from gshift.configspace import (
     window_from_ranks,
     window_to_threshold,
 )
-from gshift.orbits import never_joins
+from gshift.orbits import never_joins, orbit_position
 from gshift.constructions import (
     ExplicitBlockSet,
     block_lengths,
     full_shift_transitive_point,
 )
-from oracles import agree_on_window, parse_pattern, pattern_from_ranks, truncated_distance
+from oracles import (
+    agree_on_window,
+    expand,
+    parse_pattern,
+    pattern_from_ranks,
+    truncated_distance,
+)
 
 ALPHA = default_alphabet()
 P, Q = ALPHA.p, ALPHA.q
@@ -98,7 +106,7 @@ def test_plain_block_layout_prefix():
     assert x.symbol_at(ix(0)) == Q
     assert x.symbol_at(ix(1)) == P
     assert x.symbol_at(ix(2)) == P
-    assert x.symbols_along(successor(), ix(0), 10) == [Q, P, P, Q, Q, Q, Q, Q, Q, Q]
+    assert expand(x.runs_along(successor(), ix(0), 10)) == [Q, P, P, Q, Q, Q, Q, Q, Q, Q]
 
 
 def test_plain_block_layout_off_orbit_reads_q():
@@ -110,7 +118,7 @@ def test_weave_block_layout_interleaves_source():
     x = _blocks({2}, variant="weave", weave=True)
     # layout: [block1][1 source symbol][block2][2 source symbols][block3...]
     # lengths (1, 3, 15, ...), source starts p, q, p, p, ...
-    assert x.symbols_along(successor(), ix(0), 12) == [
+    assert expand(x.runs_along(successor(), ix(0), 12)) == [
         Q,            # block 1 (not a member)
         P,            # source position 0
         P, P, P,      # block 2 (member)
@@ -135,13 +143,9 @@ def test_symbols_along_matches_pointwise_reads(members, start, variant):
     # the first starts also those at 1, 5..6 and 22..24
     x = _blocks(members, variant=variant, weave=variant == "weave")
     m = successor()
-    bulk = x.symbols_along(m, ix(start), 120)
+    bulk = expand(x.runs_along(m, ix(start), 120))
     pointwise = [x.symbol_at(iterate(m, ix(start), i)) for i in range(120)]
     assert bulk == pointwise
-
-
-def _expand(runs):
-    return [symbol for length, symbol in runs for _ in range(length)]
 
 
 def _pointwise(x, m, start, count):
@@ -165,8 +169,7 @@ def test_runs_along_matches_pointwise_reads(members, start, count, kind):
     runs = x.runs_along(m, ix(start), count)
     assert all(length >= 1 for length, _ in runs)
     assert all(a[1] != b[1] for a, b in zip(runs, runs[1:]))  # maximal runs
-    assert _expand(runs) == _pointwise(x, m, ix(start), count)
-    assert x.symbols_along(m, ix(start), count) == _expand(runs)
+    assert expand(runs) == _pointwise(x, m, ix(start), count)
 
 
 @pytest.mark.parametrize("variant", ["plain", "weave"])
@@ -188,8 +191,8 @@ def test_runs_along_reaches_far_horizons_block_by_block(variant):
 
 def test_orbit_position_lookup():
     x = _blocks({2})
-    assert x.orbit_position_of(ix(7)) == 7
-    assert x.orbit_position_of(ix(-1)) is None
+    assert orbit_position(x.map, x.anchor, ix(7)) == 7
+    assert orbit_position(x.map, x.anchor, ix(-1)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +240,10 @@ def test_off_orbit_runs_match_pointwise_reads(case, data):
     m, anchor, walker, certified, most = case
     count = data.draw(st.integers(0, most))
     x = _on_orbit_of(m, anchor)
-    assert x.orbit_position_of(walker) is None
+    assert orbit_position(m, anchor, walker) is None
     assert never_joins(m, walker, anchor) is certified
     runs = x.runs_along(m, walker, count)
-    assert _expand(runs) == _pointwise(x, m, walker, count)
+    assert expand(runs) == _pointwise(x, m, walker, count)
     if certified:
         assert runs == ([(count, Q)] if count else [])
 
@@ -366,7 +369,7 @@ def _check_pointwise(x, m, start, runs, full_up_to=3000):
     every run (the far-horizon test's check)."""
     count = sum(length for length, _ in runs)
     if count <= full_up_to:
-        assert _expand(runs) == _pointwise(x, m, start, count)
+        assert expand(runs) == _pointwise(x, m, start, count)
         return
     pos = 0
     for length, symbol in runs:
@@ -450,7 +453,6 @@ EMPTY_READS = {
 def test_a_count_below_one_reads_no_runs(kind, count):
     x, m, start = EMPTY_READS[kind]()
     assert x.runs_along(m, start, count) == []
-    assert x.symbols_along(m, start, count) == []
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +698,21 @@ def test_metric_raises_when_threshold_is_unreachable_limit():
                          Fraction(1), depth_cap=64)
 
 
+def test_the_metric_on_a_finite_domain_stops_at_its_last_rank():
+    # past rank 3 the partial sum is the exact distance
+    x = Constant(finite_range(3), P)
+    assert metric_less_than(x, Constant(finite_range(3), P), Fraction(1, 16))
+    y = FinitePatch(x, {enumerate_index(finite_range(3), 3): Q})  # distance 1/8
+    assert not metric_less_than(x, y, Fraction(1, 16))
+    assert metric_less_than(x, y, Fraction(1, 7))
+
+
+def test_a_threshold_below_a_finite_domain_takes_the_whole_domain():
+    domain = finite_range(3)
+    assert threshold_to_window(domain, Fraction(1, 16)) == window_from_ranks(domain, (1, 2, 3))
+    assert threshold_to_window(domain, Fraction(3, 10)) == window_from_ranks(domain, (1, 2))
+
+
 def test_threshold_window_duality_examples():
     w = threshold_to_window(INTEGERS, Fraction(3, 10))
     assert tuple(rank_of(INTEGERS, i) for i in w) == (1, 2)  # 1/4 < 3/10 <= 1/2
@@ -706,8 +723,6 @@ def test_threshold_window_duality_examples():
 
 
 def enumerate_rank(r):
-    from gshift.indexspace import enumerate_index
-
     return enumerate_index(INTEGERS, r)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -55,7 +56,7 @@ from gshift.constructions import (
 )
 from gshift.orbits import classify_point, orbit_position
 
-from oracles import bisected_location, pattern_from_ranks, scanned_pattern
+from oracles import bisected_location, expand, pattern_from_ranks, scanned_pattern
 
 ALPHA = default_alphabet()
 P, Q = ALPHA.p, ALPHA.q
@@ -201,7 +202,7 @@ def test_dc_family_on_square_orbit_anchor():
                                almost_disjoint_family(2), "plain")
     x = dc_family(spec)[0]
     # orbit 2, 4, 16, 256...: block 1 = {2} -> q; blocks 2,3 member -> p
-    assert x.symbols_along(m, ix(2), 6) == [Q, P, P, P, P, P]
+    assert expand(x.runs_along(m, ix(2), 6)) == [Q, P, P, P, P, P]
     assert x.symbol_at(ix(3)) == Q  # off the anchor orbit
 
 
@@ -518,6 +519,17 @@ def test_a_window_out_of_reach_has_no_entry_exponent(window):
     pat = CylinderPattern(window, (P,) * len(window))
     with pytest.raises(ValueError, match="not within reach of the anchor"):
         weave_entry_exponent(spec, source, pat)
+
+
+@pytest.mark.parametrize("coord", [5, -5])
+def test_an_entry_exponent_past_the_block_ceiling_is_refused(coord):
+    # a window at offset 5 needs 30,000 to 41,000 blocks; the lengths stop at
+    # 10,000, which take about 165 MB
+    m, spec, source, members = _weave_setup()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="past the 10000-block ceiling"):
+        weave_entry_exponent(spec, source, CylinderPattern((ix(coord),), (P,)))
+    assert time.perf_counter() - start < 1
 
 
 # sha256 of the hex exponents of patterns 1..80, one per line, on block_lengths(12, "weave")

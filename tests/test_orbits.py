@@ -26,7 +26,6 @@ from gshift.indexspace import (
     table_map,
 )
 from gshift.orbits import (
-    UnresolvedOrbitError,
     _injectivity_by_scan,
     chain_decomposition,
     classify_point,
@@ -34,7 +33,6 @@ from gshift.orbits import (
     orbit_position,
     proven_false,
     proven_true,
-    signed_orbit_index,
     unknown,
     v_and,
     v_not,
@@ -366,7 +364,7 @@ def test_chain_cover_reaches_every_small_coordinate():
     # every |n| <= 8 sits on the forward/backward orbit of some representative
     for n in range(-8, 9):
         hit = any(
-            signed_orbit_index(m, rep, ix(n), 16) is not None
+            window_offsets(m, rep, (ix(n),)) is not None
             for rep in cd.representatives
         )
         assert hit, n
@@ -375,7 +373,7 @@ def test_chain_cover_reaches_every_small_coordinate():
 def test_orbit_position_arithmetic():
     assert orbit_position(successor(), ix(0), ix(41)) == 41
     assert orbit_position(successor(), ix(0), ix(-3)) is None
-    assert signed_orbit_index(successor(), ix(0), ix(-3), 10) == -3
+    assert window_offsets(successor(), ix(0), (ix(-3),)) == (-3,)
 
 
 def test_orbit_position_by_growth():
@@ -384,49 +382,54 @@ def test_orbit_position_by_growth():
     assert orbit_position(square_plus_one(), ix(0), ix(26)) == 4  # 0,1,2,5,26
 
 
+# ---------------------------------------------------------------------------
+# window_offsets: the one closed-form offset resolution.  A one-index window
+# reads the target's signed orbit index, the exponent i with
+# phi^i(anchor) == target (phi^-i(target) == anchor when i < 0).  The oracle
+# is the preimage walk, and iterating by the offset lands on the index or the
+# anchor.
+# ---------------------------------------------------------------------------
+
+
+OFFSET_MAPS = {name: SIGNED_MAPS[name] for name in (
+    "successor", "predecessor", "parity_up", "parity_down", "plus_two", "up_after_down")}
+
+
 @given(st.integers(min_value=0, max_value=30))
 def test_signed_orbit_index_round_trips_on_translation(k):
-    from gshift.indexspace import iterate
-
     target = iterate(successor(), ix(-5), k)
-    assert signed_orbit_index(successor(), ix(-5), target, 64) == k
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (ValueError, UnresolvedOrbitError) as exc:
-        return type(exc)
+    assert window_offsets(successor(), ix(-5), (target,)) == (k,)
+    assert window_offsets(successor(), target, (ix(-5),)) == (-k,)
 
 
 @pytest.mark.parametrize("name", sorted(SIGNED_MAPS))
 def test_signed_orbit_index_matches_the_preimage_walk(name):
+    # a map without a closed-form position (a union, square) reads no offset
     m = SIGNED_MAPS[name]
+    closed_form = m.record.position is not None
     tags = [("L",), ("R",)] if m.left is not None else [()]
-    for radius in (0, 1, 5, 64):
-        for a in range(-20, 21):
-            tag = tags[a % len(tags)]  # a union's anchors alternate sides
-            anchor = Index(tag, a)
-            targets = [Index(tag, t) for t in range(a - radius - 3, a + radius + 4)]
-            # a union never maps one side onto the other
-            targets += [Index(other, a) for other in tags if other != tag]
-            for target in targets:
-                got = _outcome(signed_orbit_index, m, anchor, target, radius)
-                want = _outcome(walked_signed_orbit_index, m, anchor, target, radius)
-                assert got == want, (anchor, target, radius)
+    for a in range(-20, 21):
+        tag = tags[a % len(tags)]  # a union's anchors alternate sides
+        anchor = Index(tag, a)
+        targets = [Index(tag, t) for t in range(a - 12, a + 13)]
+        # a union never maps one side onto the other
+        targets += [Index(other, a) for other in tags if other != tag]
+        for target in targets:
+            k = walked_signed_orbit_index(m, anchor, target, 64) if closed_form else None
+            want = None if k is None else (k,)
+            assert window_offsets(m, anchor, (target,)) == want, (anchor, target)
 
 
 def test_square_still_refuses_a_negative_exponent():
-    assert signed_orbit_index(square(), ix(2), ix(16), 5) == 2
-    with pytest.raises(ValueError, match="negative exponents need a closed-form orbit position"):
-        signed_orbit_index(square(), ix(4), ix(2), 5)
+    assert orbit_position(square(), ix(2), ix(16)) == 2
+    assert window_offsets(square(), ix(4), (ix(2),)) is None
 
 
 def test_a_permutation_table_reads_forward_exponents_only():
     m = table_map((1, 2, 0))
-    assert signed_orbit_index(m, ix(0), ix(2), 3) == 2
-    with pytest.raises(ValueError, match="rule 'table' has none"):
-        signed_orbit_index(m, ix(0), ix(2), 1)  # phi^-1(0) == 2, but tables have no inverse form
+    assert orbit_position(m, ix(0), ix(2)) == 2
+    # phi^-1(0) == 2 as well, but the forward exponent is read first
+    assert window_offsets(m, ix(0), (ix(2),)) == (2,)
 
 
 @pytest.mark.parametrize("coord", [-2, 2])
@@ -434,28 +437,20 @@ def test_a_permutation_table_reads_forward_exponents_only():
 def test_a_target_on_another_path_is_off_the_orbit_on_both_sides(coord, target_path):
     # n -> n + 1 reaches 2 forward and -2 backward, but only on its own path
     m = successor()
-    assert signed_orbit_index(m, ix(0), ix(coord), 64) == coord
-    assert signed_orbit_index(m, ix(0), Index(target_path, coord), 64) is None
+    assert window_offsets(m, ix(0), (ix(coord),)) == (coord,)
+    assert window_offsets(m, ix(0), (Index(target_path, coord),)) is None
     union = disjoint_union_maps(successor(), successor())
-    assert signed_orbit_index(union, ix(0, "L"), ix(coord, "L"), 64) == coord
-    assert signed_orbit_index(union, ix(0, "L"), ix(coord, "R"), 64) is None
-    assert signed_orbit_index(union, ix(0, "L"), Index(("L", "L"), coord), 64) is None
+    assert orbit_position(union, ix(0, "L"), ix(coord, "L")) == (coord if coord > 0 else None)
+    assert orbit_position(union, ix(0, "L"), ix(coord, "R")) is None
+    assert orbit_position(union, ix(0, "L"), Index(("L", "L"), coord)) is None
 
 
 def test_an_off_domain_target_is_off_every_orbit():
     # the anchor's cycle 0 -> 1 -> 2 -> 0 never reaches coordinate 5
     m = table_map((1, 2, 0))
-    assert signed_orbit_index(m, ix(0), ix(5), 3) is None
-    assert signed_orbit_index(m, ix(0), ix(-1), 3) is None
-
-
-# ---------------------------------------------------------------------------
-# window_offsets: the one closed-form offset resolution; the oracle is the
-# preimage walk, and iterating by the offset lands on the index or the anchor.
-# ---------------------------------------------------------------------------
-
-OFFSET_MAPS = {name: SIGNED_MAPS[name]
-               for name in ("successor", "predecessor", "plus_two", "up_after_down")}
+    for target in (ix(5), ix(-1)):
+        assert orbit_position(m, ix(0), target) is None
+        assert window_offsets(m, ix(0), (target,)) is None
 
 
 @pytest.mark.parametrize("name", sorted(OFFSET_MAPS))
