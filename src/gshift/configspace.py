@@ -203,9 +203,9 @@ class OrbitBlocks(Configuration):
     resolves its pattern's window once, for the exponent and for every
     member.  The index then reads orbit position power + k without building
     the shifted coordinate, and a window whose positions share one splice is
-    located once.  A map without a closed-form position, an index off the
-    domain or off the anchor's two-sided chain, or a negative power iterates
-    the map first.
+    located once and read from the shared source cache.  A map without a
+    closed-form position, an index off the domain or off the anchor's
+    two-sided chain, or a negative power iterates the map first.
 
     The anchor must have a proven infinite orbit (PreconditionError, a
     ValueError, otherwise).
@@ -249,12 +249,18 @@ class OrbitBlocks(Configuration):
         if not offsets or power < 0:
             return super().symbols_after(m, window, power)
         # a weave entry check reads a whole window inside one splice: locate
-        # the lowest position once and read the rest at their distance from it
+        # the lowest position once and read the rest at their distance from
+        # it, straight from the shared source cache when every read is there
         low = min(offsets)
-        if power + low >= 0:
-            r, offset, in_splice = self.lengths.locate(power + low)
+        start = power + low
+        if start >= 0:
+            r, offset, in_splice = self.lengths.locate(start)
             if in_splice and offset + max(offsets) - low < r:
-                return [self._source_symbol(offset + k - low) for k in offsets]
+                base, cache = offset - low, self._source_cache
+                out = [cache.get(base + k) for k in offsets]
+                if None in out:
+                    out = [self._source_symbol(base + k) for k in offsets]
+                return out
         return [self._symbol_at_position(power + k) for k in offsets]
 
     def _symbol_at_position(self, pos: int) -> str:

@@ -9,7 +9,7 @@ every claim about one is either checked directly or derived from a certificate.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Sequence
 
@@ -96,13 +96,13 @@ class BlockLengths:
         self._extend_to(count)
 
     def _extend_to(self, r: int) -> None:
+        if r > _MAX_BLOCKS:  # refused before any block is built
+            raise ValueError(f"block {r} lies past the {_MAX_BLOCKS}-block ceiling")
         ends, stride = self._ends, self._stride
         while len(ends) < stride * r:
             n = len(ends) // stride + 1
-            if n > _MAX_BLOCKS:
-                raise ValueError(f"block {r} lies past the {_MAX_BLOCKS}-block ceiling")
             start = ends[-1] if ends else 0
-            ends.append(start + (n - 1) * start + 1)
+            ends.append(n * start + 1)  # start + s_n, s_n = (n - 1) * start + 1
             if stride == 2:
                 ends.append(ends[-1] + n)
 
@@ -278,67 +278,80 @@ class PatternEnumeration:
     def __init__(self, alphabet: Alphabet, domain: IndexDomain):
         self.alphabet = alphabet
         self.domain = domain
-        self._g = len(alphabet.symbols)
-
-    def _group_total(self, m: int) -> int:
-        return (1 + self._g) ** m - 1
-
-    def _before(self, bit: int, chosen: int) -> int:
-        """Patterns of the masks that match the current mask above `bit`
-        (where it sets `chosen` bits), clear `bit`, and set any k of the bits
-        below it: C(bit, k) masks of g^(chosen + k + 1) patterns each, which
-        sum to g^(chosen + 1) * (1 + g)^bit."""
-        return self._g ** (chosen + 1) * (1 + self._g) ** bit
+        self._g = g = len(alphabet.symbols)
+        self._digits = _digits(alphabet)
+        # ranks <= m cover totals[m] = (1+g)^m - 1 patterns; powers[k] = g^k
+        self._totals = [(1 + g) ** m - 1 for m in range(_MAX_RANK + 1)]
+        self._powers = [g ** k for k in range(_MAX_RANK + 1)]
 
     def pattern(self, n: int) -> CylinderPattern:
         """The n-th cylinder pattern (n >= 1).
 
         Group m holds the windows whose largest rank is m, ordered by the
         mask of their other ranks (bit r - 1 for rank r) and then by their
-        symbols, earliest rank varying slowest.  The mask is read greedily
-        from its top bit down, so decoding costs O(m) steps.  The window of
-        each rank set is built once and then reused from a bounded cache
-        (ranks <= 7 hold only 127 windows); the pattern still validates it.
+        symbols, earliest rank varying slowest.  The group is the first whose
+        running total (1+g)^m - 1 reaches n, found by one bisect over the
+        totals table.  The mask is then read greedily from its top bit down:
+        the masks that agree above `bit` (setting k bits there), clear it and
+        set any j of the bits below hold C(bit, j) * g^(k + j + 1) patterns,
+        which sum to g^(k + 1) * (1 + g)^bit, a product of two table entries.
+        Decoding costs O(m) small-int steps.  The window of each rank set is
+        built once and then reused from a bounded cache (ranks <= 7 hold only
+        127 windows); the pattern still validates it.
         """
         if n < 1:
             raise ValueError("pattern index must be >= 1")
-        g = self._g
-        m = 1
-        while self._group_total(m) < n:
-            m += 1
-            if m > _MAX_RANK:
-                raise ValueError("pattern index too large to decode")
-        offset = n - self._group_total(m - 1) - 1
+        totals, powers, g = self._totals, self._powers, self._g
+        m = bisect_left(totals, n)
+        if m > _MAX_RANK:
+            raise ValueError("pattern index too large to decode")
+        offset = n - totals[m - 1] - 1
         ranks = []
         for bit in range(m - 2, -1, -1):
-            before = self._before(bit, len(ranks))
+            before = powers[len(ranks) + 1] * (totals[bit] + 1)
             if offset >= before:
                 offset -= before
                 ranks.append(bit + 1)
         ranks.reverse()
         ranks.append(m)
-        symbols = []
+        alphabet, symbols = self.alphabet.symbols, []
         for _ in ranks:
             offset, d = divmod(offset, g)
-            symbols.append(self.alphabet.symbols[d])
+            symbols.append(alphabet[d])
         symbols.reverse()  # lex order: earliest rank varies slowest
         return CylinderPattern(_window(self.domain, tuple(ranks)), tuple(symbols))
 
     def rank_of(self, pattern: CylinderPattern) -> int:
-        """The n with pattern(n) == pattern; ValueError past rank _MAX_RANK."""
-        g = self._g
-        ranks = sorted(rank_of(self.domain, i) for i in pattern.window)
+        """The n with pattern(n) == pattern; ValueError past rank _MAX_RANK or
+        for a symbol outside the alphabet."""
+        totals, powers = self._totals, self._powers
         by_rank = {rank_of(self.domain, i): s for i, s in pattern.items()}
+        ranks = sorted(by_rank)
         m = ranks[-1]
         if m > _MAX_RANK:
             raise ValueError("pattern index too large to decode")
         offset = 0
         for chosen, r in enumerate(reversed(ranks[:-1])):
-            offset += self._before(r - 1, chosen)
-        value = 0
-        for r in ranks:
-            value = value * g + self.alphabet.symbols.index(by_rank[r])
-        return self._group_total(m - 1) + offset + value + 1
+            offset += powers[chosen + 1] * (totals[r - 1] + 1)
+        value = _word_number(self._digits, [by_rank[r] for r in ranks])
+        return totals[m - 1] + offset + value + 1
+
+
+def _digits(alphabet: Alphabet) -> dict[str, int]:
+    """Each symbol's position in the alphabet: its digit in base g."""
+    return {s: d for d, s in enumerate(alphabet.symbols)}
+
+
+def _word_number(digits: dict[str, int], symbols: Sequence[str]) -> int:
+    """The word read as a base-g number, first symbol most significant;
+    ValueError for a symbol outside the alphabet."""
+    g, value = len(digits), 0
+    for s in symbols:
+        d = digits.get(s)
+        if d is None:
+            raise ValueError(f"symbol {s!r} is not in the alphabet")
+        value = value * g + d
+    return value
 
 
 @lru_cache(maxsize=1024)
@@ -468,31 +481,42 @@ class LengthLexWord(Configuration):
     def __init__(self, alphabet: Alphabet):
         self.domain = INTEGERS
         self.alphabet = alphabet
+        self._digits = _digits(alphabet)
+        self._starts = [0, 0]  # _starts[L]: coordinate where the words of length L begin
+
+    def _grow(self) -> None:
+        """Append the start of the next word length: words of length j take
+        j * g^j coordinates."""
+        starts, g = self._starts, len(self._digits)
+        j = len(starts) - 1
+        starts.append(starts[-1] + j * g ** j)
 
     def symbol_at(self, index: Index) -> str:
         c = index.coord
         if c < 0:
             return self.alphabet.symbols[0]
-        g = len(self.alphabet.symbols)
-        length, acc = 1, 0
-        while True:
-            block = length * g ** length
-            if c < acc + block:
-                word_i, offset = divmod(c - acc, length)
-                digit = word_i // g ** (length - 1 - offset) % g
-                return self.alphabet.symbols[digit]
-            acc += block
+        starts = self._starts
+        while starts[-1] <= c:
+            self._grow()
+        length = 1
+        while starts[length + 1] <= c:
             length += 1
+        word_i, offset = divmod(c - starts[length], length)
+        g = len(self._digits)
+        return self.alphabet.symbols[word_i // g ** (length - 1 - offset) % g]
 
     def word_start(self, symbols: Sequence[str]) -> int:
-        """Coordinate where `symbols` begins as a whole catalog word."""
-        g = len(self.alphabet.symbols)
-        length = len(symbols)
-        acc = sum(j * g ** j for j in range(1, length))
-        word_i = 0
-        for s in symbols:
-            word_i = word_i * g + self.alphabet.symbols.index(s)
-        return acc + word_i * length
+        """Coordinate where `symbols` begins as a whole catalog word.
+
+        The words of length L begin at sum of j * g^j over j < L, read from a
+        prefix list that grows the first time a longer word is asked for;
+        the word's own index among them is its base-g number, with digits
+        from a symbol -> digit table.  ValueError for a symbol outside the
+        alphabet."""
+        length, starts = len(symbols), self._starts
+        while len(starts) <= length:
+            self._grow()
+        return starts[length] + _word_number(self._digits, symbols) * length
 
 
 def full_shift_transitive_point(alphabet: Alphabet) -> LengthLexWord:
@@ -521,11 +545,11 @@ def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,
     # the source must realize the pattern on the full +-N orbit window of the
     # anchor; unconstrained coordinates there may read anything, so fill with q
     offsets = window_offsets(m, anchor, tuple(pattern.window))
-    n_rad = None if offsets is None else max(abs(offset) for offset in offsets)
+    n_rad = None if offsets is None else max(map(abs, offsets))
     if n_rad is None or n_rad > 64:
         raise ValueError(f"window {pattern.window!r} not within reach of the anchor")
-    want = dict(zip(offsets, pattern.symbols))
-    word = [want.get(i, spec.alphabet.q) for i in range(-n_rad, n_rad + 1)]
+    want, q = dict(zip(offsets, pattern.symbols)), spec.alphabet.q
+    word = [want.get(i, q) for i in range(-n_rad, n_rad + 1)]
     # splice offset j reads the source at coordinate anchor + j, so offset i of
     # the window sits at splice offset h + i when the word starts at anchor + h - N
     h = source.word_start(word) + n_rad - anchor.coord

@@ -69,6 +69,19 @@ class RankRangeError(ValueError):
     """Enumeration rank outside a finite domain."""
 
 
+class _StoredHash:
+    """A record's hash, computed on first read and written into the instance
+    dict, which shadows this non-data descriptor from then on: later reads
+    are plain attribute reads.  Unlike `functools.cached_property` it takes
+    no lock, and most records (fresh coordinates) are hashed only once."""
+
+    def __get__(self, record, owner):
+        if record is None:  # read on the class
+            return self
+        value = record.__dict__["_hash"] = hash(record._values())
+        return value
+
+
 class Record:
     """Base of the package's records: named fields, equality, hash and repr.
 
@@ -131,9 +144,7 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    @cached_property
-    def _hash(self) -> int:  # records key lru caches: hash each one once
-        return hash(self._values())
+    _hash = _StoredHash()
 
     def __hash__(self) -> int:
         return self._hash

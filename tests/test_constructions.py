@@ -1,6 +1,7 @@
 """Block-length recurrences, almost-disjoint families, and the three constructions."""
 
 import hashlib
+import itertools
 import random
 import time
 
@@ -385,6 +386,30 @@ def test_word_start_lands_on_the_word():
         assert tuple(w.symbol_at(ix(start + k)) for k in range(len(word))) == word
 
 
+@pytest.mark.parametrize("symbols, longest", [(("p", "q"), 8), (("p", "q", "r"), 5)])
+def test_word_start_lands_on_every_word(symbols, longest):
+    # the catalog, spelled out: every word of each length in lex order
+    w = full_shift_transitive_point(Alphabet(symbols, "p", "q"))
+    spelled = [word for length in range(1, longest + 1)
+               for word in itertools.product(symbols, repeat=length)]
+    catalog = [s for word in spelled for s in word]
+    assert [w.symbol_at(ix(c)) for c in range(len(catalog))] == catalog
+    start = 0
+    for word in spelled:
+        assert w.word_start(word) == start, word
+        assert tuple(w.symbol_at(ix(start + k)) for k in range(len(word))) == word
+        start += len(word)
+
+
+def test_a_symbol_outside_the_alphabet_has_no_word_or_pattern_number():
+    w = full_shift_transitive_point(ALPHA)
+    with pytest.raises(ValueError, match="'r' is not in the alphabet"):
+        w.word_start((P, "r"))
+    en = pattern_enumeration(ALPHA, INTEGERS)
+    with pytest.raises(ValueError, match="'r' is not in the alphabet"):
+        en.rank_of(pattern_from_ranks(INTEGERS, (1, 2), (P, "r")))
+
+
 def test_single_q_pattern_entered_at_shift_one():
     w = full_shift_transitive_point(ALPHA)
     pat = pattern_from_ranks(INTEGERS, (1,), (Q,))
@@ -525,11 +550,14 @@ def test_a_window_out_of_reach_has_no_entry_exponent(window):
 def test_an_entry_exponent_past_the_block_ceiling_is_refused(coord):
     # a window at offset 5 needs 30,000 to 41,000 blocks; the lengths stop at
     # 10,000, which take about 165 MB
+    # (refused before a block is built: the shared segment ends do not grow)
     m, spec, source, members = _weave_setup()
+    ends = list(spec.lengths._ends)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="past the 10000-block ceiling"):
         weave_entry_exponent(spec, source, CylinderPattern((ix(coord),), (P,)))
     assert time.perf_counter() - start < 1
+    assert spec.lengths._ends == ends
 
 
 # sha256 of the hex exponents of patterns 1..80, one per line, on block_lengths(12, "weave")
