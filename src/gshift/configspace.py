@@ -18,6 +18,7 @@ from .indexspace import (
     IndexDomain,
     Record,
     SelfMap,
+    chain_coordinates,
     contains,
     domain_size,
     enumerate_index,
@@ -181,31 +182,25 @@ class OrbitBlocks(Configuration):
     forward orbit shows q.
 
     Weave variant: after block r, a splice of r symbols of a supplied source
-    configuration is written, read along the anchor's own orbit prefix.  Those
-    reads are cached in `source_cache`; members that share a source and an
-    anchor may share one cache, so each source symbol is read once.
+    is written, symbol j read at coordinate origin + j, origin the anchor's
+    chain offset (no chain coordinates: PreconditionError).  The reads are
+    cached in `source_cache`; members that share a source and an anchor may
+    share one cache, so each source symbol is read once.
 
     Where block r and its splice sit is not computed here: `lengths.locate`
     maps an orbit position to (r, offset, in_splice), from the one segment-end
     list that every member built on the same lengths object shares.
 
-    `runs_along` reads the orbit one run per block and one per splice symbol.
-    A walk that starts off the orbit is one q run when `orbits.never_joins`
-    certifies it never joins (another union side, a finite orbit against an
-    infinite anchor orbit, or an injective map whose two orbits miss each
-    other's start); otherwise it is stepped until it joins, or to the count.
-    The layout keeps each walk's runs along its own map, keyed by start: the
-    longest read so far serves every shorter one, cut at its count.
+    `runs_along` reads the orbit one run per block and one per splice symbol;
+    a walk off the orbit is one q run when `orbits.never_joins` certifies it,
+    else stepped until it joins.  Each walk's runs along the layout's own map
+    are kept by start: the longest read serves every shorter one, cut short.
 
     A shifted read (`symbols_after`) along the layout's own map reads each
-    index's signed offset k from the anchor off `orbits.window_offsets`, the
-    one closed-form offset resolution, kept per window: a weave entry check
-    resolves its pattern's window once, for the exponent and for every
-    member.  The index then reads orbit position power + k without building
-    the shifted coordinate, and a window whose positions share one splice is
-    located once and read from the shared source cache.  A map without a
-    closed-form position, an index off the domain or off the anchor's
-    two-sided chain, or a negative power iterates the map first.
+    index at orbit position power + k, k its signed offset from the anchor
+    (`orbits.window_offsets`, resolved once per window), without building the
+    shifted coordinate.  A window without offsets there, or a negative power,
+    iterates the map first.
 
     The anchor must have a proven infinite orbit (PreconditionError, a
     ValueError, otherwise).
@@ -224,13 +219,18 @@ class OrbitBlocks(Configuration):
         self.weave_source = weave_source
         if (lengths.variant == "weave") != (weave_source is not None):
             raise ValueError("weave layout and weave source must come together")
+        if weave_source is not None:
+            coords = chain_coordinates(m, anchor)
+            if coords is None:
+                raise PreconditionError(f"a {m.rule!r} map has no chain coordinates to weave along")
+            self._origin = coords[1]
         self._source_cache = {} if source_cache is None else source_cache
         self._walks: dict[Index, tuple[int, list[Run]]] = {}  # start -> (count, runs)
 
     def _source_symbol(self, j: int) -> str:
         hit = self._source_cache.get(j)
         if hit is None:
-            hit = self.weave_source.symbol_at(iterate(self.map, self.anchor, j))
+            hit = self.weave_source.symbol_at(Index((), self._origin + j))
             self._source_cache[j] = hit
         return hit
 

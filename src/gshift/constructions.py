@@ -19,9 +19,9 @@ from .indexspace import (
     IndexDomain,
     Record,
     SelfMap,
+    chain_coordinates,
     enumerate_index,
     rank_of,
-    successor,
 )
 from .orbits import classify_point, map_profile, orbit_position, window_offsets
 from .configspace import (
@@ -530,32 +530,32 @@ def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,
     Recipe: take each window coordinate's signed offset i (the coordinate is
     phi^i(anchor)) from `orbits.window_offsets`, with N = max |i|; a window
     with N > 64, or with a coordinate off the domain or off the anchor's
-    chain, raises ValueError.  Find the shift h > N at which the source, read
-    from the anchor on, matches the pattern on the radius-N orbit window; the
-    splice after block h+N+1 replays the source at phi^j(anchor) for
-    j <= h+N, so the member enters the cylinder at exponent l + h where l is
-    that splice's starting position.  The offsets stay cached per window, so
-    the members' shifted reads of the pattern do not resolve them again.
+    chain (any, on a map without chain coordinates), raises ValueError.
+    Splice offset j reads the source at origin + j, origin the anchor's chain
+    offset.  Find the shift h > N at which the source, read from origin on,
+    matches the pattern on the radius-N orbit window; the splice after block
+    h+N+1 replays it for j <= h+N, so the member enters the cylinder at
+    exponent l + h where l is that splice's starting position.  The offsets
+    stay cached per window for the members' shifted reads.
     """
     if not isinstance(source, LengthLexWord):
         raise ValueError("entry bound needs the length-lex source")
     m, anchor = spec.map, spec.anchor
-    if m != successor():
-        raise ValueError("entry bound is implemented for translation layouts")
     # the source must realize the pattern on the full +-N orbit window of the
     # anchor; unconstrained coordinates there may read anything, so fill with q
     offsets = window_offsets(m, anchor, tuple(pattern.window))
     n_rad = None if offsets is None else max(map(abs, offsets))
     if n_rad is None or n_rad > 64:
         raise ValueError(f"window {pattern.window!r} not within reach of the anchor")
+    origin = chain_coordinates(m, anchor)[1]
     want, q = dict(zip(offsets, pattern.symbols)), spec.alphabet.q
     word = [want.get(i, q) for i in range(-n_rad, n_rad + 1)]
-    # splice offset j reads the source at coordinate anchor + j, so offset i of
-    # the window sits at splice offset h + i when the word starts at anchor + h - N
-    h = source.word_start(word) + n_rad - anchor.coord
+    # offset i of the window sits at splice offset h + i when the word starts
+    # at source coordinate origin + h - N
+    h = source.word_start(word) + n_rad - origin
     while h <= n_rad:  # pad the word on the right until the occurrence lands deeper
         word.append(spec.alphabet.symbols[0])
-        h = source.word_start(word) + n_rad - anchor.coord
+        h = source.word_start(word) + n_rad - origin
     return spec.lengths.horizon(h + n_rad + 1) + h
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "evaluate",
     "iterate",
     "preimage",
+    "chain_coordinates",
     "parse_map_spec",
     "map_spec",
     "format_index",
@@ -350,7 +351,8 @@ class SelfMap(Record):
     rule: "table" on a finite range, one of CATALOG_RULES on the integers,
     "compose" (outer after inner), or "disjoint_union" routing by tag.
     record: the map's entry in the rule table, built on first read; a composition
-    of translations (at any depth) gets the translation record of its closed form.
+    of translations (at any depth) gets the translation record of its closed form,
+    and a map with a `table` (two tables composed, too) the table record.
     """
 
     domain: IndexDomain
@@ -376,8 +378,9 @@ class SelfMap(Record):
 
     @cached_property
     def record(self) -> "Rule":
-        record = _composed(self.outer.record, self.inner.record) if self.outer is not None else None
-        return record or RULES[self.rule]
+        if self.outer is not None and self.table is None:
+            return _composed(self.outer.record, self.inner.record) or RULES["compose"]
+        return RULES["table" if self.table is not None else self.rule]
 
 
 def table_map(entries) -> SelfMap:
@@ -448,10 +451,11 @@ def parity_down() -> SelfMap:
 
 
 def compose_maps(outer: SelfMap, inner: SelfMap) -> SelfMap:
-    """The map sending idx to outer(inner(idx)); both on the same domain."""
+    """The map sending idx to outer(inner(idx)), on their shared domain; tables tabulate."""
     if outer.domain != inner.domain:
         raise DomainMismatchError("composition requires a shared domain")
-    return SelfMap(outer.domain, "compose", outer=outer, inner=inner)
+    table = None if None in (outer.table, inner.table) else tuple(map(outer.table.__getitem__, inner.table))
+    return SelfMap(outer.domain, "compose", table, outer, inner)
 
 
 def disjoint_union_maps(left: SelfMap, right: SelfMap) -> SelfMap:
@@ -581,47 +585,45 @@ class Rule(Record):
     step(m, index) applies the map once.  The rest are certified shortcuts,
     each optional: iterate(m, index, steps) is a closed form (else explicit
     stepping under DEFAULT_STEP_BUDGET), preimage(m, index) a certified
-    inverse (else ValueError), position(m, anchor, target) a closed-form orbit
-    position (else a bounded walk), facts the certified dynamics (else
-    search).  grows: once |coord| >= 2, after two steps, magnitudes strictly
-    increase, so a walk that passes |target| settles orbit membership.
-    shift: the steps (d0, d1) of a translation n -> n + d[n mod 2].
+    inverse (else ValueError), chain(m, index) the coordinates (key, offset,
+    period) every closed-form orbit answer is read from (else a walk): index
+    is phi^offset of its chain's base point, indices share an orbit iff
+    their keys are equal, period is a cycle's length (None on a chain).
+    facts: the certified dynamics (else search).  grows: once |coord| >= 2,
+    magnitudes strictly increase after two steps, so a walk that passes
+    |target| settles orbit membership.  shift: the steps (d0, d1) of a
+    translation n -> n + d[n mod 2].
     """
 
     name: str
     step: Callable[[SelfMap, Index], Index]
     iterate: Optional[Callable[[SelfMap, Index, int], Index]] = None
     preimage: Optional[Callable[[SelfMap, Index], Optional[Index]]] = None
-    position: Optional[Callable[[SelfMap, Index, Index], Optional[int]]] = None
+    chain: Optional[Callable[[SelfMap, Index], Optional[tuple]]] = None
     facts: Optional[RuleFacts] = None
     grows: bool = False
     shift: Optional[tuple[int, int]] = None
 
 
-def _exact_quotient(offset: int, stride: int) -> Optional[int]:
-    """The j >= 0 with j * stride == offset, if any."""
-    if stride == 0:
-        return 0 if offset == 0 else None
-    if stride in (1, -1):  # a long division by 1 costs ~30x a negation on 10^4000
-        j = offset if stride == 1 else -offset
-    else:
-        j, rem = divmod(offset, stride)
-        if rem:
-            return None
-    return j if j >= 0 else None
+def chain_coordinates(m: SelfMap, index: Index) -> Optional[tuple]:
+    """The index's (key, offset, period) under the map (see `Rule`), or None."""
+    chain = m.record.chain
+    return None if chain is None else chain(m, index)
 
 
 def _translation(name: str, d0: int, d1: int, note: str) -> Rule:
     """n -> n + d[n mod 2] with d0 = d1 (mod 2).
 
     Each step moves by d[n mod 2] for good when d0 = d1 or both are even
-    (parity is kept): a class with a zero step is fixed, one with a nonzero
-    step drifts.  Odd unequal steps flip parity, so they alternate and every
-    two steps add d0 + d1.  `note` certifies the orbit shape: the
-    periodicity, or the drift when no point returns.
+    (parity is kept): a class with a zero step is fixed, one with step s
+    drifts along the chain n mod |s|.  Odd unequal steps alternate, so every
+    two steps add lap = d0 + d1, along the chain e mod |lap| of the even
+    e = n or n - d0 (a two-cycle when lap = 0).  `note` certifies the orbit
+    shape: the periodicity, or the drift when no point returns.
     """
     assert d0 % 2 == d1 % 2
     d = (d0, d1)
+    lap = d0 + d1
     alternating = d0 != d1 and d0 % 2 == 1
 
     def step(m: SelfMap, index: Index) -> Index:
@@ -629,35 +631,31 @@ def _translation(name: str, d0: int, d1: int, note: str) -> Rule:
 
     def iterate(m: SelfMap, index: Index, steps: int) -> Index:
         n = index.coord
-        first = d[n & 1]
         if alternating:
-            n += (steps >> 1) * (d0 + d1) + (steps & 1) * first
-        elif first in (1, -1):  # skip a big-int multiply: entry-weave run_s +10% without
-            n = n + steps if first == 1 else n - steps
+            n += (steps >> 1) * lap + (steps & 1) * d[n & 1]
         else:
-            n += steps * first
+            n += steps * d[n & 1]
         return Index((), _check_bits(n))
 
     def preimage(m: SelfMap, index: Index) -> Index:
         n = index.coord  # its source has the parity of n + d0
         return Index((), n - d[(n + d0) & 1])
 
-    def position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
-        a = anchor.coord
-        first = d[a & 1]
-        offset = target.coord - a if a else target.coord  # x - 0 copies a 10^4000 int
-        if not alternating:
-            return _exact_quotient(offset, first)
-        # 2j + r steps reach anchor + r * first + j * (d0 + d1)
-        laps = (_exact_quotient(offset, d0 + d1), _exact_quotient(offset - first, d0 + d1))
-        return min((2 * j + r for r, j in enumerate(laps) if j is not None), default=None)
+    def chain(m: SelfMap, index: Index) -> tuple:
+        # n lies `past` steps after e, and every `turn` steps from e add `stride`
+        n = index.coord
+        e, stride, turn, past = ((n - d0 * (n & 1), lap, 2, n & 1) if alternating
+                                 else (n, d[n & 1], 1, 0))
+        if stride == 0:  # a cycle of `turn` points through e
+            return e, past, turn
+        key = e % abs(stride)
+        return key, turn * (e - key) // stride + past, None
 
-    fixed = [c for c in (0, 1) if d[c] == 0]
-    period = 1 if fixed else 2 if alternating and d0 + d1 == 0 else None
-    parity = fixed[0] if len(fixed) == 1 else None
-    facts = RuleFacts(True, note, period=period, period_parity=parity,
+    p0, p1 = (chain(None, Index((), c))[2] for c in (0, 1))  # each parity class's period
+    parity = None if p0 == p1 else int(p0 is None)
+    facts = RuleFacts(True, note, period=p0 or p1, period_parity=parity,
                       nqp_witness=0 if parity is None else 1 - parity)
-    return Rule(name, step, iterate, preimage, position, facts, shift=d)
+    return Rule(name, step, iterate, preimage, chain, facts, shift=d)
 
 
 def _composed(outer: Rule, inner: Rule) -> Optional[Rule]:
@@ -700,9 +698,9 @@ def _table_preimage(m: SelfMap, index: Index) -> Optional[Index]:
     return Index((), hits[0]) if hits else None
 
 
-def _table_position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
-    points, _ = cycle_walk(m.table.__getitem__, anchor.coord, len(m.table))
-    return points.index(target.coord) if target.coord in points else None
+def _union_chain(m: SelfMap, index: Index) -> Optional[tuple]:
+    coords = route(m, index, chain_coordinates)  # the owning side's, keyed by its tag
+    return coords and ((index.path[0], coords[0]),) + coords[1:]
 
 
 RULES = {rule.name: rule for rule in (
@@ -725,11 +723,11 @@ RULES = {rule.name: rule for rule in (
     _translation("parity_up", 1, -1, "involution pairing"),
     _translation("parity_down", -1, 1, "involution pairing"),
     Rule("table", lambda m, index: Index((), m.table[index.coord]),
-         _table_power, _table_preimage, _table_position),
+         _table_power, _table_preimage),
     Rule("compose", lambda m, index: _step(m.outer, _step(m.inner, index))),
     Rule("disjoint_union", lambda m, index: route(m, index, _step),
          lambda m, index, steps: route(m, index, _iterate, steps),
-         lambda m, index: route(m, index, preimage)),
+         lambda m, index: route(m, index, preimage), _union_chain),
 )}
 
 CATALOG_RULES = tuple(name for name, rule in RULES.items() if rule.facts is not None)

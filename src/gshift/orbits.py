@@ -19,8 +19,10 @@ from .indexspace import (
     Index,
     Record,
     SelfMap,
+    chain_coordinates,
     contains,
     cycle_walk,
+    domain_size,
     evaluate,
     region_indices,
     route,
@@ -51,7 +53,7 @@ PROVEN_FALSE = "proven_false"
 UNKNOWN = "unknown"
 
 DEFAULT_BUDGET = 4096
-WALK_STEPS = 512  # steps orbit_position walks on a map without a closed-form position
+WALK_STEPS = 512  # steps orbit_position walks on an infinite domain without chain coordinates
 
 
 class UnresolvedOrbitError(RuntimeError):
@@ -416,19 +418,30 @@ def chain_decomposition(m: SelfMap, bound: int, budget: int = DEFAULT_BUDGET) ->
 # ---------------------------------------------------------------------------
 
 
+def _steps(a: tuple, t: Optional[tuple]) -> Optional[int]:
+    """Signed steps from chain coordinates a to t (forward on a cycle), or None."""
+    if t is None or a[0] != t[0]:
+        return None
+    k = t[1] - a[1]
+    return k if a[2] is None else k % a[2]
+
+
 def orbit_position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
-    """Position n >= 0 with iterate(m, anchor, n) == target, or None when off-orbit."""
+    """Position n >= 0 with iterate(m, anchor, n) == target, or None when off-orbit;
+    read off chain coordinates, else walked (exactly, on a finite domain)."""
     if anchor.path != target.path:
         return None
     if m.left is not None:
         return route(m, anchor, orbit_position, Index(target.path[1:], target.coord))
     rule = m.record
-    if rule.position is not None:
-        return rule.position(m, anchor, target)
+    if rule.chain is not None:
+        k = _steps(rule.chain(m, anchor), rule.chain(m, target))
+        return None if k is None or k < 0 else k
     # bounded walk, exact only when found; a growing rule also settles a miss
     # once magnitudes pass |target|; otherwise refuse to guess
+    size = domain_size(m.domain)
     cur = anchor
-    for n in range(WALK_STEPS + 1):
+    for n in range(WALK_STEPS + 1 if size is None else size):
         if cur == target:
             return n
         if rule.grows and n >= 2 and abs(cur.coord) >= 2 and abs(cur.coord) > abs(target.coord):
@@ -437,9 +450,9 @@ def orbit_position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
             cur = evaluate(m, cur)
         except BudgetExceededError as exc:
             raise UnresolvedOrbitError(str(exc)) from exc
-    if rule.grows:
-        raise UnresolvedOrbitError(f"growth walk exhausted after {WALK_STEPS} steps")
-    raise UnresolvedOrbitError(f"orbit membership of {target!r} undecided within {WALK_STEPS} steps")
+    if size is None:
+        raise UnresolvedOrbitError(f"orbit membership of {target!r} undecided within {WALK_STEPS} steps")
+    return None
 
 
 def never_joins(m: SelfMap, walker: Index, anchor: Index) -> bool:
@@ -475,26 +488,14 @@ def window_offsets(m: SelfMap, anchor: Index,
     """Signed steps k from the anchor to each index of a window, in window order:
     phi^k(anchor) == index when k >= 0, phi^-k(index) == anchor when k < 0.
 
-    The one closed-form offset resolution: read off the record's closed-form
-    orbit position (every translation, composed ones included), forward first,
-    then backward.  None when the record has no closed form (a union, a
-    composition that is not a translation, a growing rule), or an index is
-    off the domain or off the anchor's two-sided chain.  Kept per (map,
+    The one closed-form offset resolution, one chain-coordinate read per
+    index; None when the map has no chain coordinates (see `Rule`) or an
+    index is off the domain or off the anchor's chain.  Kept per (map,
     anchor, window) in a bounded cache: a weave entry check resolves its
     pattern's window once, for the exponent and for every member's read.
     """
-    position = m.record.position
-    if position is None:
+    origin = chain_coordinates(m, anchor)
+    if origin is None or not all(contains(m.domain, index) for index in window):
         return None
-    out = []
-    for index in window:
-        if not contains(m.domain, index):
-            return None
-        k = position(m, anchor, index)
-        if k is None:
-            back = position(m, index, anchor)
-            if back is None:
-                return None
-            k = -back
-        out.append(k)
-    return tuple(out)
+    out = tuple(_steps(origin, m.record.chain(m, index)) for index in window)
+    return None if None in out else out

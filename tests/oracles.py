@@ -16,7 +16,7 @@ from gshift.indexspace import (
     preimage,
     region_indices,
 )
-from gshift.orbits import MapProfile, orbit_position, proven_false, proven_true
+from gshift.orbits import MapProfile, proven_false, proven_true
 from gshift.stats import orbit_window
 
 
@@ -138,13 +138,15 @@ def bisected_location(variant: str, position: int) -> tuple[int, int, bool]:
 
 def walked_signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
                               radius: int) -> Optional[int]:
-    """The signed orbit index of target by stepping: its forward orbit
-    position from the anchor when that is at most radius, else the first of
-    up to radius certified preimages of the anchor that equals target,
-    counted negatively."""
-    pos = orbit_position(m, anchor, target)
-    if pos is not None and pos <= radius:
-        return pos
+    """The signed orbit index of target by stepping: the first of up to radius
+    forward steps from the anchor that lands on target, else the first of up
+    to radius certified preimages of the anchor that equals target, counted
+    negatively."""
+    cur = anchor
+    for i in range(radius + 1):
+        if cur == target:
+            return i
+        cur = evaluate(m, cur)
     cur = anchor
     for i in range(1, radius + 1):
         cur = preimage(m, cur)

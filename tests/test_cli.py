@@ -273,6 +273,16 @@ def test_verify_skips_construction_for_non_chaotic_map(tmp_path, capsys):
     assert "SKIP construction" in out
 
 
+def test_a_composition_of_two_tables_verifies_as_a_table(tmp_path, capsys):
+    cfg = {"map": {"rule": "compose", "outer": {"rule": "table", "entries": [1, 2, 0]},
+                   "inner": {"rule": "table", "entries": [0, 0, 1]}}}
+    assert _run(tmp_path, "verify", config=cfg) == 0
+    out = capsys.readouterr().out
+    assert "SKIP construction" in out and "INCONCLUSIVE" not in out
+    blob = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert blob["map"] == cfg["map"]
+
+
 # compositions of translations have closed forms: n -> n + 2, and (2, 0), which
 # fixes the odd points and drifts the even ones (chaotic, but not densely)
 @pytest.mark.parametrize("inner", ["successor", "parity_up"])

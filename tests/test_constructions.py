@@ -18,6 +18,7 @@ from gshift.indexspace import (
     ix,
     rank_of,
     iterate,
+    parity_down,
     parity_up,
     predecessor,
     square,
@@ -509,14 +510,15 @@ def test_an_entry_check_locates_its_window_once_for_both_members(monkeypatch):
 
 
 def test_an_entry_check_resolves_each_window_once(monkeypatch):
-    # ranks <= 7 give 2,186 patterns over 127 windows: each window index costs
-    # one closed-form lookup, or two for a coordinate behind the anchor
+    # ranks <= 7 give 2,186 patterns over 127 windows: a window costs one
+    # chain-coordinate read per index and one for the anchor, and each
+    # exponent and member reads the anchor's chain offset once more
     from gshift.orbits import window_offsets
     m = successor()
-    lookups = []
-    position = m.record.position
-    monkeypatch.setitem(m.record.__dict__, "position",
-                        lambda *args: lookups.append(None) or position(*args))
+    reads = []
+    chain = m.record.chain
+    monkeypatch.setitem(m.record.__dict__, "chain",
+                        lambda *args: reads.append(None) or chain(*args))
     window_offsets.cache_clear()
     spec = ScrambledFamilySpec(m, (ix(0),), ALPHA, block_lengths(16, "weave"),
                                almost_disjoint_family(2), "weave")
@@ -530,7 +532,7 @@ def test_an_entry_check_resolves_each_window_once(monkeypatch):
         expo = weave_entry_exponent(spec, source, pat)
         assert all(in_cylinder(shifted(x, m, expo), pat) for x in members), n
     assert len(windows) == 127
-    assert len(lookups) <= 2 * sum(map(len, windows))
+    assert len(reads) == sum(len(w) + 1 for w in windows) + 3 ** 7 - 1 + len(members)
 
 
 @pytest.mark.parametrize("window", [
@@ -583,17 +585,69 @@ def test_a_hand_built_successor_gets_the_shared_maps_exponents():
     source = full_shift_transitive_point(ALPHA)
     pat = pattern_enumeration(ALPHA, INTEGERS).pattern(40)
 
-    def exponent(m):
-        spec = ScrambledFamilySpec(m, (ix(3),), ALPHA, block_lengths(12, "weave"),
+    def spec_for(m):
+        return ScrambledFamilySpec(m, (ix(3),), ALPHA, block_lengths(12, "weave"),
                                    almost_disjoint_family(2), "weave")
-        return weave_entry_exponent(spec, source, pat)
 
     hand_built = SelfMap(INTEGERS, "successor")
     assert hand_built is not successor() and hand_built == successor()
-    assert exponent(hand_built) == exponent(successor())
-    for m in (predecessor(), compose_maps(successor(), successor())):
-        with pytest.raises(ValueError, match="translation layouts"):
-            exponent(m)
+    assert (weave_entry_exponent(spec_for(hand_built), source, pat)
+            == weave_entry_exponent(spec_for(successor()), source, pat))
+    # n -> n - 1 has one chain: its exponent is confirmed by the members
+    spec = spec_for(predecessor())
+    expo = weave_entry_exponent(spec, source, pat)
+    assert all(in_cylinder(shifted(x, spec.map, expo), pat)
+               for x in transitive_weave_family(spec, source))
+    # n -> n + 2 keeps parity: pattern 40's window holds coordinates of both
+    # parities, so some lie off the chain of the odd anchor
+    assert {i.coord % 2 for i in pat.window} == {0, 1}
+    with pytest.raises(ValueError, match="not within reach"):
+        weave_entry_exponent(spec_for(compose_maps(successor(), successor())), source, pat)
+
+
+# n -> n - 1, and n -> n + (3, -1)[n mod 2] (successor after parity_down after
+# parity_up): translations with one chain each, read by chain offset
+ONE_CHAIN_MAPS = {
+    "predecessor": predecessor(),
+    "s.d.u": compose_maps(successor(), compose_maps(parity_down(), parity_up())),
+}
+
+
+@pytest.mark.parametrize("anchor", [0, 3, -2])
+@pytest.mark.parametrize("name", sorted(ONE_CHAIN_MAPS))
+def test_a_one_chain_weave_enters_the_first_80_cylinders(name, anchor):
+    m = ONE_CHAIN_MAPS[name]
+    spec = ScrambledFamilySpec(m, (ix(anchor),), ALPHA, block_lengths(12, "weave"),
+                               almost_disjoint_family(2), "weave")
+    source = full_shift_transitive_point(ALPHA)
+    members = transitive_weave_family(spec, source)
+    en = pattern_enumeration(ALPHA, INTEGERS)
+    for n in range(1, 81):
+        pat = en.pattern(n)
+        expo = weave_entry_exponent(spec, source, pat)
+        assert all(in_cylinder(shifted(x, m, expo), pat) for x in members), (n, expo)
+
+
+def test_the_splices_along_predecessor_replay_the_source():
+    # position j of the anchor 0's orbit is coordinate -j; the splice after
+    # block 6 reads the source at chain offsets 0..5, not at coordinates 0..-5
+    m = predecessor()
+    spec = ScrambledFamilySpec(m, (ix(0),), ALPHA, block_lengths(8, "weave"),
+                               almost_disjoint_family(2), "weave")
+    source = full_shift_transitive_point(ALPHA)
+    start = spec.lengths.horizon(6)
+    for x in transitive_weave_family(spec, source):
+        splice = [x.symbol_at(ix(-(start + j))) for j in range(6)]
+        assert splice == [source.symbol_at(ix(j)) for j in range(6)] == list("pqpppq")
+
+
+def test_a_weave_needs_chain_coordinates():
+    # n -> n^2 + 1 has none: its orbits are infinite, but no weave is laid out
+    m = square_plus_one()
+    lengths = block_lengths(4, "weave")
+    with pytest.raises(PreconditionError, match="no chain coordinates"):
+        OrbitBlocks(m, ix(0), lengths, ExplicitBlockSet(frozenset({1})), ALPHA,
+                    weave_source=full_shift_transitive_point(ALPHA))
 
 
 # ---------------------------------------------------------------------------

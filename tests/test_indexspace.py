@@ -367,9 +367,22 @@ def test_preimage_rejects_non_injective_table():
 
 
 def test_a_composition_that_is_not_a_translation_has_no_certified_inverse():
-    swap = table_map((1, 0))
     with pytest.raises(ValueError, match="'compose'"):
-        preimage(compose_maps(swap, swap), ix(0))
+        preimage(compose_maps(square(), predecessor()), ix(0))
+    # a composition of two tables is the table of its composed entries
+    swap = table_map((1, 0))
+    assert preimage(compose_maps(swap, swap), ix(0)) == ix(0)
+
+
+def test_a_composition_of_two_tables_is_tabulated():
+    outer, inner = table_map((1, 2, 0)), table_map((0, 0, 1))
+    m = compose_maps(outer, inner)
+    assert (m.rule, m.table, m.record.name) == ("compose", (1, 1, 2), "table")
+    assert parse_map_spec(map_spec(m)) == m
+    assert [evaluate(m, ix(i)) for i in range(3)] == [
+        evaluate(outer, evaluate(inner, ix(i))) for i in range(3)]
+    deeper = compose_maps(outer, m)
+    assert deeper.table == (2, 2, 0)
 
 
 # ---------------------------------------------------------------------------

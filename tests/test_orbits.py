@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gshift.indexspace import (
     Index,
+    chain_coordinates,
     compose_maps,
     disjoint_union_maps,
     evaluate,
@@ -20,6 +21,7 @@ from gshift.indexspace import (
     parity_down,
     parity_up,
     predecessor,
+    region_indices,
     square,
     square_plus_one,
     successor,
@@ -262,6 +264,14 @@ def test_equal_table_profiles_are_one_shared_object():
     assert map_profile(table_map((1, 2, 2))) != shared
 
 
+def test_a_composition_of_two_tables_profiles_as_its_composed_table():
+    m = compose_maps(table_map((1, 2, 0)), table_map((0, 0, 1)))
+    profile, table_profile = map_profile(m), map_profile(table_map((1, 1, 2)))
+    assert profile.to_json() == table_profile.to_json()
+    assert predict(profile).to_json() == predict(table_profile).to_json()
+    assert classify_point(m, ix(0)) == classify_point(table_map((1, 1, 2)), ix(0))
+
+
 def test_profiling_a_table_builds_no_rule_record():
     m = table_map((1, 2, 0))
     predict(map_profile(m))
@@ -404,9 +414,10 @@ def test_signed_orbit_index_round_trips_on_translation(k):
 
 @pytest.mark.parametrize("name", sorted(SIGNED_MAPS))
 def test_signed_orbit_index_matches_the_preimage_walk(name):
-    # a map without a closed-form position (a union, square) reads no offset
+    # a map without chain coordinates (square) reads no offset; a union reads
+    # its sides' coordinates
     m = SIGNED_MAPS[name]
-    closed_form = m.record.position is not None
+    closed_form = m.record.chain is not None
     tags = [("L",), ("R",)] if m.left is not None else [()]
     for a in range(-20, 21):
         tag = tags[a % len(tags)]  # a union's anchors alternate sides
@@ -426,10 +437,23 @@ def test_square_still_refuses_a_negative_exponent():
 
 
 def test_a_permutation_table_reads_forward_exponents_only():
+    # the walk finds phi^2(0) == 2 within the domain's 3 steps; a table has
+    # no chain coordinates, so no signed offset
     m = table_map((1, 2, 0))
     assert orbit_position(m, ix(0), ix(2)) == 2
-    # phi^-1(0) == 2 as well, but the forward exponent is read first
-    assert window_offsets(m, ix(0), (ix(2),)) == (2,)
+    assert window_offsets(m, ix(0), (ix(2),)) is None
+
+
+def test_a_walk_on_a_finite_domain_is_exact_past_the_walk_limit():
+    # a 600-cycle: the orbit of 0 reaches 599 after 599 steps, past WALK_STEPS;
+    # a composition of two tables is walked as its composed table, so a miss
+    # is settled after 600 steps instead of raising after 512
+    cycle = table_map([(i + 1) % 600 for i in range(600)])
+    assert orbit_position(cycle, ix(0), ix(599)) == 599
+    halves = table_map([(i + 2) % 600 for i in range(600)])
+    assert orbit_position(halves, ix(0), ix(1)) is None
+    assert orbit_position(compose_maps(cycle, cycle), ix(0), ix(598)) == 299
+    assert orbit_position(compose_maps(halves, cycle), ix(0), ix(2)) is None
 
 
 @pytest.mark.parametrize("coord", [-2, 2])
@@ -474,13 +498,44 @@ def test_window_offsets_match_the_preimage_walk(name, a):
 
 
 @pytest.mark.parametrize("m, anchor, window", [
-    (disjoint_union_maps(successor(), parity_up()), ix(0, "L"), (ix(1, "L"),)),
+    (disjoint_union_maps(square(), successor()), ix(2, "L"), (ix(4, "L"),)),
+    (disjoint_union_maps(successor(), parity_up()), ix(0, "L"), (ix(1, "L"), ix(1, "R"))),
     (square(), ix(2), (ix(4),)),
     (successor(), ix(0), (ix(1), ix(2, "L"))),
     (table_map((1, 2, 0)), ix(0), (ix(2), ix(3))),
 ])
 def test_window_offsets_refuse_unions_growth_and_off_domain_indices(m, anchor, window):
     assert window_offsets(m, anchor, window) is None
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_MAPS))
+def test_chain_coordinates_follow_the_map_and_name_the_orbit(name):
+    # evaluate keeps the key and adds one to the offset (mod the period on a
+    # cycle); two region points share a key iff a walk joins them
+    m = CHAIN_MAPS[name]
+    region = list(region_indices(m.domain, 4))
+    coords = {x: chain_coordinates(m, x) for x in region}
+    for x, (key, offset, period) in coords.items():
+        after = chain_coordinates(m, evaluate(m, x))
+        assert after[0] == key and after[2] == period, x
+        assert after[1] == (offset + 1 if period is None else (offset + 1) % period), x
+    for x, y in product(region, repeat=2):
+        (key, offset, period), (other, to, _) = coords[x], coords[y]
+        k = walked_signed_orbit_index(m, x, y, 24)
+        assert (key == other) == (k is not None), (x, y)
+        if k is not None:
+            assert k == (to - offset if period is None else (to - offset) % period), (x, y)
+
+
+def test_chain_coordinates_of_the_catalog_translations():
+    assert chain_coordinates(successor(), ix(-7)) == (0, -7, None)
+    assert chain_coordinates(predecessor(), ix(-7)) == (0, 7, None)
+    assert chain_coordinates(compose_maps(successor(), successor()), ix(-7)) == (1, -4, None)
+    assert chain_coordinates(parity_up(), ix(5)) == (4, 1, 2)
+    union = disjoint_union_maps(square(), parity_down())
+    assert chain_coordinates(union, ix(3, "R")) == (("R", 4), 1, 2)  # 4 -> 3
+    assert chain_coordinates(union, ix(3, "L")) is None
+    assert chain_coordinates(table_map((1, 2, 0)), ix(0)) is None
 
 
 # ---------------------------------------------------------------------------

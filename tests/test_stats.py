@@ -167,8 +167,9 @@ def test_run_length_counts_off_the_anchor_orbit(variant, a, b, coords):
     # the right side of successor + parity_up never meets the anchor's orbit,
     # so those coordinates are one q run; L-2 is stepped until it joins
     lengths = block_lengths(6, variant)
-    # splices read the source at L0, L1, ...: p at L1 and L3, q elsewhere
-    source = FinitePatch(Constant(UNION.domain, Q), {ix(1, "L"): P, ix(3, "L"): P})
+    # splices read the source at the anchor's chain offsets 0, 1, ...: p at 1
+    # and 3, q elsewhere
+    source = FinitePatch(Constant(INTEGERS, Q), {ix(1): P, ix(3): P})
     source = source if variant == "weave" else None
     x, y = (OrbitBlocks(UNION, ix(0, "L"), lengths, ExplicitBlockSet(frozenset(s)), ALPHA,
                         weave_source=source)
