@@ -10,7 +10,6 @@ threshold/window translations at the bottom of this module.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .indexspace import (
@@ -183,9 +182,10 @@ class OrbitBlocks(Configuration):
 
     Weave variant: after block r, a splice of r symbols of a supplied source
     is written, symbol j read at coordinate origin + j, origin the anchor's
-    chain offset (no chain coordinates: PreconditionError).  The reads are
-    cached in `source_cache`; members that share a source and an anchor may
-    share one cache, so each source symbol is read once.
+    chain offset (no chain coordinates, or a source off the integers:
+    PreconditionError).  The reads are cached in `source_cache`; members that
+    share a source and an anchor may share one cache, so each source symbol is
+    read once.
 
     Where block r and its splice sit is not computed here: `lengths.locate`
     maps an orbit position to (r, offset, in_splice), from the one segment-end
@@ -220,6 +220,10 @@ class OrbitBlocks(Configuration):
         if (lengths.variant == "weave") != (weave_source is not None):
             raise ValueError("weave layout and weave source must come together")
         if weave_source is not None:
+            if weave_source.domain.kind != "integers":
+                raise PreconditionError(
+                    f"a weave source is read at integer coordinates, not on a "
+                    f"{weave_source.domain.kind} domain")
             coords = chain_coordinates(m, anchor)
             if coords is None:
                 raise PreconditionError(f"a {m.rule!r} map has no chain coordinates to weave along")
@@ -420,13 +424,16 @@ def in_cylinder(config: Configuration, pattern: CylinderPattern) -> bool:
 
 # ---------------------------------------------------------------------------
 # Dyadic metric: d(x, y) = sum over ranks i of [x(beta_i) != y(beta_i)] * 2^-i.
-# All values are exact rationals.
+# All values are exact rationals; `fractions` is imported inside the three
+# functions below, so a caller that never measures distance does not load it.
 # ---------------------------------------------------------------------------
 
 
 def metric_less_than(x: Configuration, y: Configuration, t: Fraction,
                      depth_cap: int = 512) -> bool:
     """Exact decision of d(x, y) < t, inspecting ranks until certified either way."""
+    from fractions import Fraction
+
     if t <= 0:
         return False
     t = Fraction(t)
@@ -456,6 +463,8 @@ def threshold_to_window(domain: IndexDomain, t: Fraction) -> tuple[Index, ...]:
     Agreement on the window forces metric distance below t via the tail bound
     (on a whole finite domain, distance 0).
     """
+    from fractions import Fraction
+
     t = Fraction(t)
     if t <= 0:
         raise ValueError("threshold must be > 0")
@@ -470,5 +479,7 @@ def threshold_to_window(domain: IndexDomain, t: Fraction) -> tuple[Index, ...]:
 
 def window_to_threshold(domain: IndexDomain, window: Sequence[Index]) -> Fraction:
     """2^-(max rank in the window): metric distance below it forces window agreement."""
+    from fractions import Fraction
+
     ranks = [rank_of(domain, i) for i in make_window(window)]
     return Fraction(1, 2 ** max(ranks))

@@ -530,7 +530,8 @@ def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,
     Recipe: take each window coordinate's signed offset i (the coordinate is
     phi^i(anchor)) from `orbits.window_offsets`, with N = max |i|; a window
     with N > 64, or with a coordinate off the domain or off the anchor's
-    chain (any, on a map without chain coordinates), raises ValueError.
+    chain (any, on a map without chain coordinates), or whose entry block
+    lies past the block ceiling, raises ValueError.
     Splice offset j reads the source at origin + j, origin the anchor's chain
     offset.  Find the shift h > N at which the source, read from origin on,
     matches the pattern on the radius-N orbit window; the splice after block
@@ -556,7 +557,11 @@ def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,
     while h <= n_rad:  # pad the word on the right until the occurrence lands deeper
         word.append(spec.alphabet.symbols[0])
         h = source.word_start(word) + n_rad - origin
-    return spec.lengths.horizon(h + n_rad + 1) + h
+    entry = h + n_rad + 1
+    if entry > _MAX_BLOCKS:
+        raise ValueError(f"window {pattern.window!r} not within reach of the anchor: its entry "
+                         f"needs block {entry}, past the {_MAX_BLOCKS}-block ceiling")
+    return spec.lengths.horizon(entry) + h
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,8 @@ def _steps(a: tuple, t: Optional[tuple]) -> Optional[int]:
 
 def orbit_position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
     """Position n >= 0 with iterate(m, anchor, n) == target, or None when off-orbit;
-    read off chain coordinates, else walked (exactly, on a finite domain)."""
+    read off chain coordinates, else walked (exactly, on a finite domain or
+    once the walk comes back to a point it has passed)."""
     if anchor.path != target.path:
         return None
     if m.left is not None:
@@ -440,10 +441,13 @@ def orbit_position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
     # bounded walk, exact only when found; a growing rule also settles a miss
     # once magnitudes pass |target|; otherwise refuse to guess
     size = domain_size(m.domain)
-    cur = anchor
+    cur, seen = anchor, set()
     for n in range(WALK_STEPS + 1 if size is None else size):
         if cur == target:
             return n
+        if cur in seen:  # the orbit is a cycle after this point: all of it was seen
+            return None
+        seen.add(cur)
         if rule.grows and n >= 2 and abs(cur.coord) >= 2 and abs(cur.coord) > abs(target.coord):
             return None
         try:

@@ -15,6 +15,7 @@ from gshift.indexspace import (
     NATURALS,
     SelfMap,
     compose_maps,
+    disjoint_union_maps,
     ix,
     rank_of,
     iterate,
@@ -556,7 +557,8 @@ def test_an_entry_exponent_past_the_block_ceiling_is_refused(coord):
     m, spec, source, members = _weave_setup()
     ends = list(spec.lengths._ends)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="past the 10000-block ceiling"):
+    with pytest.raises(ValueError,
+                       match="not within reach of the anchor: .* past the 10000-block ceiling"):
         weave_entry_exponent(spec, source, CylinderPattern((ix(coord),), (P,)))
     assert time.perf_counter() - start < 1
     assert spec.lengths._ends == ends
@@ -648,6 +650,19 @@ def test_a_weave_needs_chain_coordinates():
     with pytest.raises(PreconditionError, match="no chain coordinates"):
         OrbitBlocks(m, ix(0), lengths, ExplicitBlockSet(frozenset({1})), ALPHA,
                     weave_source=full_shift_transitive_point(ALPHA))
+
+
+@pytest.mark.parametrize("m, anchor", [
+    (successor(), ix(0)),
+    (disjoint_union_maps(successor(), parity_up()), ix(0, "L")),
+])
+def test_a_weave_source_off_the_integers_is_refused(m, anchor):
+    # splice symbol j is read at the integer coordinate origin + j, which a
+    # source on a union domain does not have: refused before any read
+    source = Constant(disjoint_union_maps(successor(), parity_up()).domain, P)
+    with pytest.raises(PreconditionError, match="disjoint_union domain"):
+        OrbitBlocks(m, anchor, block_lengths(4, "weave"), ExplicitBlockSet(frozenset({1})),
+                    ALPHA, weave_source=source)
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,16 @@ def test_orbit_position_arithmetic():
     assert window_offsets(successor(), ix(0), (ix(-3),)) == (-3,)
 
 
+def test_a_walk_that_comes_back_round_settles_a_miss():
+    # (n - 1)^2 has no chain coordinates and is not marked as growing; the orbit
+    # of 0 is the cycle 0, 1, 0, ..., so 5 is off it after two steps
+    m = compose_maps(square(), predecessor())
+    assert orbit_position(m, ix(0), ix(5)) is None
+    assert orbit_position(m, ix(0), ix(1)) == 1
+    assert orbit_position(m, ix(2), ix(0)) == 2  # 2, 1, 0
+    assert orbit_position(m, ix(2), ix(-1)) is None
+
+
 def test_orbit_position_by_growth():
     assert orbit_position(square(), ix(2), ix(65536)) == 4
     assert orbit_position(square(), ix(2), ix(65537)) is None
