@@ -188,7 +188,7 @@ class OrbitBlocks(Configuration):
     read once.
 
     Where block r and its splice sit is not computed here: `lengths.locate`
-    maps an orbit position to (r, offset, in_splice), from the one segment-end
+    maps an orbit position to (r, offset, in_splice), from the one block-end
     list that every member built on the same lengths object shares.
 
     `runs_along` reads the orbit one run per block and one per splice symbol;

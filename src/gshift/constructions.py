@@ -70,17 +70,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-# Every segment end is kept exactly, and block n's end has about log2(n!)
-# bits: 10,000 weave blocks hold about 165 MB.  A weave entry exponent for a
-# window at offset 5 from the anchor would need 30,000 to 41,000 blocks.
+# Only the block ends are kept, exactly, and block n's end has about
+# log2(n!) bits: 10,000 blocks hold about 71 MB in either layout.  A weave
+# entry exponent for a window at offset 5 from the anchor would need 30,000
+# to 41,000 blocks.
 _MAX_BLOCKS = 10_000
 
 
 class BlockLengths:
     """Lazily extendable strictly increasing block lengths of one variant.
 
-    This is the one owner of the layout: the segment-end list grows on demand,
+    This is the one owner of the layout: the block-end list grows on demand,
     and every member of a family shares it through `locate` and `horizon`.
+    Block r starts where block r - 1 ends, plus the r - 1 symbols of splice
+    r - 1 in the weave layout; splice r covers [n_r, n_r + r).
     """
 
     def __init__(self, variant: str, count: int):
@@ -90,54 +93,64 @@ class BlockLengths:
             raise ValueError("count must be >= 1")
         self.variant = variant
         self.count = count
-        self._stride = 2 if variant == "weave" else 1  # segments per block
-        self._ends: list[int] = []  # segment ends: block 1[, splice 1], block 2, ...
+        self._weave = variant == "weave"  # a splice of r symbols follows block r
+        self._ends: list[int] = []  # block ends n_1, n_2, ...
         self._last = (0, 0, 1, False)  # (lo, hi, r, in_splice) of the last segment located
         self._extend_to(count)
+
+    def _start(self, r: int) -> int:
+        """Orbit position at which block r begins (r may be one past the ends)."""
+        if r == 1:
+            return 0
+        end = self._ends[r - 2]
+        return end + (r - 1) if self._weave else end  # no big-int copy in plain
 
     def _extend_to(self, r: int) -> None:
         if r > _MAX_BLOCKS:  # refused before any block is built
             raise ValueError(f"block {r} lies past the {_MAX_BLOCKS}-block ceiling")
-        ends, stride = self._ends, self._stride
-        while len(ends) < stride * r:
-            n = len(ends) // stride + 1
-            start = ends[-1] if ends else 0
-            ends.append(n * start + 1)  # start + s_n, s_n = (n - 1) * start + 1
-            if stride == 2:
-                ends.append(ends[-1] + n)
+        ends = self._ends
+        for n in range(len(ends) + 1, r + 1):
+            ends.append(n * self._start(n) + 1)  # start + s_n, s_n = (n - 1) * start + 1
 
     def value(self, r: int) -> int:
         if r < 1:
             raise ValueError("block index must be >= 1")
         self._extend_to(r)
-        end = self._stride * (r - 1)
-        return self._ends[end] - (self._ends[end - 1] if end else 0)
+        return self._ends[r - 1] - self._start(r)
 
     def horizon(self, r: int) -> int:
         """Orbit position just past block r (weave counts the splices before it)."""
         if r < 0:
             raise ValueError("block index must be >= 0")
         self._extend_to(r)
-        return self._ends[self._stride * (r - 1)] if r else 0
+        return self._ends[r - 1] if r else 0
 
     def locate(self, position: int) -> tuple[int, int, bool]:
-        """(r, offset, in_splice): orbit position `position` lies `offset` symbols
-        into block r, or into the splice after block r when in_splice.
+        """(r, offset, in_splice): orbit position `position` >= 0 lies `offset`
+        symbols into block r, or into the splice after block r when in_splice.
 
-        The last segment found answers a position inside it without a search:
-        members sharing these lengths are read at the same positions, one after
-        the other.  The ends only grow by appending, so it never goes stale."""
+        One bisect of the block ends finds the block that ends past the
+        position; the position lies in that block from its start on, and
+        before that in the splice after the block before it.  The last segment
+        found answers a position inside it without a search: members sharing
+        these lengths are read at the same positions, one after the other.
+        The ends only grow by appending, so it never goes stale."""
         lo, hi, r, in_splice = self._last
         if lo <= position < hi:
             return r, position - lo, in_splice
+        if position < 0:
+            raise ValueError("orbit position must be >= 0")
         ends = self._ends
-        while ends[-1] <= position:
-            self._extend_to(len(ends) // self._stride + 1)
-        seg = bisect_right(ends, position)
-        r, in_splice = divmod(seg, self._stride)
-        lo = ends[seg - 1] if seg else 0
-        self._last = (lo, ends[seg], r + 1, bool(in_splice))
-        return r + 1, position - lo, bool(in_splice)
+        while self._start(len(ends) + 1) <= position:  # past the last splice
+            self._extend_to(len(ends) + 1)
+        r = bisect_right(ends, position)  # blocks ending at or before position
+        start = self._start(r + 1)
+        if position >= start:
+            self._last = (start, ends[r], r + 1, False)
+            return r + 1, position - start, False
+        lo = ends[r - 1]
+        self._last = (lo, start, r, True)
+        return r, position - lo, True
 
     def values(self) -> tuple[int, ...]:
         return tuple(self.value(r) for r in range(1, self.count + 1))

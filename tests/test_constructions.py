@@ -125,10 +125,11 @@ def test_length_recurrence_oracle(n, variant):
 @pytest.mark.parametrize("variant", ["plain", "weave"])
 def test_locate_matches_a_plain_bisect_in_any_query_order(variant):
     # each segment's first and last position and the one just past it, twice
-    # over, in a seeded shuffle; from count 1, most early queries extend the ends
-    ref = block_lengths(9, variant)
+    # over, in a seeded shuffle; from count 1, most early queries extend the
+    # ends, and some weave queries land in the splice after the last block built
+    ref = block_lengths(40, variant)
     segments = []
-    for r in range(1, 10):
+    for r in range(1, 41):
         hi = ref.horizon(r)
         segments.append((hi - ref.value(r), hi))
         if variant == "weave":
@@ -137,6 +138,27 @@ def test_locate_matches_a_plain_bisect_in_any_query_order(variant):
     random.Random(17).shuffle(positions)
     bl = BlockLengths(variant, 1)
     assert [bl.locate(p) for p in positions] == [bisected_location(variant, p) for p in positions]
+
+
+@pytest.mark.parametrize("variant", ["plain", "weave"])
+def test_locate_refuses_a_negative_position(variant):
+    bl = BlockLengths(variant, 4)
+    bl.locate(0)  # the memo covers block 1 from position 0 on, not before it
+    with pytest.raises(ValueError, match="position must be >= 0"):
+        bl.locate(-1)
+    assert len(bl._ends) == 4
+
+
+def test_lengths_keep_one_end_per_block_in_either_layout():
+    # the splice after block r ends r symbols past it: only block ends are kept
+    for variant in ("plain", "weave"):
+        bl = BlockLengths(variant, 1)
+        for r in (1, 7, 30):
+            bl.horizon(r)
+            assert len(bl._ends) == r
+        bl.locate(bl.horizon(30) + 29)  # the splice after block 30 in the weave
+        assert len(bl._ends) == (30 if variant == "weave" else 31)
+    assert len(BlockLengths("plain", 2_000)._ends) == len(BlockLengths("weave", 2_000)._ends)
 
 
 def test_block_lengths_reject_unknown_variant():
@@ -552,8 +574,8 @@ def test_a_window_out_of_reach_has_no_entry_exponent(window):
 @pytest.mark.parametrize("coord", [5, -5])
 def test_an_entry_exponent_past_the_block_ceiling_is_refused(coord):
     # a window at offset 5 needs 30,000 to 41,000 blocks; the lengths stop at
-    # 10,000, which take about 165 MB
-    # (refused before a block is built: the shared segment ends do not grow)
+    # 10,000, whose exact block ends take about 71 MB
+    # (refused before a block is built: the shared block ends do not grow)
     m, spec, source, members = _weave_setup()
     ends = list(spec.lengths._ends)
     start = time.perf_counter()
