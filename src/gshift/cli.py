@@ -143,6 +143,20 @@ def _window_ranks(wi: int, w) -> tuple[int, ...]:
     return tuple(w)
 
 
+def _eps(obj: dict, key: str) -> Fraction:
+    """A density bar: a fraction strictly between 0 and 1, as epsilon is in
+    the definition of distributional chaos; at or past either end a surrogate
+    test becomes unreachable, exact or trivial."""
+    text = _expect(obj, key, str, "config", default="1/4")
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"config.{key}: {exc}") from exc
+    if not 0 < value < 1:
+        raise ConfigError(f"config.{key}: need a fraction strictly between 0 and 1, got {text!r}")
+    return value
+
+
 def parse_config(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config: top level must be an object")
@@ -196,11 +210,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         horizons = tuple(horizons)
         if any(b <= a for a, b in zip(horizons, horizons[1:])):
             raise ConfigError("config.schedule.horizons: need strictly increasing horizons")
-    try:
-        eps_low = Fraction(_expect(obj, "eps_low", str, "config", default="1/4"))
-        eps_high = Fraction(_expect(obj, "eps_high", str, "config", default="1/4"))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"config.eps_low/eps_high: {exc}") from exc
+    eps_low, eps_high = _eps(obj, "eps_low"), _eps(obj, "eps_high")
     anchor_rank = _expect(obj, "anchor_rank", int, "config", default=1)
     if anchor_rank < 1:
         raise ConfigError("config.anchor_rank: need a rank >= 1")

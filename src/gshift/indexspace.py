@@ -366,15 +366,20 @@ class SelfMap(Record):
     def __init__(self, domain: IndexDomain, rule: str, table: Optional[tuple[int, ...]] = None,
                  outer: Optional[SelfMap] = None, inner: Optional[SelfMap] = None,
                  left: Optional[SelfMap] = None, right: Optional[SelfMap] = None):
-        # spelled out: every finite table of a sweep builds one
+        # spelled out, since every finite table of a sweep builds one: a sub-map
+        # is stored only when given, and the class-level None answers otherwise
         state = self.__dict__
         state["domain"] = domain
         state["rule"] = rule
         state["table"] = table
-        state["outer"] = outer
-        state["inner"] = inner
-        state["left"] = left
-        state["right"] = right
+        if outer is not None:
+            state["outer"] = outer
+        if inner is not None:
+            state["inner"] = inner
+        if left is not None:
+            state["left"] = left
+        if right is not None:
+            state["right"] = right
 
     @cached_property
     def record(self) -> "Rule":
@@ -386,16 +391,20 @@ class SelfMap(Record):
 def table_map(entries) -> SelfMap:
     """The map i -> entries[i] on finite_range(len(entries)).
 
-    Entries go through `int`, so ``"1"`` and ``2.0`` read as 1 and 2; an entry
-    that `int` would truncate (``2.5``, ``1.9999``) is refused with a
-    ValueError that names it, as is one outside 0..len - 1.
+    A tuple of plain ints is kept as given.  Any other entries go through
+    `int`, so ``"1"``, ``2.0`` and ``True`` read as 1, 2 and 1; an entry that
+    `int` would truncate (``2.5``, ``1.9999``) is refused with a ValueError
+    that names it, as is one outside 0..len - 1.
     """
     entries = tuple(entries)  # the same object when given a tuple
-    table = tuple(map(int, entries))
-    if table != entries:  # some conversion changed a value: refuse a truncation
-        for entry, value in zip(entries, table):
-            if value != entry and not isinstance(entry, (str, bytes)):
-                raise ValueError(f"table entry {entry!r} is not an integer")
+    if _INT_ONLY.issuperset(map(type, entries)):  # `int` would return each entry unchanged
+        table = entries
+    else:
+        table = tuple(map(int, entries))
+        if table != entries:  # some conversion changed a value: refuse a truncation
+            for entry, value in zip(entries, table):
+                if value != entry and not isinstance(entry, (str, bytes)):
+                    raise ValueError(f"table entry {entry!r} is not an integer")
     size = len(table)
     if size < 1:
         raise ValueError("table_map needs at least one entry")
@@ -406,10 +415,14 @@ def table_map(entries) -> SelfMap:
     return SelfMap(domain, "table", table)
 
 
+_INT_ONLY = frozenset({int})  # the entry types a table keeps as given
+
+
 @lru_cache(maxsize=64)
 def _table_domain(size: int) -> tuple[IndexDomain, frozenset[int]]:
     """finite_range(size) with its point set, so a table's range check is one
-    C-level `issuperset`; the set is no larger than the table it checks."""
+    C-level `issuperset` over its int entries, whether kept as given or
+    converted; the set is no larger than the table it checks."""
     return finite_range(size), frozenset(range(size))
 
 

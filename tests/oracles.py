@@ -88,6 +88,24 @@ def table_json(table: Sequence[int]) -> tuple[dict, dict]:
     return profile, prediction
 
 
+def converted_table(entries) -> tuple[int, ...]:
+    """The table `table_map` builds from `entries`, every entry converted with
+    `int` whatever its type; raises what `table_map` raises on a bad table."""
+    entries = tuple(entries)
+    table = tuple(map(int, entries))
+    if table != entries:  # some conversion changed a value: refuse a truncation
+        for entry, value in zip(entries, table):
+            if value != entry and not isinstance(entry, (str, bytes)):
+                raise ValueError(f"table entry {entry!r} is not an integer")
+    size = len(table)
+    if size < 1:
+        raise ValueError("table_map needs at least one entry")
+    bad = next((e for e in table if not 0 <= e < size), None)
+    if bad is not None:
+        raise ValueError(f"table entry {bad} outside range 0..{size - 1}")
+    return table
+
+
 def scanned_pattern(en: PatternEnumeration, n: int) -> CylinderPattern:
     """The n-th cylinder pattern by scanning every mask of its group in order:
     mask bit r - 1 adds rank r below the group's rank m, and a mask with c

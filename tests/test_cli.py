@@ -115,7 +115,10 @@ NAMED_ERRORS = [pytest.param(broken, fragment, id=name) for name, broken, fragme
      "config.schedule.r_max: need an integer from 1 to 1500"),
     ("count-2000", {"map": PHI1["map"], "lengths": {"count": 2000}},
      "config.lengths.count: need an integer from 1 to 1500"),
-]]
+    # a bar outside (0, 1) made verify FAIL a proven-chaotic map, or a surrogate trivial
+] + [(f"{key}-{text}", {"map": PHI1["map"], key: text},
+      f"config.{key}: need a fraction strictly between 0 and 1, got {text!r}")
+     for key in ("eps_low", "eps_high") for text in ("-1", "0", "1", "3/2")]]
 
 
 @pytest.mark.parametrize("broken, fragment", [

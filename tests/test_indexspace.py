@@ -46,7 +46,7 @@ from gshift.indexspace import (
     table_map,
 )
 from gshift.indexspace import COORD_BIT_BUDGET
-from oracles import parse_index
+from oracles import converted_table, parse_index
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 
@@ -446,3 +446,47 @@ def test_table_map_accepts_a_generator_of_int_convertible_entries():
     m = table_map(e for e in ("1", 2.0, 0))
     assert m.table == (1, 2, 0)
     assert m.domain == finite_range(3)
+
+
+def test_table_map_keeps_an_in_range_int_tuple_as_given():
+    entries = (2, 0, 1)
+    m = table_map(entries)
+    assert m.table is entries and m.domain == finite_range(3)
+    assert set(m.__dict__) == {"domain", "rule", "table"}  # no sub-map is stored
+    spelled = SelfMap(finite_range(3), "table", (2, 0, 1), None, None, None, None)
+    assert m == spelled and hash(m) == hash(spelled) and repr(m) == repr(spelled)
+    assert (m.outer, m.inner, m.left, m.right) == (None,) * 4
+
+
+def test_table_map_converts_a_bool_and_refuses_a_complex_entry():
+    m = table_map((True, 0))
+    assert m.table == (1, 0) and [type(e) for e in m.table] == [int, int]
+    with pytest.raises(TypeError):
+        table_map((1 + 0j, 0))
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 8),
+    st.booleans(),
+    st.integers(-3, 8).map(float),
+    st.floats(-3, 8),
+    st.fractions(min_value=-3, max_value=8, max_denominator=3),
+    st.integers(-3, 8).map(str),
+    st.sampled_from(["1.0", " 2", "x", "", b"1"]),
+    st.integers(-3, 8).map(complex),
+    st.just([]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.integers(-1, 6), max_size=6), st.lists(ENTRIES, max_size=6)))
+def test_table_map_matches_converting_every_entry(entries):
+    try:
+        expected = converted_table(entries)
+    except Exception as exc:  # the same refusal, type and message
+        with pytest.raises(type(exc)) as raised:
+            table_map(entries)
+        assert str(raised.value) == str(exc)
+    else:
+        table = table_map(entries).table
+        assert table == expected and all(type(e) is int for e in table)

@@ -297,6 +297,34 @@ def test_pair_report_carries_the_profiles_it_was_read_off():
     assert v.max_fractions == tuple(p.running_max for p in v.profiles)
 
 
+def _edge_pair():
+    """p everywhere against q on coordinates 0..6 and 100..139: along the orbit
+    of 0 the pair agrees on 3 of the first 10 positions and 33 of the first
+    40, and along the orbit of 100 on none of the first 40."""
+    x = Constant(INTEGERS, P)
+    y = FinitePatch(x, {ix(c): Q for c in (*range(7), *range(100, 140))})
+    return x, y
+
+
+def test_a_running_minimum_just_above_the_dip_bar_is_no_dip():
+    # 3/10 lies in (eps_low, 2 eps_low]: a loosened dip test would flag DC1
+    x, y = _edge_pair()
+    v = dc_pair_report(M, x, y, [make_window((ix(0),))], Schedule((10, 40)),
+                       Fraction(1, 4), Fraction(1, 4))
+    assert (v.min_fractions, v.max_fractions) == ((Fraction(3, 10),), (Fraction(33, 40),))
+    assert not v.dc1_surrogate and v.dc2_surrogate
+
+
+def test_the_high_bar_holds_only_when_every_window_reaches_it():
+    # window 1 climbs to 33/40 but window 2 never leaves 0: one window below
+    # 1 - eps_high is enough to refuse both surrogates
+    x, y = _edge_pair()
+    windows = [make_window((ix(0),)), make_window((ix(100),))]
+    v = dc_pair_report(M, x, y, windows, Schedule((10, 40)), Fraction(1, 4), Fraction(1, 4))
+    assert v.max_fractions == (Fraction(33, 40), Fraction(0))
+    assert not v.dc1_surrogate and not v.dc2_surrogate
+
+
 def test_pair_report_without_windows_flags_nothing():
     x, y = _blocks({2}), _blocks({3})
     v = dc_pair_report(M, x, y, [], Schedule((1, 3, 10)), Fraction(1, 4), Fraction(1, 4))
