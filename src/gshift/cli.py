@@ -3,7 +3,7 @@ block constructions, and verify the finite-horizon evidence end to end.
 
 Exit codes: 0 all requested checks passed, 1 some check failed, 2 the
 configuration was unusable, 3 inconclusive: a verdict the checks depend on came
-back unknown, or an orbit lookup ran past its budget, so nothing was shown
+back unknown, or an orbit lookup ran past the bit budget, so nothing was shown
 either way.  Artifacts (JSON reports, CSV statistics) land in the --out
 directory; CSV bodies are byte-stable for identical configurations.
 """
@@ -14,7 +14,6 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +30,6 @@ from .indexspace import (
     rank_of,
 )
 from .orbits import (
-    DEFAULT_BUDGET,
     UnresolvedOrbitError,
     chain_decomposition,
     classify_point,
@@ -255,7 +253,7 @@ def _schedule_for(cfg: ExperimentConfig, lengths, horizon_cap: Optional[int]) ->
     return Schedule(kept)
 
 
-def _pick_anchor(cfg: ExperimentConfig, budget: int) -> Index:
+def _pick_anchor(cfg: ExperimentConfig) -> Index:
     """The configured anchor when its orbit is proven infinite, else the first
     such point among ranks 1..64.  With no anchor, UnresolvedOrbitError if some
     candidate's classification came back unknown, so that the absence of an
@@ -266,7 +264,7 @@ def _pick_anchor(cfg: ExperimentConfig, budget: int) -> Index:
         if size is not None and rank > size:
             continue
         candidate = enumerate_index(cfg.map.domain, rank)
-        cls = classify_point(cfg.map, candidate, budget)
+        cls = classify_point(cfg.map, candidate)
         if cls.is_non_quasi_periodic:
             return candidate
         undecided = undecided or cls.kind == "unknown"
@@ -276,10 +274,10 @@ def _pick_anchor(cfg: ExperimentConfig, budget: int) -> Index:
     raise NoAnchorError("no usable anchor: every candidate has a proven finite orbit")
 
 
-def _family_for(cfg: ExperimentConfig, lengths, budget: int) -> tuple[ScrambledFamilySpec, list]:
+def _family_for(cfg: ExperimentConfig, lengths) -> tuple[ScrambledFamilySpec, list]:
     """The family that stats, verify and construct-* share, on the anchor that
     `_pick_anchor` finds."""
-    anchor = _pick_anchor(cfg, budget)
+    anchor = _pick_anchor(cfg)
     fam = almost_disjoint_family(cfg.family_size)
     spec = ScrambledFamilySpec(cfg.map, (anchor,), cfg.alphabet, lengths, fam,
                                cfg.lengths_variant)
@@ -371,7 +369,7 @@ def _member_manifest(cfg: ExperimentConfig, members, spec) -> dict:
 
 def _cmd_classify(cfg: ExperimentConfig, out: Path, args) -> int:
     """classify, and predict, which adds the prediction."""
-    profile = map_profile(cfg.map, args.budget)
+    profile = map_profile(cfg.map)
     report = {
         "schema": f"gshift-{args.command}/1",
         "map": map_spec(cfg.map),
@@ -392,7 +390,7 @@ def _cmd_construct(cfg: ExperimentConfig, out: Path, args) -> int:
             f"config.lengths.variant: construct-{flavor} builds {variant!r} blocks, "
             f"not {cfg.lengths_variant!r}; set {variant!r} or leave the field out")
     cfg = cfg._replace(lengths_variant=variant)
-    spec, members = _family_for(cfg, block_lengths(cfg.lengths_count, variant), args.budget)
+    spec, members = _family_for(cfg, block_lengths(cfg.lengths_count, variant))
     manifest = _member_manifest(cfg, members, spec)
     if flavor == "dense":
         enum = pattern_enumeration(cfg.alphabet, cfg.map.domain)
@@ -405,7 +403,7 @@ def _cmd_construct(cfg: ExperimentConfig, out: Path, args) -> int:
             for i in range(len(dense))
         ]
     elif flavor == "transitive":
-        chains = chain_decomposition(cfg.map, 8, args.budget)
+        chains = chain_decomposition(cfg.map, 8)
         reps = [repr(r) for r in chains.representatives]
         if len(reps) > 1:  # the weave is written along the anchor's chain only
             raise PreconditionError(
@@ -420,7 +418,7 @@ def _cmd_construct(cfg: ExperimentConfig, out: Path, args) -> int:
 def _cmd_stats(cfg: ExperimentConfig, out: Path, args) -> int:
     lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
     schedule = _schedule_for(cfg, lengths, args.horizon_cap)
-    spec, members = _family_for(cfg, lengths, args.budget)
+    spec, members = _family_for(cfg, lengths)
     rows = _stats_rows(_pair_reports(cfg, spec, members, schedule))
     _write_csv(out / "stats.csv", rows, STATS_COLUMNS)
     print(f"wrote {len(rows)} rows to {out / 'stats.csv'}")
@@ -429,7 +427,7 @@ def _cmd_stats(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     checks: list[tuple[str, bool, str]] = []
-    profile = map_profile(cfg.map, args.budget)
+    profile = map_profile(cfg.map)
     prediction = predict(profile)
     report: dict = {
         "schema": "gshift-verify/1",
@@ -449,7 +447,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
         blocks = [r for r in range(2, cfg.schedule_r_max + 1)
                   if args.horizon_cap is None or lengths.horizon(r) <= args.horizon_cap]
         try:
-            spec, members = _family_for(cfg, lengths, args.budget)
+            spec, members = _family_for(cfg, lengths)
             pair_reports = _pair_reports(cfg, spec, members, schedule)
             _write_csv(out / "stats.csv", _stats_rows(pair_reports), STATS_COLUMNS)
             bound_results = [
@@ -536,24 +534,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="gshift-out", help="artifact directory")
     parser.add_argument("--horizon-cap", type=int, default=None,
                         help="drop schedule checkpoints above this horizon")
-    parser.add_argument("--budget", help="step budget for bounded searches (env GSHIFT_BUDGET)")
     parser.add_argument("command", choices=COMMANDS)
     return parser
-
-
-def _budget(flag: Optional[str]) -> int:
-    """--budget, else env GSHIFT_BUDGET, else DEFAULT_BUDGET: an integer >= 1."""
-    source, text = ("--budget", flag) if flag is not None else (
-        "GSHIFT_BUDGET", os.environ.get("GSHIFT_BUDGET", str(DEFAULT_BUDGET)))
-    if not (text.isdecimal() and int(text) >= 1):
-        raise ConfigError(f"{source}: need an integer >= 1, got {text!r}")
-    return int(text)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args.budget = _budget(args.budget)
         if args.command == "counterexamples":
             cfg = None
         elif args.config is None:

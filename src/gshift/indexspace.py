@@ -3,9 +3,9 @@
 The index side of a generalized shift system: a countable domain Gamma given by a
 finite description, a fixed enumeration beta_1, beta_2, ... of its elements, and
 self-maps phi drawn from a small closed catalog so that their dynamical properties
-(injectivity, periodic points, orbit growth) remain decidable or at least honestly
-reportable.  Coordinates are arbitrary-size integers; a bit-length budget guards
-against runaway doubly-exponential orbits.
+(injectivity, periodic points, orbit growth) remain decidable.  Coordinates are
+arbitrary-size integers; a bit-length budget guards against runaway
+doubly-exponential orbits.
 """
 
 from __future__ import annotations
@@ -350,9 +350,11 @@ class SelfMap(Record):
 
     rule: "table" on a finite range, one of CATALOG_RULES on the integers,
     "compose" (outer after inner), or "disjoint_union" routing by tag.
-    record: the map's entry in the rule table, built on first read; a composition
-    of translations (at any depth) gets the translation record of its closed form,
-    and a map with a `table` (two tables composed, too) the table record.
+    record: the map's entry in the rule table, built on first read; a map with a
+    `table` (two tables composed, too) gets the table record, one with a `left`
+    (two unions composed, too) the union record, a composition of translations
+    (at any depth) the translation record of its closed form, and any other
+    composition a growing record with walked facts (see `_composed`).
     """
 
     domain: IndexDomain
@@ -383,9 +385,13 @@ class SelfMap(Record):
 
     @cached_property
     def record(self) -> "Rule":
-        if self.outer is not None and self.table is None:
-            return _composed(self.outer.record, self.inner.record) or RULES["compose"]
-        return RULES["table" if self.table is not None else self.rule]
+        if self.table is not None:
+            return RULES["table"]
+        if self.left is not None:
+            return RULES["disjoint_union"]
+        if self.outer is not None:
+            return _composed(self)
+        return RULES[self.rule]
 
 
 def table_map(entries) -> SelfMap:
@@ -464,11 +470,15 @@ def parity_down() -> SelfMap:
 
 
 def compose_maps(outer: SelfMap, inner: SelfMap) -> SelfMap:
-    """The map sending idx to outer(inner(idx)), on their shared domain; tables tabulate."""
+    """The map sending idx to outer(inner(idx)), on their shared domain; tables
+    tabulate, and two unions compose side by side, since both keep the tag."""
     if outer.domain != inner.domain:
         raise DomainMismatchError("composition requires a shared domain")
     table = None if None in (outer.table, inner.table) else tuple(map(outer.table.__getitem__, inner.table))
-    return SelfMap(outer.domain, "compose", table, outer, inner)
+    if outer.left is None or inner.left is None:
+        return SelfMap(outer.domain, "compose", table, outer, inner)
+    return SelfMap(outer.domain, "compose", table, outer, inner,
+                   compose_maps(outer.left, inner.left), compose_maps(outer.right, inner.right))
 
 
 def disjoint_union_maps(left: SelfMap, right: SelfMap) -> SelfMap:
@@ -529,8 +539,8 @@ def _iterate(m: SelfMap, index: Index, steps: int) -> Index:
 def preimage(m: SelfMap, index: Index) -> Optional[Index]:
     """The unique preimage under a certified-invertible map, or None when none exists.
 
-    Raises ValueError for rules whose inverse is not certified (squaring rules,
-    non-permutation tables, unrecognized compositions).
+    Raises ValueError for rules whose inverse is not certified (squaring rules
+    and compositions with one, non-permutation tables).
     """
     inverse = m.record.preimage
     if inverse is None:
@@ -571,7 +581,8 @@ def cycle_walk(step, start, budget: int) -> Optional[tuple[list, int]]:
 
 
 class RuleFacts(Record):
-    """Hand-certified dynamics of an integer rule, as plain data.
+    """Certified dynamics of an integer rule, as plain data: typed by hand
+    for the catalog, walked for a composition with a squaring rule.
 
     Either every point is periodic with `period`, certified by `note` (only
     the points of parity `period_parity` when it is set: the other class
@@ -602,10 +613,13 @@ class Rule(Record):
     period) every closed-form orbit answer is read from (else a walk): index
     is phi^offset of its chain's base point, indices share an orbit iff
     their keys are equal, period is a cycle's length (None on a chain).
-    facts: the certified dynamics (else search).  grows: once |coord| >= 2,
-    magnitudes strictly increase after two steps, so a walk that passes
-    |target| settles orbit membership.  shift: the steps (d0, d1) of a
-    translation n -> n + d[n mod 2].
+    facts: the certified dynamics of a rule on the integers (tables and
+    unions have none: they are read exhaustively or per side).  grows: a
+    bound B with |phi(n)| > |n| for every |n| > B, so a walk past
+    max(B, |target|) never comes back to the target.  shift: the steps
+    (d0, d1) of a translation n -> n + d[n mod 2].  reach: the most one
+    step moves a point before or after its squarings (max |d| for a
+    translation, c for n^2 + c), which bounds a composition's growth.
     """
 
     name: str
@@ -614,8 +628,9 @@ class Rule(Record):
     preimage: Optional[Callable[[SelfMap, Index], Optional[Index]]] = None
     chain: Optional[Callable[[SelfMap, Index], Optional[tuple]]] = None
     facts: Optional[RuleFacts] = None
-    grows: bool = False
+    grows: Optional[int] = None
     shift: Optional[tuple[int, int]] = None
+    reach: Optional[int] = None
 
 
 def chain_coordinates(m: SelfMap, index: Index) -> Optional[tuple]:
@@ -668,22 +683,76 @@ def _translation(name: str, d0: int, d1: int, note: str) -> Rule:
     parity = None if p0 == p1 else int(p0 is None)
     facts = RuleFacts(True, note, period=p0 or p1, period_parity=parity,
                       nqp_witness=0 if parity is None else 1 - parity)
-    return Rule(name, step, iterate, preimage, chain, facts, shift=d)
+    return Rule(name, step, iterate, preimage, chain, facts, shift=d, reach=max(map(abs, d)))
 
 
-def _composed(outer: Rule, inner: Rule) -> Optional[Rule]:
-    """outer after inner as one translation record, when both are translations."""
-    if outer.shift is None or inner.shift is None:
-        return None
-    (a0, a1), b = inner.shift, outer.shift
-    # inner moves an even n onto parity a0 and an odd n onto parity 1 + a1
-    d0, d1 = a0 + b[a0 & 1], a1 + b[(1 + a1) & 1]
-    return _translation("compose", d0, d1,
-                        f"composed translation n -> n + ({d0}, {d1})[n mod 2]")
+def _composed(m: SelfMap) -> Rule:
+    """The record of m = outer after inner, two maps on the integers.
+
+    Two translations compose into one translation record.  Any other pair
+    holds a squaring rule, and its reaches add up to D with B = 2D + 2 a
+    growth bound: for |n| > B the translations before the first squaring
+    leave a magnitude > D + 2 >= 2, which that squaring at least doubles, no
+    squaring shrinks, and the translations take back at most D in all, so
+    |phi(n)| >= 2(|n| - D) - D > |n|.  Every finite orbit therefore lies in
+    [-B, B], and walking each point there (`_walked_facts`) gives the facts
+    exactly.
+    """
+    outer, inner = m.outer.record, m.inner.record
+    if outer.shift is not None and inner.shift is not None:
+        (a0, a1), b = inner.shift, outer.shift
+        # inner moves an even n onto parity a0 and an odd n onto parity 1 + a1
+        d0, d1 = a0 + b[a0 & 1], a1 + b[(1 + a1) & 1]
+        return _translation("compose", d0, d1,
+                            f"composed translation n -> n + ({d0}, {d1})[n mod 2]")
+    reach = outer.reach + inner.reach
+    bound = 2 * reach + 2
+    facts = _walked_facts(lambda n: _compose_step(m, Index((), n)).coord, bound)
+    return Rule("compose", _compose_step, facts=facts, grows=bound, reach=reach)
 
 
-def _square_plus(name: str, c: int, facts: RuleFacts) -> Rule:
-    """n -> n^2 + c; no closed forms, but orbits grow once |n| >= 2."""
+def _compose_step(m: SelfMap, index: Index) -> Index:
+    return _step(m.outer, _step(m.inner, index))
+
+
+def _walked_facts(step: Callable[[int], int], bound: int) -> RuleFacts:
+    """The facts of a map with growth bound `bound`, walked on [-bound, bound].
+
+    A walk from each point there ends at a repeat, a finite orbit with its
+    (preperiod, period), or on leaving the interval, after which magnitudes
+    increase for good.  The first collision in coordinate order is the
+    non-injectivity witness: one always lies in the interval, since the
+    translations before the first squaring are a bijection and send two
+    points of magnitude <= D + 1 onto 1 and -1, which that squaring merges.
+    """
+    points = range(-bound, bound + 1)
+    finite = {}
+    for n in points:
+        seen: dict[int, int] = {}  # point -> steps from n
+        cur = n
+        while -bound <= cur <= bound and cur not in seen:
+            seen[cur] = len(seen)
+            cur = step(cur)
+        if cur in seen:
+            finite[n] = (seen[cur], len(seen) - seen[cur])
+    first: dict[int, int] = {}  # image -> first source
+    for n in points:
+        a = first.setdefault(step(n), n)
+        if a != n:
+            collision = (a, n)
+            break
+    return RuleFacts(
+        False,
+        f"|n| > {bound} gives |phi(n)| > |n|, so magnitudes strictly increase",
+        collision=collision,
+        finite=finite,
+        finite_note=f"walked every orbit from [-{bound}, {bound}]",
+        nqp_witness=bound + 1,
+    )
+
+
+def _square_plus(name: str, c: int, grows: int, facts: RuleFacts) -> Rule:
+    """n -> n^2 + c; no closed forms, but |n^2 + c| > |n| once |n| > grows."""
 
     def step(m: SelfMap, index: Index) -> Index:
         n = index.coord
@@ -694,7 +763,7 @@ def _square_plus(name: str, c: int, facts: RuleFacts) -> Rule:
             )
         return Index((), _check_bits(n * n + c))
 
-    return Rule(name, step, facts=facts, grows=True)
+    return Rule(name, step, facts=facts, grows=grows, reach=c)
 
 
 def _table_power(m: SelfMap, index: Index, steps: int) -> Index:
@@ -719,7 +788,7 @@ def _union_chain(m: SelfMap, index: Index) -> Optional[tuple]:
 RULES = {rule.name: rule for rule in (
     _translation("successor", 1, 1, "translation by +1 never revisits a coordinate"),
     _translation("predecessor", -1, -1, "translation by -1 never revisits a coordinate"),
-    _square_plus("square", 0, RuleFacts(
+    _square_plus("square", 0, 1, RuleFacts(
         False,
         "|n| >= 2 gives |n^2| >= 2|n|, so magnitudes strictly increase",
         collision=(-1, 1),
@@ -728,7 +797,7 @@ RULES = {rule.name: rule for rule in (
         finite_note="squaring fixed points 0,1",
         nqp_witness=2,
     )),
-    _square_plus("square_plus_one", 1, RuleFacts(
+    _square_plus("square_plus_one", 1, 0, RuleFacts(
         False,
         "n^2 + 1 > n for every integer, so orbits strictly increase",
         collision=(-1, 1),
@@ -737,7 +806,6 @@ RULES = {rule.name: rule for rule in (
     _translation("parity_down", -1, 1, "involution pairing"),
     Rule("table", lambda m, index: Index((), m.table[index.coord]),
          _table_power, _table_preimage),
-    Rule("compose", lambda m, index: _step(m.outer, _step(m.inner, index))),
     Rule("disjoint_union", lambda m, index: route(m, index, _step),
          lambda m, index, steps: route(m, index, _iterate, steps),
          lambda m, index: route(m, index, preimage), _union_chain),

@@ -1,11 +1,13 @@
 """Orbit analysis for catalog self-maps: classification, profiles, chains.
 
 Every answer is a three-valued verdict (proven true / proven false / unknown)
-carrying a witness or a named certificate plus a provenance tag, so bounded
-searches can never silently masquerade as proofs.  Catalog rules carry
-hand-certified analytic facts (periodic sets, growth of orbits, injectivity)
-in their rule-table records; everything else falls back to exhaustive
-analysis on finite domains or budgeted cycle detection elsewhere.
+carrying a witness or a named certificate plus a provenance tag.  Each map on
+the integers carries certified facts (periodic sets, growth of orbits,
+injectivity) in its rule-table record: typed by hand for the catalog rules,
+in closed form for composed translations, and walked below the growth bound
+for compositions with a squaring rule.  Tables are analysed exhaustively and
+unions side by side, so every map of the grammar is decided; `unknown` stays
+in the verdict type so that an undecided fact can never read as a proof.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .indexspace import (
     chain_coordinates,
     contains,
     cycle_walk,
-    domain_size,
     evaluate,
     region_indices,
     route,
@@ -52,9 +53,6 @@ PROVEN_TRUE = "proven_true"
 PROVEN_FALSE = "proven_false"
 UNKNOWN = "unknown"
 
-DEFAULT_BUDGET = 4096
-WALK_STEPS = 512  # steps orbit_position walks on an infinite domain without chain coordinates
-
 
 class UnresolvedOrbitError(RuntimeError):
     """Orbit membership could not be decided within the available certificates."""
@@ -64,9 +62,9 @@ class Verdict(Record):
     """Three-valued answer with evidence.
 
     provenance: "exhaustive" (finite domain fully checked),
-    "analytic-metadata" (hand-certified catalog fact), or
-    "bounded-search" (found by budgeted iteration; still a proof when definite).
-    Unknown verdicts record the exhausted budget instead of evidence.
+    "analytic-metadata" (a certified fact of the map's rule record), or
+    "bounded-search" (an undecided verdict).  Unknown verdicts record a
+    budget instead of evidence.
     """
 
     truth: str
@@ -165,7 +163,7 @@ class PointClassification(Record):
 
     kind: "periodic" (returns to itself; period recorded), "quasi_periodic"
     (finite orbit, never returns; preperiod and eventual period recorded),
-    "non_quasi_periodic" (infinite orbit), or "unknown" (budget exhausted).
+    "non_quasi_periodic" (infinite orbit), or "unknown" (undecided).
     """
 
     kind: str
@@ -209,8 +207,8 @@ class ChainDecomposition(Record):
 
 # ---------------------------------------------------------------------------
 # Point classification.  Tables walk every orbit to its cycle, union maps ask
-# the side that owns the point, rules with certified facts (RuleFacts in the
-# rule table) read them off, and everything else searches under a budget.
+# the side that owns the point, and maps on the integers read the certified
+# facts (RuleFacts) of their rule record.
 # ---------------------------------------------------------------------------
 
 
@@ -218,18 +216,16 @@ def _kind(preperiod: int) -> str:
     return "periodic" if preperiod == 0 else "quasi_periodic"
 
 
-def classify_point(m: SelfMap, index: Index, budget: int = DEFAULT_BUDGET) -> PointClassification:
-    """Classify the forward orbit of one point; Unknown rather than a guess."""
+def classify_point(m: SelfMap, index: Index) -> PointClassification:
+    """Classify the forward orbit of one point."""
     if not contains(m.domain, index):
         raise DomainMismatchError(f"{index!r} not in map domain")
     if m.left is not None:
-        return route(m, index, classify_point, budget)
+        return route(m, index, classify_point)
     if m.table is not None:
         points, pre = cycle_walk(m.table.__getitem__, index.coord, len(m.table))
         return PointClassification(_kind(pre), len(points) - pre, pre, provenance="exhaustive")
     facts = m.record.facts
-    if facts is None:
-        return _classify_by_search(m, index, budget)
     if facts.period is not None and facts.period_parity in (None, index.coord & 1):
         return PointClassification("periodic", facts.period, 0, certificate=facts.note)
     shape = facts.finite.get(index.coord)
@@ -239,35 +235,18 @@ def classify_point(m: SelfMap, index: Index, budget: int = DEFAULT_BUDGET) -> Po
     return PointClassification("non_quasi_periodic", certificate=facts.note)
 
 
-def _search_walk(m: SelfMap, start: Index, budget: int) -> Optional[tuple[list, int]]:
-    try:
-        return cycle_walk(lambda index: evaluate(m, index), start, budget)
-    except BudgetExceededError:
-        return None
-
-
-def _classify_by_search(m: SelfMap, index: Index, budget: int) -> PointClassification:
-    walk = _search_walk(m, index, budget)
-    if walk is None:
-        return PointClassification("unknown", provenance="bounded-search", budget=budget)
-    points, pre = walk
-    return PointClassification(_kind(pre), len(points) - pre, pre, provenance="bounded-search")
-
-
 # ---------------------------------------------------------------------------
 # Map profiles.
 # ---------------------------------------------------------------------------
 
 
-def map_profile(m: SelfMap, budget: int = DEFAULT_BUDGET) -> MapProfile:
+def map_profile(m: SelfMap) -> MapProfile:
     """Injectivity, periodic-point existence, and infinite-orbit existence for the map."""
     if m.table is not None:
         return _table_profile(m.table)
     if m.left is not None:
-        return _union_profile(map_profile(m.left, budget), map_profile(m.right, budget))
+        return _union_profile(map_profile(m.left), map_profile(m.right))
     facts = m.record.facts
-    if facts is None:
-        return _profile_by_search(m, budget)
     if facts.injective:
         inj = proven_true(certificate="certified injective rule")
     else:
@@ -344,76 +323,37 @@ def _union_profile(lp: MapProfile, rp: MapProfile) -> MapProfile:
     return MapProfile(inj, per, nqp)
 
 
-def _profile_by_search(m: SelfMap, budget: int) -> MapProfile:
-    # only compositions lack certified facts; a collision inside the inner map
-    # survives composition
-    inner = map_profile(m.inner, budget).injective
-    if inner.is_false and inner.witness is not None:
-        inj = proven_false(witness=inner.witness, certificate="inner collision survives composition")
-    else:
-        inj = _injectivity_by_scan(m, budget)
-    per = unknown(budget)
-    sample_cap = 64
-    for i, start in enumerate(region_indices(m.domain, 8)):
-        if i >= sample_cap:
-            break
-        walk = _search_walk(m, start, budget // 8)
-        if walk is not None:
-            points, pre = walk
-            per = proven_true(witness=(points[pre],), provenance="bounded-search")
-            break
-    # a search proves a periodic point or nothing: it never shows every orbit infinite
-    return MapProfile(inj, per, unknown(budget))
-
-
-def _injectivity_by_scan(m: SelfMap, budget: int) -> Verdict:
-    bound = max(4, budget // 64)
-    seen: dict[Index, Index] = {}
-    for src in region_indices(m.domain, bound):
-        try:
-            tgt = evaluate(m, src)
-        except BudgetExceededError:
-            continue
-        if tgt in seen:
-            return proven_false(witness=(seen[tgt], src), provenance="bounded-search")
-        seen[tgt] = src
-    return unknown(budget)
-
-
 # ---------------------------------------------------------------------------
 # Chain decomposition for injective aperiodic maps.
 # ---------------------------------------------------------------------------
 
 
-def chain_decomposition(m: SelfMap, bound: int, budget: int = DEFAULT_BUDGET) -> ChainDecomposition:
+def chain_decomposition(m: SelfMap, bound: int) -> ChainDecomposition:
     """One representative per chain of the region |coord| <= bound.
 
-    Representatives are the minimal-rank member of each chain, found by
-    walking the region in rank order: a point starts a new chain unless an
-    earlier representative lies on its forward orbit or it lies on theirs,
-    which in an injective map is exactly sharing a chain (never_joins (iii)).
+    Representatives are the minimal-rank member of each chain: the region is
+    walked in rank order, and the first point with each chain key is kept.
     Requires a certified injective, aperiodic map; the profile is re-checked
-    here so callers cannot feed a map whose chains could collide.
-    UnresolvedOrbitError propagates when a lookup has no certificate.
+    here so callers cannot feed a map whose chains could collide.  Every such
+    map is a translation, a union of them or a composition of such unions,
+    so every point has chain coordinates.
     """
-    profile = map_profile(m, budget)
+    profile = map_profile(m)
     if not profile.injective.is_true:
         raise ValueError(f"chain decomposition needs proven injectivity, got {profile.injective.truth}")
     if not profile.has_periodic_point.is_false:
         raise ValueError(
             f"chain decomposition needs proven aperiodicity, got {profile.has_periodic_point.truth}"
         )
-    reps: list[Index] = []
+    reps: dict = {}  # chain key -> its first point
     for x in region_indices(m.domain, bound):
-        if all(orbit_position(m, r, x) is None and orbit_position(m, x, r) is None
-               for r in reps):
-            reps.append(x)
-    return ChainDecomposition(tuple(reps), bound)
+        reps.setdefault(chain_coordinates(m, x)[0], x)
+    return ChainDecomposition(tuple(reps.values()), bound)
 
 
 # ---------------------------------------------------------------------------
 # Orbit-position resolution: is kappa on the forward orbit of theta, and where?
-# Exact answers only; raises UnresolvedOrbitError when no certificate applies.
+# Exact answers only; raises UnresolvedOrbitError when a walk outgrows the bit budget.
 # never_joins asks the weaker question for a whole walk: can it ever get there?
 # ---------------------------------------------------------------------------
 
@@ -428,8 +368,11 @@ def _steps(a: tuple, t: Optional[tuple]) -> Optional[int]:
 
 def orbit_position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
     """Position n >= 0 with iterate(m, anchor, n) == target, or None when off-orbit;
-    read off chain coordinates, else walked (exactly, on a finite domain or
-    once the walk comes back to a point it has passed)."""
+    read off chain coordinates, else walked.  A record without chain
+    coordinates is a table's or a growing one's, so the walk ends: at the
+    target, at a repeat (the rest of the orbit was seen), once it passes
+    max(growth bound, |target|), or past the bit budget, which raises
+    UnresolvedOrbitError."""
     if anchor.path != target.path:
         return None
     if m.left is not None:
@@ -438,33 +381,25 @@ def orbit_position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
     if rule.chain is not None:
         k = _steps(rule.chain(m, anchor), rule.chain(m, target))
         return None if k is None or k < 0 else k
-    # bounded walk, exact only when found; a growing rule also settles a miss
-    # once magnitudes pass |target|; otherwise refuse to guess
-    size = domain_size(m.domain)
     cur, seen = anchor, set()
-    for n in range(WALK_STEPS + 1 if size is None else size):
-        if cur == target:
-            return n
-        if cur in seen:  # the orbit is a cycle after this point: all of it was seen
+    while cur != target:
+        if cur in seen or (rule.grows is not None
+                           and abs(cur.coord) > max(rule.grows, abs(target.coord))):
             return None
         seen.add(cur)
-        if rule.grows and n >= 2 and abs(cur.coord) >= 2 and abs(cur.coord) > abs(target.coord):
-            return None
         try:
             cur = evaluate(m, cur)
         except BudgetExceededError as exc:
             raise UnresolvedOrbitError(str(exc)) from exc
-    if size is None:
-        raise UnresolvedOrbitError(f"orbit membership of {target!r} undecided within {WALK_STEPS} steps")
-    return None
+    return len(seen)
 
 
 def never_joins(m: SelfMap, walker: Index, anchor: Index) -> bool:
     """True when the forward orbits of walker and anchor are certified disjoint.
 
     False means the walk may join the anchor's orbit: it does, or no
-    certificate applies (an unknown classification, an undecided lookup, a
-    non-injective map with two infinite orbits), and the caller has to step.
+    certificate applies (a non-injective map with two infinite orbits), and
+    the caller has to step.
     """
     if not contains(m.domain, walker):
         raise DomainMismatchError(f"{walker!r} not in map domain")
@@ -476,14 +411,13 @@ def never_joins(m: SelfMap, walker: Index, anchor: Index) -> bool:
     if (classify_point(m, anchor).is_non_quasi_periodic
             and classify_point(m, walker).kind in ("periodic", "quasi_periodic")):
         return True
-    # (iii) injective orbits that meet pass through one another's start point
+    # (iii) injective orbits that meet pass through one another's start point;
+    # an injective map has chain coordinates or is a permutation table, so
+    # neither lookup raises
     if not map_profile(m).injective.is_true:
         return False
-    try:
-        return (orbit_position(m, walker, anchor) is None
-                and orbit_position(m, anchor, walker) is None)
-    except UnresolvedOrbitError:
-        return False
+    return (orbit_position(m, walker, anchor) is None
+            and orbit_position(m, anchor, walker) is None)
 
 
 @lru_cache(maxsize=1024)

@@ -175,6 +175,22 @@ def walked_signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
     return None
 
 
+def capped_orbit_shape(m: SelfMap, start: Index, steps: int,
+                       magnitude: int) -> Optional[tuple[int, int]]:
+    """(preperiod, period) of start's orbit by stepping, or None when nothing
+    repeats within `steps` steps or before a coordinate passes `magnitude`."""
+    seen: dict[Index, int] = {}
+    cur = start
+    for i in range(steps + 1):
+        if cur in seen:
+            return seen[cur], i - seen[cur]
+        if abs(cur.coord) > magnitude:
+            return None
+        seen[cur] = i
+        cur = evaluate(m, cur)
+    return None
+
+
 def stepped_chain_representatives(m: SelfMap, bound: int, steps: int) -> list[Index]:
     """Chain representatives of the region |coord| <= bound by stepping: in
     rank order, a point not yet met starts a chain, and `steps` forward and

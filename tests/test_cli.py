@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+import gshift.cli as cli
 from gshift.cli import ConfigError, ExperimentConfig, main, parse_config
+from gshift.orbits import MapProfile, PointClassification, unknown
 
 PHI1 = {
     "map": {"rule": "successor"},
@@ -165,28 +167,13 @@ def test_config_required_for_map_commands(tmp_path):
     assert main(["--out", str(tmp_path), "classify"]) == 2
 
 
-@pytest.mark.parametrize("flag, env, error", [
-    (None, "abc", "GSHIFT_BUDGET: need an integer >= 1, got 'abc'"),
-    (None, "0", "GSHIFT_BUDGET: need an integer >= 1, got '0'"),
-    (None, "-3", "GSHIFT_BUDGET: need an integer >= 1, got '-3'"),
-    ("abc", None, "--budget: need an integer >= 1, got 'abc'"),
-    ("-1", None, "--budget: need an integer >= 1, got '-1'"),
-    ("0", None, "--budget: need an integer >= 1, got '0'"),
-    ("2.5", "8", "--budget: need an integer >= 1, got '2.5'"),  # the flag is read first
-    ("8", "abc", None),
-    (None, "8", None),
-    (None, None, None),
-])
-def test_a_budget_that_is_not_an_integer_of_at_least_1_exits_2(tmp_path, capsys, monkeypatch,
-                                                                 flag, env, error):
-    if env is None:
-        monkeypatch.delenv("GSHIFT_BUDGET", raising=False)
-    else:
-        monkeypatch.setenv("GSHIFT_BUDGET", env)
-    argv = ["classify"] if flag is None else ["--budget", flag, "classify"]
-    rc = _run(tmp_path, *argv, config=PHI1)
-    assert (rc, capsys.readouterr().err) == ((0, "") if error is None
-                                             else (2, f"config error: {error}\n"))
+def test_there_is_no_budget_flag(tmp_path, capsys):
+    # every map of the grammar is decided exactly, so no search takes a budget
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "classify", "--budget", "8", config=PHI1)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --budget 8" in err and "[--budget" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +285,25 @@ def test_verify_passes_on_composed_translations(tmp_path, capsys, inner):
     assert json.loads((tmp_path / "out" / "verify.json").read_text())["rollup"] is True
 
 
+def _unknown_profile(m):
+    return MapProfile(unknown(8), unknown(8), unknown(8))
+
+
+def _unknown_point(m, index):
+    return PointClassification("unknown", provenance="bounded-search", budget=8)
+
+
 @pytest.mark.parametrize("map_obj", [
     {"rule": "compose", "outer": {"rule": "square"}, "inner": {"rule": "successor"}},
     {"rule": "compose", "outer": {"rule": "square_plus_one"}, "inner": {"rule": "successor"}},
 ], ids=["square-after-successor", "square-plus-one-after-successor"])
-def test_verify_reports_an_unknown_prediction_as_inconclusive(tmp_path, capsys, map_obj):
+def test_verify_reports_an_unknown_prediction_as_inconclusive(tmp_path, capsys, monkeypatch,
+                                                               map_obj):
+    # both maps are decided (walked facts below their growth bound) and verify;
+    # an unknown profile, which no grammar map has, is INCONCLUSIVE, never PASS
+    assert _run(tmp_path, "verify", config={"map": map_obj}) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "rollup: PASS"
+    monkeypatch.setattr(cli, "map_profile", _unknown_profile)
     assert _run(tmp_path, "verify", config={"map": map_obj}) == 3
     out = capsys.readouterr().out
     assert "SKIP" not in out
@@ -393,9 +394,16 @@ def _nested_union(left, depth):
 
 
 @pytest.mark.parametrize("command", ["stats", "construct-dc"])
-def test_an_unknown_anchor_classification_is_inconclusive(tmp_path, capsys, command):
+def test_an_unknown_anchor_classification_is_inconclusive(tmp_path, capsys, monkeypatch,
+                                                          command):
+    # (n + 1)^2 has only infinite orbits, so its first candidate anchors the
+    # family; an unknown classification, which no grammar map has, leaves the
+    # anchor undecided
     cfg = {"map": SQUARE_AFTER_SUCCESSOR}
-    assert _run(tmp_path, "--budget", "8", command, config=cfg) == 3
+    assert _run(tmp_path, command, config=cfg) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "classify_point", _unknown_point)
+    assert _run(tmp_path, command, config=cfg) == 3
     assert capsys.readouterr().err.startswith("inconclusive: no usable anchor")
 
 
@@ -404,10 +412,16 @@ def test_an_unknown_anchor_classification_is_inconclusive(tmp_path, capsys, comm
     ({"rule": "parity_up"}, 1, [{"name": "anchor", "ok": False, "note":
                                  "no usable anchor: every candidate has a proven finite orbit"}]),
 ], ids=["unknown", "finite"])
-def test_verify_without_an_anchor(tmp_path, capsys, left, rc, checks):
+def test_verify_without_an_anchor(tmp_path, capsys, monkeypatch, left, rc, checks):
     # unknown candidates leave the anchor undecided (3); proven finite orbits fail (1)
     cfg = {"map": _nested_union(left, 7)}
-    assert _run(tmp_path, "--budget", "8", "verify", config=cfg) == rc
+    if rc == 3:
+        # the left copies of (n + 1)^2 are decided and anchor the family; the
+        # undecided case reads unknown for every candidate instead
+        assert _run(tmp_path, "verify", config=cfg) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "classify_point", _unknown_point)
+    assert _run(tmp_path, "verify", config=cfg) == rc
     out = capsys.readouterr().out
     blob = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert blob["checks"] == checks and blob["rollup"] is False

@@ -18,8 +18,10 @@ from gshift.indexspace import (
     format_index,
     iterate,
     ix,
+    map_spec,
     parity_down,
     parity_up,
+    parse_map_spec,
     predecessor,
     region_indices,
     square,
@@ -28,7 +30,6 @@ from gshift.indexspace import (
     table_map,
 )
 from gshift.orbits import (
-    _injectivity_by_scan,
     chain_decomposition,
     classify_point,
     map_profile,
@@ -44,6 +45,7 @@ from gshift.orbits import (
 from gshift.theorems import predict
 from oracles import (
     brute_force_profile,
+    capped_orbit_shape,
     parse_index,
     stepped_chain_representatives,
     table_json,
@@ -150,7 +152,7 @@ def test_square_minus_one_is_quasi_periodic():
 
 
 def test_square_growth_point_is_non_quasi_periodic():
-    cls = classify_point(square(), ix(2), 100)
+    cls = classify_point(square(), ix(2))
     assert cls.kind == "non_quasi_periodic"
     # independent check of the certificate's inductive condition on early iterates
     cur = ix(2)
@@ -294,18 +296,19 @@ def test_union_profile_combines_sides():
 # ---------------------------------------------------------------------------
 
 
-def _collision_in_ball(m, bound):
-    """First collision by enumeration rank among |coord| <= bound, ordered by coordinate."""
-    verdict = _injectivity_by_scan(m, 64 * bound)  # scans the ball |coord| <= budget // 64
+def _collision(m):
+    """The profile's colliding pair, ordered by coordinate, or None when injective."""
+    verdict = map_profile(m).injective
     if verdict.witness is None:
         return None
     return tuple(sorted(verdict.witness, key=lambda i: i.coord))
 
 
 def test_injectivity_witness_examples():
-    assert _collision_in_ball(square_plus_one(), 5) == (ix(-1), ix(1))
-    assert _collision_in_ball(square(), 5) == (ix(-1), ix(1))
-    assert _collision_in_ball(successor(), 100) is None
+    assert _collision(square_plus_one()) == (ix(-1), ix(1))
+    assert _collision(square()) == (ix(-1), ix(1))
+    assert _collision(compose_maps(square(), predecessor())) == (ix(0), ix(2))  # (n - 1)^2
+    assert _collision(successor()) is None
 
 
 def test_chain_decomposition_examples():
@@ -387,7 +390,7 @@ def test_orbit_position_arithmetic():
 
 
 def test_a_walk_that_comes_back_round_settles_a_miss():
-    # (n - 1)^2 has no chain coordinates and is not marked as growing; the orbit
+    # (n - 1)^2 has no chain coordinates and grows only past |n| = 4; the orbit
     # of 0 is the cycle 0, 1, 0, ..., so 5 is off it after two steps
     m = compose_maps(square(), predecessor())
     assert orbit_position(m, ix(0), ix(5)) is None
@@ -455,9 +458,9 @@ def test_a_permutation_table_reads_forward_exponents_only():
 
 
 def test_a_walk_on_a_finite_domain_is_exact_past_the_walk_limit():
-    # a 600-cycle: the orbit of 0 reaches 599 after 599 steps, past WALK_STEPS;
-    # a composition of two tables is walked as its composed table, so a miss
-    # is settled after 600 steps instead of raising after 512
+    # a 600-cycle: the orbit of 0 reaches 599 after 599 steps; a composition
+    # of two tables is walked as its composed table, so a miss is settled at
+    # the walk's first repeat
     cycle = table_map([(i + 1) % 600 for i in range(600)])
     assert orbit_position(cycle, ix(0), ix(599)) == 599
     halves = table_map([(i + 2) % 600 for i in range(600)])
@@ -549,29 +552,89 @@ def test_chain_coordinates_of_the_catalog_translations():
 
 
 # ---------------------------------------------------------------------------
-# Bounded search: compositions that are not translations carry no facts.
+# Compositions with a squaring rule: facts walked below the growth bound.
 # ---------------------------------------------------------------------------
 
 SQUARE_AFTER_PREDECESSOR = compose_maps(square(), predecessor())  # (n - 1)^2
 
+CATALOG = {"s": successor(), "p": predecessor(), "q": square(), "q1": square_plus_one(),
+           "u": parity_up(), "d": parity_down()}
+
+
+def _catalog_compositions(depth):
+    """Every composition of `depth` catalog rules, nested to the right."""
+    if depth == 1:
+        return dict(CATALOG)
+    return {f"{a}.{rest}": compose_maps(CATALOG[a], m)
+            for a in CATALOG for rest, m in _catalog_compositions(depth - 1).items()}
+
+
+CATALOG_COMPOSITIONS = {name: m for depth in (1, 2, 3)
+                        for name, m in _catalog_compositions(depth).items()}
+
 
 def test_an_inner_collision_survives_composition():
     verdict = map_profile(compose_maps(successor(), square())).injective
-    assert verdict == proven_false(witness=(ix(-1), ix(1)),
-                                   certificate="inner collision survives composition")
+    assert verdict == proven_false(witness=(ix(-1), ix(1)))
 
 
-def test_bounded_search_profiles_a_composition_without_facts():
-    profile = map_profile(SQUARE_AFTER_PREDECESSOR)  # the inner map is injective
-    assert profile.injective == proven_false(witness=(ix(0), ix(2)), provenance="bounded-search")
-    assert profile.has_periodic_point == proven_true(witness=(ix(0),),
-                                                     provenance="bounded-search")
+def test_walked_facts_profile_a_composition_with_a_squaring_rule():
+    m = SQUARE_AFTER_PREDECESSOR  # the inner map is injective
+    assert m.record.grows == 4  # reach 1 + 0, so B = 2 * 1 + 2
+    profile = map_profile(m)
+    assert profile.injective == proven_false(witness=(ix(0), ix(2)))
+    assert profile.has_periodic_point == proven_true(witness=(ix(0),))
+    assert profile.has_non_quasi_periodic_point.witness == (ix(5),)
 
 
-def test_bounded_search_classifies_points_of_a_composition():
+def test_walked_facts_classify_points_of_a_composition():
     cls = classify_point(SQUARE_AFTER_PREDECESSOR, ix(0))  # 0 -> 1 -> 0
     assert (cls.kind, cls.preperiod, cls.period, cls.provenance) == (
-        "periodic", 0, 2, "bounded-search")
+        "periodic", 0, 2, "analytic-metadata")
     cls = classify_point(compose_maps(successor(), SQUARE_AFTER_PREDECESSOR), ix(0))  # 0 -> 2 -> 2
     assert (cls.kind, cls.preperiod, cls.period, cls.provenance) == (
-        "quasi_periodic", 1, 1, "bounded-search")
+        "quasi_periodic", 1, 1, "analytic-metadata")
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_every_catalog_composition_is_decided_exactly(depth):
+    # 6, 36 and 216 maps: no unknown fact, every stored collision collides,
+    # and each point of -40..40 has the shape a capped walk finds (finite
+    # orbits of these maps stay below 20 in magnitude, infinite ones pass 2^64)
+    for name, m in _catalog_compositions(depth).items():
+        profile = map_profile(m)
+        assert "unknown" not in profile.truths(), name
+        if profile.injective.is_false:
+            a, b = profile.injective.witness
+            assert a != b and evaluate(m, a) == evaluate(m, b), name
+        for c in range(-40, 41):
+            cls = classify_point(m, ix(c))
+            shape = None if cls.is_non_quasi_periodic else (cls.preperiod, cls.period)
+            assert shape == capped_orbit_shape(m, ix(c), 64, 2 ** 64), (name, c)
+
+
+@pytest.mark.parametrize("name", ["q.s", "q1.s", "s.q", "q.q1.p", "u.q.d"])
+def test_a_squaring_composition_grows_past_its_bound(name):
+    # |phi(n)| > |n| for every |n| > B, with B = 2 * (sum of the parts' reach) + 2
+    m = CATALOG_COMPOSITIONS[name]
+    bound = m.record.grows
+    assert bound == 2 * m.record.reach + 2
+    for c in range(-bound - 30, bound + 31):
+        if abs(c) > bound:
+            assert abs(evaluate(m, ix(c)).coord) > abs(c), c
+
+
+def test_a_composition_of_two_unions_routes_by_tag():
+    u = disjoint_union_maps(successor(), parity_up())
+    m = compose_maps(u, u)
+    assert (m.rule, m.record.name) == ("compose", "disjoint_union")
+    assert map_profile(m).truths() == ("proven_true", "proven_true", "proven_true")
+    assert map_spec(m) == {"rule": "compose", "outer": map_spec(u), "inner": map_spec(u)}
+    assert parse_map_spec(map_spec(m)) == m
+    assert chain_coordinates(m, ix(3, "L")) == (("L", 1), 1, None)  # n + 2: 1 -> 3
+    for x in region_indices(m.domain, 6):
+        assert evaluate(m, x) == evaluate(u, evaluate(u, x)), x
+    assert classify_point(m, ix(4, "R")).kind == "periodic"  # the swap, twice, is the identity
+    twice = disjoint_union_maps(successor(), successor())
+    cd = chain_decomposition(compose_maps(twice, twice), 3)  # n + 2 on both sides
+    assert [format_index(r) for r in cd.representatives] == ["L0", "R0", "L1", "R1"]

@@ -47,11 +47,26 @@ SAMPLES = [
     compose_maps(successor(), compose_maps(successor(), parity_up())),
     disjoint_union_maps(successor(), parity_up()),
     disjoint_union_maps(table_map((1, 1, 0)), compose_maps(parity_down(), parity_up())),
+    compose_maps(disjoint_union_maps(successor(), parity_up()),
+                 disjoint_union_maps(predecessor(), square())),
 ]
 
 
 def test_samples_cover_every_record():
-    assert {m.record.name for m in SAMPLES} == set(RULES)
+    # a composition's record is built per map ("compose": a translation or a
+    # growing record), so the table holds every other kind
+    assert {m.record.name for m in SAMPLES} == set(RULES) | {"compose"}
+    assert {m.record.grows is not None for m in SAMPLES if m.record.name == "compose"} == {
+        True, False}
+
+
+def test_every_record_without_chain_coordinates_is_a_table_or_grows():
+    # so the walk of `orbit_position` always ends: at a repeat (tables) or
+    # past the growth bound, unless the bit budget stops it first
+    records = [*RULES.values(), *(m.record for m in SAMPLES)]
+    records += [compose_maps(a, b).record for a in SAMPLES[:6] for b in SAMPLES[:6]]
+    for rule in records:
+        assert rule.chain is not None or rule.name == "table" or rule.grows is not None, rule.name
 
 
 @st.composite
