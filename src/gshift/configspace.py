@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .indexspace import (
+    DomainMismatchError,
     Index,
     IndexDomain,
     Record,
@@ -126,17 +127,22 @@ class Configuration:
         return runs
 
 
+def _refuse_off_domain(domain: IndexDomain, index: Index) -> None:
+    if not contains(domain, index):
+        raise DomainMismatchError(f"{index!r} outside configuration domain")
+
+
 class Constant(Configuration):
     def __init__(self, domain: IndexDomain, symbol: str):
         self.domain = domain
         self.symbol = symbol
 
     def symbol_at(self, index: Index) -> str:
-        if not contains(self.domain, index):
-            raise ValueError(f"{index!r} outside configuration domain")
+        _refuse_off_domain(self.domain, index)
         return self.symbol
 
     def runs_along(self, m: SelfMap, start: Index, count: int) -> list[Run]:
+        _refuse_off_domain(self.domain, start)
         return [(count, self.symbol)] if count > 0 else []
 
 
@@ -246,7 +252,10 @@ class OrbitBlocks(Configuration):
 
     def symbol_at(self, index: Index) -> str:
         pos = orbit_position(self.map, self.anchor, index)
-        return self.alphabet.q if pos is None else self._symbol_at_position(pos)
+        if pos is None:  # off the orbit: q, when on the domain at all
+            _refuse_off_domain(self.domain, index)
+            return self.alphabet.q
+        return self._symbol_at_position(pos)
 
     def symbols_after(self, m: SelfMap, window: Sequence[Index], power: int) -> list[str]:
         offsets = window_offsets(m, self.anchor, tuple(window)) if m == self.map else None
@@ -338,6 +347,8 @@ class Embedded(Configuration):
 
     def symbol_at(self, index: Index) -> str:
         pos = orbit_position(self.map, self.anchor, index)
+        if pos is None:
+            _refuse_off_domain(self.domain, index)
         if pos is None or pos == 0:
             return self.fill
         return self.inner.symbol_at(Index((), pos))

@@ -15,11 +15,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gshift.cli import main
-from gshift.indexspace import CATALOG_RULES
+from gshift.indexspace import CATALOG_RULES, parse_map_spec
+from gshift.orbits import map_profile
 
 # any JSON value, kept small: what a hand-edited config might hold by mistake
 JUNK = st.recursive(
@@ -96,6 +97,18 @@ CONFIGS = _maybe(_fields({
 }))
 
 
+@settings(max_examples=100, deadline=None)
+@given(obj=MAPS)
+def test_every_map_of_the_grammar_is_decided(obj):
+    # compositions with a squaring rule carry walked facts and compositions of
+    # unions route by tag, so no well-formed map has an unknown fact
+    try:
+        m = parse_map_spec(obj)
+    except ValueError:  # a malformed spec, or a composition across domains
+        assume(False)
+    assert "unknown" not in map_profile(m).truths(), obj
+
+
 def _exit_code(command: str, config) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -110,8 +123,7 @@ def test_verify_ends_with_a_documented_exit_code(config):
     assert _exit_code("verify", config) in (0, 1, 2, 3)
 
 
-# fewer draws than verify: a stats run on a composition with a squaring rule
-# can take seconds to find no anchor
+# fewer draws than verify, to keep the four commands quick
 @pytest.mark.parametrize("command", [
     "stats", "construct-dc", "construct-dense", "construct-transitive"])
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

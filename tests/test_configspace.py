@@ -1,5 +1,6 @@
 """Configurations, block layouts, cylinder patterns, and the dyadic metric."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -456,6 +457,36 @@ def test_a_count_below_one_reads_no_runs(kind, count):
 
 
 # ---------------------------------------------------------------------------
+# Off-domain coordinates: every reader refuses them, as the shifted read does.
+# ---------------------------------------------------------------------------
+
+
+def test_a_block_layout_refuses_an_off_domain_coordinate():
+    x = _blocks({1})
+    assert x.symbol_at(ix(-3)) == Q  # off the orbit, on the domain
+    with pytest.raises(DomainMismatchError, match="L0 outside configuration domain"):
+        x.symbol_at(ix(0, "L"))
+
+
+def test_an_embedding_refuses_an_off_domain_coordinate():
+    w = Embedded(successor(), ix(0), Constant(NATURALS, P), Q)
+    assert w.symbol_at(ix(-3)) == Q  # off the orbit, on the domain: the fill
+    with pytest.raises(DomainMismatchError, match="L0 outside configuration domain"):
+        w.symbol_at(ix(0, "L"))
+
+
+def test_a_constant_refuses_an_off_domain_coordinate():
+    with pytest.raises(DomainMismatchError, match="L0 outside configuration domain"):
+        Constant(INTEGERS, P).symbol_at(ix(0, "L"))
+
+
+def test_a_constant_refuses_a_read_from_an_off_domain_start():
+    assert Constant(INTEGERS, P).runs_along(successor(), ix(0), 3) == [(3, P)]
+    with pytest.raises(DomainMismatchError, match="L0 outside configuration domain"):
+        Constant(INTEGERS, P).runs_along(successor(), ix(0, "L"), 3)
+
+
+# ---------------------------------------------------------------------------
 # Embedded configurations.
 # ---------------------------------------------------------------------------
 
@@ -760,3 +791,32 @@ def test_window_threshold_guarantees_containment(ranks):
     # a disagreement at rank r <= max(ranks) would already contribute 2^-r >= t
     x = FinitePatch(Constant(INTEGERS, P), {w[0]: Q})
     assert not metric_less_than(x, Constant(INTEGERS, P), t)
+
+
+# ---------------------------------------------------------------------------
+# Refusals: each names its exception and its message.
+# ---------------------------------------------------------------------------
+
+
+REFUSALS = {
+    "constant-off-domain": (lambda: Constant(NATURALS, P).symbol_at(ix(0)),
+                            DomainMismatchError, "0 outside configuration domain"),
+    "embedded-inner-off-naturals": (
+        lambda: Embedded(successor(), ix(0), Constant(INTEGERS, P), Q),
+        ValueError, "inner configuration must live on the naturals"),
+    "shifted-negative-power": (lambda: Shifted(Constant(INTEGERS, P), successor(), -1),
+                               ValueError, "shift power must be >= 0"),
+    "pattern-lengths-differ": (lambda: CylinderPattern((ix(0), ix(1)), (P,)),
+                               ValueError, "window and symbols must align"),
+    "threshold-zero": (lambda: threshold_to_window(INTEGERS, Fraction(0)),
+                       ValueError, "threshold must be > 0"),
+    "threshold-negative": (lambda: threshold_to_window(INTEGERS, Fraction(-1, 2)),
+                           ValueError, "threshold must be > 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_configspace_refusals_name_their_cause(name):
+    build, error, message = REFUSALS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -715,3 +716,52 @@ def test_shift_inner_drops_positions_below_one():
     moved = shift_inner(inner, 2)
     assert moved.symbol_at(Index((), 3)) == P   # was position 5
     assert moved.symbol_at(Index((), 1)) == Q   # old position 1 fell off
+
+
+# ---------------------------------------------------------------------------
+# Refusals: each names its exception and its message.
+# ---------------------------------------------------------------------------
+
+
+def _refusal_spec(variant):
+    return ScrambledFamilySpec(successor(), (ix(0),), ALPHA, block_lengths(4, variant),
+                               almost_disjoint_family(2), variant)
+
+
+REFUSALS = {
+    "block-lengths-count-0": (lambda: BlockLengths("plain", 0), ValueError,
+                              "count must be >= 1"),
+    "block-value-0": (lambda: block_lengths(3).value(0), ValueError,
+                      "block index must be >= 1"),
+    "block-horizon-negative": (lambda: block_lengths(3).horizon(-1), ValueError,
+                               "block index must be >= 0"),
+    "block-ceiling": (lambda: block_lengths(3).value(10_001), ValueError,
+                      "block 10001 lies past the 10000-block ceiling"),
+    "pattern-0": (lambda: pattern_enumeration(ALPHA, INTEGERS).pattern(0), ValueError,
+                  "pattern index must be >= 1"),
+    "dc-family-on-weave": (lambda: dc_family(_refusal_spec("weave")), ValueError,
+                           "dc_family builds the plain variant"),
+    "weave-family-on-plain": (
+        lambda: transitive_weave_family(_refusal_spec("plain"), full_shift_transitive_point(ALPHA)),
+        ValueError, "transitive_weave_family builds the weave variant"),
+    "densify-past-the-family": (
+        lambda: densify_family(successor(), dc_family(_refusal_spec("plain")),
+                               pattern_enumeration(ALPHA, INTEGERS), 3),
+        PreconditionError, "family exhausted before reaching the requested count"),
+    "entry-needs-length-lex": (
+        lambda: weave_entry_exponent(_refusal_spec("weave"), Constant(INTEGERS, P),
+                                     CylinderPattern((ix(0),), (P,))),
+        ValueError, "entry bound needs the length-lex source"),
+    "shift-inner-off-naturals": (lambda: shift_inner(Constant(INTEGERS, P), 1), ValueError,
+                                 "shift_inner expects a naturals-domain configuration"),
+    "shift-inner-unsupported": (
+        lambda: shift_inner(FinitePatch(FinitePatch(Constant(NATURALS, P), {}), {}), 1),
+        ValueError, "shift_inner supports constants and finite patches over constants"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_constructions_refusals_name_their_cause(name):
+    build, error, message = REFUSALS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

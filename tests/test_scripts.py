@@ -1,5 +1,6 @@
 """The experiment scripts run end to end and print their closing summaries."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -45,3 +46,21 @@ def test_weave_demo_prints_exponents_past_the_decimal_digit_limit(tmp_path):
     lines = _run("run_weave_entry_demo.py", tmp_path, "--patterns", "2187")
     assert lines[-1] == "2187/2187 cylinders entered at their computed exponents"
     assert lines[-3].startswith("pattern 2187 ") and "exponent ~2^94596 entered" in lines[-3]
+
+
+def _mutants():
+    spec = importlib.util.spec_from_file_location("run_mutants", ROOT / "scripts" / "run_mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MUTANTS
+
+
+@pytest.mark.parametrize("mutant", _mutants(), ids=lambda m: m.name)
+def test_each_mutant_still_names_one_line_of_its_file(mutant):
+    # the mutant runner is not part of the suite; this keeps its list from
+    # going stale when the code it mutates is edited
+    assert (ROOT / mutant.path).read_text().count(mutant.original) == 1
+    assert mutant.mutated != mutant.original and "\n" not in mutant.original
+    for node in mutant.tests:
+        path, name = node.split("::")
+        assert f"def {name}(" in (ROOT / path).read_text(), node

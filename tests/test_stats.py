@@ -357,6 +357,23 @@ def test_one_sided_block_bound():
     assert _replayed(*_pair(), [5]) == [(5, False, True)]  # 5 in H_2 only
 
 
+# Negative controls at each estimate's edge: x patched with q on a few orbit
+# coordinates.  Block 3 is in S_1 only (n_3 - s_3 + 1 = 4) and block 4 in both
+# sets (s_4 - 4 * 1 - 1 = 26 on the window at offsets 0, 1); one agreement
+# past the edge turns ok off, so a loosened bound fails here.
+@pytest.mark.parametrize("block, offsets, patched, count, ok", [
+    (3, (0,), (3,), 4, True),
+    (3, (0,), (3, 4), 5, False),
+    (4, (0, 1), (11, 13, 15), 26, True),
+    (4, (0, 1), (10, 12, 14, 16), 25, False),
+], ids=["one-sided-at-bound", "one-sided-past-bound", "shared-at-bound", "shared-past-bound"])
+def test_a_proof_bound_holds_exactly_up_to_its_edge(block, offsets, patched, count, ok):
+    spec, (x, y) = _pair()
+    x = FinitePatch(x, {ix(c): Q for c in patched})
+    [bound] = proof_bound_check_dc(spec, [x, y], 0, 1, [block], offsets)
+    assert (bound.r, bound.count, bound.ok) == (block, count, ok)
+
+
 def test_degenerate_first_block_bound_is_trivial():
     both = ExplicitBlockSet(frozenset({1, 2}))
     spec = ScrambledFamilySpec(M, (ix(0),), ALPHA, LENGTHS,
