@@ -350,11 +350,9 @@ class SelfMap(Record):
 
     rule: "table" on a finite range, one of CATALOG_RULES on the integers,
     "compose" (outer after inner), or "disjoint_union" routing by tag.
-    record: the map's entry in the rule table, built on first read; a map with a
-    `table` (two tables composed, too) gets the table record, one with a `left`
-    (two unions composed, too) the union record, a composition of translations
-    (at any depth) the translation record of its closed form, and any other
-    composition a growing record with walked facts (see `_composed`).
+    record: the map's entry in the rule table, built on first read: the table
+    record for a map with a `table`, the union record for one with a `left`
+    (two tables or two unions composed, too), else `_composed`'s.
     """
 
     domain: IndexDomain
@@ -470,15 +468,14 @@ def parity_down() -> SelfMap:
 
 
 def compose_maps(outer: SelfMap, inner: SelfMap) -> SelfMap:
-    """The map sending idx to outer(inner(idx)), on their shared domain; tables
-    tabulate, and two unions compose side by side, since both keep the tag."""
+    """The map sending idx to outer(inner(idx)), on their shared domain; tables tabulate,
+    and unions compose side by side."""
     if outer.domain != inner.domain:
         raise DomainMismatchError("composition requires a shared domain")
     table = None if None in (outer.table, inner.table) else tuple(map(outer.table.__getitem__, inner.table))
-    if outer.left is None or inner.left is None:
-        return SelfMap(outer.domain, "compose", table, outer, inner)
-    return SelfMap(outer.domain, "compose", table, outer, inner,
-                   compose_maps(outer.left, inner.left), compose_maps(outer.right, inner.right))
+    sides = () if None in (outer.left, inner.left) else (
+        compose_maps(outer.left, inner.left), compose_maps(outer.right, inner.right))
+    return SelfMap(outer.domain, "compose", table, outer, inner, *sides)
 
 
 def disjoint_union_maps(left: SelfMap, right: SelfMap) -> SelfMap:
@@ -581,8 +578,7 @@ def cycle_walk(step, start, budget: int) -> Optional[tuple[list, int]]:
 
 
 class RuleFacts(Record):
-    """Certified dynamics of an integer rule, as plain data: typed by hand
-    for the catalog, walked for a composition with a squaring rule.
+    """Certified dynamics of an integer rule, as plain data.
 
     Either every point is periodic with `period`, certified by `note` (only
     the points of parity `period_parity` when it is set: the other class
@@ -613,13 +609,10 @@ class Rule(Record):
     period) every closed-form orbit answer is read from (else a walk): index
     is phi^offset of its chain's base point, indices share an orbit iff
     their keys are equal, period is a cycle's length (None on a chain).
-    facts: the certified dynamics of a rule on the integers (tables and
-    unions have none: they are read exhaustively or per side).  grows: a
-    bound B with |phi(n)| > |n| for every |n| > B, so a walk past
-    max(B, |target|) never comes back to the target.  shift: the steps
-    (d0, d1) of a translation n -> n + d[n mod 2].  reach: the most one
-    step moves a point before or after its squarings (max |d| for a
-    translation, c for n^2 + c), which bounds a composition's growth.
+    facts: the certified dynamics on the integers (tables and unions are read
+    exhaustively or per side).  grows: a bound B with |phi(n)| > |n| for every
+    |n| > B.  shift: the steps (d0, d1) of a translation n -> n + d[n mod 2].
+    reach: max |d| for a translation, c for n^2 + c (see `_composed`).
     """
 
     name: str
@@ -690,13 +683,15 @@ def _composed(m: SelfMap) -> Rule:
     """The record of m = outer after inner, two maps on the integers.
 
     Two translations compose into one translation record.  Any other pair
-    holds a squaring rule, and its reaches add up to D with B = 2D + 2 a
-    growth bound: for |n| > B the translations before the first squaring
-    leave a magnitude > D + 2 >= 2, which that squaring at least doubles, no
+    holds a squaring rule, and B = 2D + 2 bounds its growth, D the sum of the
+    parts' reach: for |n| > B the translations before the first squaring
+    leave a magnitude > D + 2, which that squaring at least doubles, no
     squaring shrinks, and the translations take back at most D in all, so
-    |phi(n)| >= 2(|n| - D) - D > |n|.  Every finite orbit therefore lies in
-    [-B, B], and walking each point there (`_walked_facts`) gives the facts
-    exactly.
+    |phi(n)| >= 2(|n| - D) - D > |n|.  Every finite orbit thus lies in
+    [-B, B], and a walk from each point there ends at a repeat (a finite
+    orbit) or on leaving it (an infinite one).  A collision lies there too:
+    the translations before the first squaring send two points of magnitude
+    <= D + 1 onto 1 and -1, which that squaring merges.
     """
     outer, inner = m.outer.record, m.inner.record
     if outer.shift is not None and inner.shift is not None:
@@ -707,48 +702,26 @@ def _composed(m: SelfMap) -> Rule:
                             f"composed translation n -> n + ({d0}, {d1})[n mod 2]")
     reach = outer.reach + inner.reach
     bound = 2 * reach + 2
-    facts = _walked_facts(lambda n: _compose_step(m, Index((), n)).coord, bound)
+    image = {n: _compose_step(m, Index((), n)).coord for n in range(-bound, bound + 1)}
+    finite = {}
+    for n in image:
+        seen: dict[int, int] = {}  # point -> steps from n
+        cur = n
+        while cur in image and cur not in seen:
+            seen[cur] = len(seen)
+            cur = image[cur]
+        if cur in seen:
+            finite[n] = (seen[cur], len(seen) - seen[cur])
+    first: dict[int, int] = {}  # image -> its first source
+    collision = next((first[t], n) for n, t in image.items() if first.setdefault(t, n) != n)
+    facts = RuleFacts(False, f"|n| > {bound} gives |phi(n)| > |n|, so magnitudes strictly increase",
+                      collision, finite=finite, nqp_witness=bound + 1,
+                      finite_note=f"walked every orbit from [-{bound}, {bound}]")
     return Rule("compose", _compose_step, facts=facts, grows=bound, reach=reach)
 
 
 def _compose_step(m: SelfMap, index: Index) -> Index:
     return _step(m.outer, _step(m.inner, index))
-
-
-def _walked_facts(step: Callable[[int], int], bound: int) -> RuleFacts:
-    """The facts of a map with growth bound `bound`, walked on [-bound, bound].
-
-    A walk from each point there ends at a repeat, a finite orbit with its
-    (preperiod, period), or on leaving the interval, after which magnitudes
-    increase for good.  The first collision in coordinate order is the
-    non-injectivity witness: one always lies in the interval, since the
-    translations before the first squaring are a bijection and send two
-    points of magnitude <= D + 1 onto 1 and -1, which that squaring merges.
-    """
-    points = range(-bound, bound + 1)
-    finite = {}
-    for n in points:
-        seen: dict[int, int] = {}  # point -> steps from n
-        cur = n
-        while -bound <= cur <= bound and cur not in seen:
-            seen[cur] = len(seen)
-            cur = step(cur)
-        if cur in seen:
-            finite[n] = (seen[cur], len(seen) - seen[cur])
-    first: dict[int, int] = {}  # image -> first source
-    for n in points:
-        a = first.setdefault(step(n), n)
-        if a != n:
-            collision = (a, n)
-            break
-    return RuleFacts(
-        False,
-        f"|n| > {bound} gives |phi(n)| > |n|, so magnitudes strictly increase",
-        collision=collision,
-        finite=finite,
-        finite_note=f"walked every orbit from [-{bound}, {bound}]",
-        nqp_witness=bound + 1,
-    )
 
 
 def _square_plus(name: str, c: int, grows: int, facts: RuleFacts) -> Rule:

@@ -1,13 +1,11 @@
 """Orbit analysis for catalog self-maps: classification, profiles, chains.
 
 Every answer is a three-valued verdict (proven true / proven false / unknown)
-carrying a witness or a named certificate plus a provenance tag.  Each map on
-the integers carries certified facts (periodic sets, growth of orbits,
-injectivity) in its rule-table record: typed by hand for the catalog rules,
-in closed form for composed translations, and walked below the growth bound
-for compositions with a squaring rule.  Tables are analysed exhaustively and
-unions side by side, so every map of the grammar is decided; `unknown` stays
-in the verdict type so that an undecided fact can never read as a proof.
+carrying a witness or a named certificate plus a provenance tag.  Maps on the
+integers read certified facts (periodic sets, growth of orbits, injectivity)
+off their rule-table records, tables are analysed exhaustively and unions side
+by side, so every map is decided; `unknown` stays so that an undecided fact
+can never read as a proof.
 """
 
 from __future__ import annotations
@@ -331,12 +329,11 @@ def _union_profile(lp: MapProfile, rp: MapProfile) -> MapProfile:
 def chain_decomposition(m: SelfMap, bound: int) -> ChainDecomposition:
     """One representative per chain of the region |coord| <= bound.
 
-    Representatives are the minimal-rank member of each chain: the region is
-    walked in rank order, and the first point with each chain key is kept.
-    Requires a certified injective, aperiodic map; the profile is re-checked
-    here so callers cannot feed a map whose chains could collide.  Every such
-    map is a translation, a union of them or a composition of such unions,
-    so every point has chain coordinates.
+    Representatives are the minimal-rank member of each chain: the first point
+    with each chain key, in rank order.  Requires a certified injective,
+    aperiodic map (a translation or unions of them, so every point has chain
+    coordinates); the profile is re-checked here so callers cannot feed a map
+    whose chains could collide.
     """
     profile = map_profile(m)
     if not profile.injective.is_true:
@@ -368,11 +365,9 @@ def _steps(a: tuple, t: Optional[tuple]) -> Optional[int]:
 
 def orbit_position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
     """Position n >= 0 with iterate(m, anchor, n) == target, or None when off-orbit;
-    read off chain coordinates, else walked.  A record without chain
-    coordinates is a table's or a growing one's, so the walk ends: at the
-    target, at a repeat (the rest of the orbit was seen), once it passes
-    max(growth bound, |target|), or past the bit budget, which raises
-    UnresolvedOrbitError."""
+    read off chain coordinates, else walked (a table or a growing record) to
+    the target, a repeat, or past max(growth bound, |target|); a coordinate
+    past the bit budget raises UnresolvedOrbitError."""
     if anchor.path != target.path:
         return None
     if m.left is not None:
@@ -411,9 +406,8 @@ def never_joins(m: SelfMap, walker: Index, anchor: Index) -> bool:
     if (classify_point(m, anchor).is_non_quasi_periodic
             and classify_point(m, walker).kind in ("periodic", "quasi_periodic")):
         return True
-    # (iii) injective orbits that meet pass through one another's start point;
-    # an injective map has chain coordinates or is a permutation table, so
-    # neither lookup raises
+    # (iii) injective orbits that meet pass through one another's start point
+    # (on chain coordinates or a permutation table, so neither lookup raises)
     if not map_profile(m).injective.is_true:
         return False
     return (orbit_position(m, walker, anchor) is None
