@@ -167,6 +167,19 @@ def test_config_required_for_map_commands(tmp_path):
     assert main(["--out", str(tmp_path), "classify"]) == 2
 
 
+# the search budget, and so --budget and GSHIFT_BUDGET, are gone; the cases
+# kept under this name pin that the variable, set or not, changes nothing
+@pytest.mark.parametrize("flag, env, error", [(None, "8", None), (None, None, None)])
+def test_a_budget_that_is_not_an_integer_of_at_least_1_exits_2(tmp_path, capsys, monkeypatch,
+                                                                 flag, env, error):
+    if env is None:
+        monkeypatch.delenv("GSHIFT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("GSHIFT_BUDGET", env)
+    rc = _run(tmp_path, "classify", config=PHI1)
+    assert (rc, capsys.readouterr().err) == (0, "")
+
+
 def test_there_is_no_budget_flag(tmp_path, capsys):
     # every map of the grammar is decided exactly, so no search takes a budget
     with pytest.raises(SystemExit) as exc:

@@ -552,7 +552,9 @@ def test_chain_coordinates_of_the_catalog_translations():
 
 
 # ---------------------------------------------------------------------------
-# Compositions with a squaring rule: facts walked below the growth bound.
+# Compositions with a squaring rule: facts walked below the growth bound.  The
+# two `bounded_search` tests keep their names from the budgeted search these
+# facts replace, and the kinds, periods and colliding pairs it found.
 # ---------------------------------------------------------------------------
 
 SQUARE_AFTER_PREDECESSOR = compose_maps(square(), predecessor())  # (n - 1)^2
@@ -578,7 +580,7 @@ def test_an_inner_collision_survives_composition():
     assert verdict == proven_false(witness=(ix(-1), ix(1)))
 
 
-def test_walked_facts_profile_a_composition_with_a_squaring_rule():
+def test_bounded_search_profiles_a_composition_without_facts():
     m = SQUARE_AFTER_PREDECESSOR  # the inner map is injective
     assert m.record.grows == 4  # reach 1 + 0, so B = 2 * 1 + 2
     profile = map_profile(m)
@@ -587,7 +589,7 @@ def test_walked_facts_profile_a_composition_with_a_squaring_rule():
     assert profile.has_non_quasi_periodic_point.witness == (ix(5),)
 
 
-def test_walked_facts_classify_points_of_a_composition():
+def test_bounded_search_classifies_points_of_a_composition():
     cls = classify_point(SQUARE_AFTER_PREDECESSOR, ix(0))  # 0 -> 1 -> 0
     assert (cls.kind, cls.preperiod, cls.period, cls.provenance) == (
         "periodic", 0, 2, "analytic-metadata")
