@@ -325,12 +325,12 @@ def test_chain_decomposition_examples():
 TRANSLATIONS = {"s": successor(), "p": predecessor(), "u": parity_up(), "d": parity_down()}
 
 
-def _compositions(depth):
-    """Every composition of `depth` catalog translations, nested to the right."""
+def _compositions(depth, rules=TRANSLATIONS):
+    """Every composition of `depth` of the given rules, nested to the right."""
     if depth == 1:
-        return dict(TRANSLATIONS)
-    return {f"{a}.{rest}": compose_maps(TRANSLATIONS[a], m)
-            for a in TRANSLATIONS for rest, m in _compositions(depth - 1).items()}
+        return dict(rules)
+    return {f"{a}.{rest}": compose_maps(rules[a], m)
+            for a in rules for rest, m in _compositions(depth - 1, rules).items()}
 
 
 CHAIN_MAPS = {name: m for depth in (1, 2, 3) for name, m in _compositions(depth).items()}
@@ -559,20 +559,9 @@ def test_chain_coordinates_of_the_catalog_translations():
 
 SQUARE_AFTER_PREDECESSOR = compose_maps(square(), predecessor())  # (n - 1)^2
 
-CATALOG = {"s": successor(), "p": predecessor(), "q": square(), "q1": square_plus_one(),
-           "u": parity_up(), "d": parity_down()}
-
-
-def _catalog_compositions(depth):
-    """Every composition of `depth` catalog rules, nested to the right."""
-    if depth == 1:
-        return dict(CATALOG)
-    return {f"{a}.{rest}": compose_maps(CATALOG[a], m)
-            for a in CATALOG for rest, m in _catalog_compositions(depth - 1).items()}
-
-
+CATALOG = {**TRANSLATIONS, "q": square(), "q1": square_plus_one()}
 CATALOG_COMPOSITIONS = {name: m for depth in (1, 2, 3)
-                        for name, m in _catalog_compositions(depth).items()}
+                        for name, m in _compositions(depth, CATALOG).items()}
 
 
 def test_an_inner_collision_survives_composition():
@@ -603,7 +592,7 @@ def test_every_catalog_composition_is_decided_exactly(depth):
     # 6, 36 and 216 maps: no unknown fact, every stored collision collides,
     # and each point of -40..40 has the shape a capped walk finds (finite
     # orbits of these maps stay below 20 in magnitude, infinite ones pass 2^64)
-    for name, m in _catalog_compositions(depth).items():
+    for name, m in _compositions(depth, CATALOG).items():
         profile = map_profile(m)
         assert "unknown" not in profile.truths(), name
         if profile.injective.is_false:
