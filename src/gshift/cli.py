@@ -96,18 +96,20 @@ MAX_BLOCKS = 1500
 
 
 class ExperimentConfig(Record):
+    """A parsed config; `parse_config` is its one constructor and holds the defaults."""
+
     map: SelfMap
     alphabet: Alphabet
-    family_size: int = 3
-    lengths_variant: str = "plain"
-    variant_given: bool = False  # the config set lengths.variant itself
-    lengths_count: int = 8
-    windows: Optional[tuple[tuple[int, ...], ...]] = None  # None: two windows on the anchor's orbit
-    schedule_r_max: int = 8
-    schedule_horizons: tuple[int, ...] = ()  # nonempty: an explicit schedule
-    eps_low: Fraction = Fraction(1, 4)
-    eps_high: Fraction = Fraction(1, 4)
-    anchor_rank: int = 1
+    family_size: int
+    lengths_variant: str
+    variant_given: bool  # the config set lengths.variant itself
+    lengths_count: int
+    windows: Optional[tuple[tuple[int, ...], ...]]  # None: two windows on the anchor's orbit
+    schedule_r_max: int
+    schedule_horizons: tuple[int, ...]  # nonempty: an explicit schedule
+    eps_low: Fraction
+    eps_high: Fraction
+    anchor_rank: int
 
 
 def _is_int(value) -> bool:

@@ -26,7 +26,7 @@ from .indexspace import (
     iterate,
     rank_of,
 )
-from .orbits import classify_point, never_joins, orbit_position, window_offsets
+from .orbits import classify_point, first_join, orbit_position, window_offsets
 
 __all__ = [
     "Alphabet",
@@ -147,9 +147,12 @@ class Constant(Configuration):
 
 
 class FinitePatch(Configuration):
-    """A base configuration overridden at finitely many explicit coordinates."""
+    """A base configuration overridden at finitely many explicit coordinates
+    of its domain (checked once here, so no read pays for it)."""
 
     def __init__(self, base: Configuration, patch: dict[Index, str]):
+        for index in patch:
+            _refuse_off_domain(base.domain, index)
         self.domain = base.domain
         self.base = base
         self.patch = dict(patch)
@@ -198,8 +201,8 @@ class OrbitBlocks(Configuration):
     list that every member built on the same lengths object shares.
 
     `runs_along` reads the orbit one run per block and one per splice symbol;
-    a walk off the orbit is one q run when `orbits.never_joins` certifies it,
-    else stepped until it joins.  Each walk's runs along the layout's own map
+    a walk that starts off the orbit reads q up to where `orbits.first_join`
+    says it meets the orbit.  Each walk's runs along the layout's own map
     are kept by start: the longest read serves every shorter one, cut short.
 
     A shifted read (`symbols_after`) along the layout's own map reads each
@@ -300,19 +303,10 @@ class OrbitBlocks(Configuration):
         return list(runs)
 
     def _walk(self, start: Index, count: int) -> list[Run]:
-        m, anchor, done, cur = self.map, self.anchor, 0, start
-        pos = orbit_position(m, anchor, cur)
-        # off the orbit every coordinate reads q: one run when the walk is
-        # certified never to join it, otherwise step until it does
-        if pos is None and never_joins(m, start, anchor):
-            return [(count, self.alphabet.q)]
-        while pos is None and done < count:
-            done += 1
-            cur = evaluate(m, cur)
-            pos = orbit_position(m, anchor, cur)
+        # q up to where the walk first meets the anchor's orbit (all of it when
+        # it never does), then one run per block and one per splice symbol
+        done, pos = first_join(self.map, start, self.anchor, count) or (count, None)
         runs: list[Run] = [(done, self.alphabet.q)] if done else []
-        # once on the orbit, positions advance by one per shift: one run per
-        # block, one per splice symbol
         while done < count:
             r, offset, in_splice = self.lengths.locate(pos)
             if in_splice:

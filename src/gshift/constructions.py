@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .indexspace import (
     INTEGERS,
+    DomainMismatchError,
     Index,
     IndexDomain,
     Record,
@@ -505,6 +506,8 @@ class LengthLexWord(Configuration):
         starts.append(starts[-1] + j * g ** j)
 
     def symbol_at(self, index: Index) -> str:
+        if index.path:  # a tagged index lies off the integers
+            raise DomainMismatchError(f"{index!r} outside configuration domain")
         c = index.coord
         if c < 0:
             return self.alphabet.symbols[0]

@@ -553,21 +553,19 @@ def route(m: SelfMap, index: Index, fn, *args):
     return Index((side,) + out.path, out.coord) if isinstance(out, Index) else out
 
 
-def cycle_walk(step, start, budget: int) -> Optional[tuple[list, int]]:
-    """Walk the forward orbit of start under step until a point repeats.
+def cycle_walk(step, start) -> tuple[list, int]:
+    """Walk the forward orbit of start under step until a point repeats (a
+    finite table's walk does within its length).
 
     Returns (points, preperiod): the orbit's distinct points in order, whose
-    cycle is points[preperiod:]; or None when nothing repeats within `budget`
-    steps.  Tables walk their entries, other maps a bound evaluate.
+    cycle is points[preperiod:].
     """
     seen: dict = {}
     cur = start
-    for i in range(budget + 1):
-        if cur in seen:
-            return list(seen), seen[cur]
-        seen[cur] = i
+    while cur not in seen:
+        seen[cur] = len(seen)
         cur = step(cur)
-    return None
+    return list(seen), seen[cur]
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +738,7 @@ def _square_plus(name: str, c: int, grows: int, facts: RuleFacts) -> Rule:
 
 
 def _table_power(m: SelfMap, index: Index, steps: int) -> Index:
-    points, pre = cycle_walk(m.table.__getitem__, index.coord, len(m.table))
+    points, pre = cycle_walk(m.table.__getitem__, index.coord)
     if steps >= len(points):
         steps = pre + (steps - pre) % (len(points) - pre)
     return Index((), points[steps])

@@ -43,7 +43,7 @@ __all__ = [
     "map_profile",
     "chain_decomposition",
     "orbit_position",
-    "never_joins",
+    "first_join",
     "window_offsets",
 ]
 
@@ -221,7 +221,7 @@ def classify_point(m: SelfMap, index: Index) -> PointClassification:
     if m.left is not None:
         return route(m, index, classify_point)
     if m.table is not None:
-        points, pre = cycle_walk(m.table.__getitem__, index.coord, len(m.table))
+        points, pre = cycle_walk(m.table.__getitem__, index.coord)
         return PointClassification(_kind(pre), len(points) - pre, pre, provenance="exhaustive")
     facts = m.record.facts
     if facts.period is not None and facts.period_parity in (None, index.coord & 1):
@@ -351,7 +351,7 @@ def chain_decomposition(m: SelfMap, bound: int) -> ChainDecomposition:
 # ---------------------------------------------------------------------------
 # Orbit-position resolution: is kappa on the forward orbit of theta, and where?
 # Exact answers only; raises UnresolvedOrbitError when a walk outgrows the bit budget.
-# never_joins asks the weaker question for a whole walk: can it ever get there?
+# first_join asks it of a whole walk: where does it first meet the anchor's orbit?
 # ---------------------------------------------------------------------------
 
 
@@ -389,29 +389,35 @@ def orbit_position(m: SelfMap, anchor: Index, target: Index) -> Optional[int]:
     return len(seen)
 
 
-def never_joins(m: SelfMap, walker: Index, anchor: Index) -> bool:
-    """True when the forward orbits of walker and anchor are certified disjoint.
-
-    False means the walk may join the anchor's orbit: it does, or no
-    certificate applies (a non-injective map with two infinite orbits), and
-    the caller has to step.
-    """
+def first_join(m: SelfMap, walker: Index, anchor: Index,
+               limit: int) -> Optional[tuple[int, int]]:
+    """The least n < limit with phi^n(walker) == phi^k(anchor), k >= 0, as (n, k),
+    or None.  Union halves never meet (every map keeps the tag path); chain
+    coordinates give the signed steps k from anchor to walker (n = max(-k, 0));
+    a walk without them (a table or a growing record) steps until it joins,
+    repeats or reaches the limit, and past the bit budget raises
+    UnresolvedOrbitError."""
     if not contains(m.domain, walker):
         raise DomainMismatchError(f"{walker!r} not in map domain")
-    # (i) every map keeps the tag path, so the halves of a union never meet
     if walker.path != anchor.path:
-        return True
-    # (ii) a finite orbit that met the anchor's would hold all of it after the
-    # meeting point, so the anchor's orbit would be finite too
-    if (classify_point(m, anchor).is_non_quasi_periodic
-            and classify_point(m, walker).kind in ("periodic", "quasi_periodic")):
-        return True
-    # (iii) injective orbits that meet pass through one another's start point
-    # (on chain coordinates or a permutation table, so neither lookup raises)
-    if not map_profile(m).injective.is_true:
-        return False
-    return (orbit_position(m, walker, anchor) is None
-            and orbit_position(m, anchor, walker) is None)
+        return None
+    origin = chain_coordinates(m, anchor)
+    if origin is not None:
+        k = _steps(origin, chain_coordinates(m, walker))
+        if k is None or max(-k, 0) >= limit:
+            return None
+        return (0, k) if k >= 0 else (-k, 0)
+    cur, seen = walker, set()
+    while len(seen) < limit and cur not in seen:
+        k = orbit_position(m, anchor, cur)
+        if k is not None:
+            return len(seen), k
+        seen.add(cur)
+        try:
+            cur = evaluate(m, cur)
+        except BudgetExceededError as exc:
+            raise UnresolvedOrbitError(str(exc)) from exc
+    return None
 
 
 @lru_cache(maxsize=1024)

@@ -86,17 +86,17 @@ def evaluate_calls(monkeypatch):
 
 
 @pytest.fixture
-def orbit_lookups(monkeypatch):
-    """The targets of the `orbit_position` calls that `gshift.configspace`
-    makes while the test runs, in call order."""
+def walk_starts(monkeypatch):
+    """The walker of each `first_join` call that `gshift.configspace` makes
+    while the test runs, in call order."""
     import gshift.configspace as configspace
 
-    lookups = []
-    lookup = configspace.orbit_position
+    starts = []
+    join = configspace.first_join
 
-    def counting(m, anchor, target, *args, **kwargs):
-        lookups.append(target)
-        return lookup(m, anchor, target, *args, **kwargs)
+    def counting(m, walker, *args):
+        starts.append(walker)
+        return join(m, walker, *args)
 
-    monkeypatch.setattr(configspace, "orbit_position", counting)
-    return lookups
+    monkeypatch.setattr(configspace, "first_join", counting)
+    return starts

@@ -175,6 +175,26 @@ def walked_signed_orbit_index(m: SelfMap, anchor: Index, target: Index,
     return None
 
 
+def stepped_join(m: SelfMap, walker: Index, anchor: Index, limit: int,
+                 reach: int) -> Optional[tuple[int, int]]:
+    """`orbits.first_join` by stepping both orbits: the least n < limit whose
+    point is among the first `reach` points of the anchor's orbit, with its
+    least position there.  Exact when every join before the limit lies at an
+    anchor position below `reach`."""
+    orbit: dict[Index, int] = {}
+    cur = anchor
+    for k in range(reach):
+        orbit.setdefault(cur, k)
+        cur = evaluate(m, cur)
+    cur = walker
+    for n in range(limit):
+        if n:
+            cur = evaluate(m, cur)
+        if cur in orbit:
+            return n, orbit[cur]
+    return None
+
+
 def capped_orbit_shape(m: SelfMap, start: Index, steps: int,
                        magnitude: int) -> Optional[tuple[int, int]]:
     """(preperiod, period) of start's orbit by stepping, or None when nothing

@@ -327,20 +327,31 @@ def test_verify_reports_an_unknown_prediction_as_inconclusive(tmp_path, capsys, 
     assert blob["checks"] == []
 
 
+# square's orbit through coordinate 3 outgrows the bit budget within the
+# horizon; so does the walk from coordinate 1 under (n + 1)^2 + 1, which
+# never meets the orbit of the anchor 0
+PAST_THE_BUDGET = [
+    {"map": {"rule": "square"}, "windows": [[6]]},
+    {"map": {"rule": "compose", "outer": {"rule": "square_plus_one"},
+             "inner": {"rule": "successor"}}, "windows": [[2]]},
+]
+
+
 @pytest.mark.parametrize("command", ["verify", "stats"])
 def test_an_orbit_lookup_past_its_budget_is_inconclusive(tmp_path, capsys, command):
-    # square's orbit through coordinate 3 outgrows the bit budget within the horizon
-    cfg = {"map": {"rule": "square"}, "windows": [[6]]}
-    assert _run(tmp_path, command, config=cfg) == 3
-    captured = capsys.readouterr()
-    if command == "stats":
-        assert captured.err.startswith("inconclusive: coordinate needs")
-        assert not (tmp_path / "out" / "stats.csv").exists()
-    else:
-        assert "INCONCLUSIVE: coordinate needs" in captured.out
-        assert captured.out.splitlines()[-1] == "rollup: INCONCLUSIVE"
-        blob = json.loads((tmp_path / "out" / "verify.json").read_text())
-        assert blob["rollup"] is False
+    for i, cfg in enumerate(PAST_THE_BUDGET):
+        run_dir = tmp_path / str(i)
+        run_dir.mkdir()
+        assert _run(run_dir, command, config=cfg) == 3
+        captured = capsys.readouterr()
+        if command == "stats":
+            assert captured.err.startswith("inconclusive: coordinate needs")
+            assert not (run_dir / "out" / "stats.csv").exists()
+        else:
+            assert "INCONCLUSIVE: coordinate needs" in captured.out
+            assert captured.out.splitlines()[-1] == "rollup: INCONCLUSIVE"
+            blob = json.loads((run_dir / "out" / "verify.json").read_text())
+            assert blob["rollup"] is False
 
 
 # the sha256 of stats.csv for PHI1 and its weave twin, recorded before the
@@ -365,20 +376,20 @@ def test_verify_at_r_max_20_reads_runs_not_positions(tmp_path, capsys, evaluate_
     assert 0 < len(evaluate_calls) < 1000
 
 
-def test_verify_reads_each_members_walks_once(tmp_path, capsys, orbit_lookups):
+def test_verify_reads_each_members_walks_once(tmp_path, capsys, walk_starts):
     # three members, window coordinates 0 and 1: the surrogate profiles and
     # the bound replays read the same six walks, and each member keeps its
-    # runs, so one orbit lookup per member and start (36 without them)
+    # runs, so one join lookup per member and start (36 without them)
     cfg = dict(PHI1, lengths={"variant": "plain", "count": 9},
                schedule={"kind": "block_boundaries", "r_max": 9})
     assert _run(tmp_path, "verify", config=cfg) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "rollup: PASS"
-    assert len(orbit_lookups) <= 6
+    assert len(walk_starts) == 6
 
 
 # a window coordinate whose walk never meets the anchor's orbit is one q run:
 # rank 2 is on the union's other side, and odd coordinates under n -> n + 2
-# miss the even anchor's orbit (injective orbits that meet pass through a start)
+# lie on other chains than the even anchor
 @pytest.mark.parametrize("map_obj", [
     {"rule": "disjoint_union", "left": {"rule": "successor"}, "right": {"rule": "parity_up"}},
     {"rule": "compose", "outer": {"rule": "successor"}, "inner": {"rule": "successor"}},
@@ -390,6 +401,25 @@ def test_verify_at_r_max_20_certifies_off_orbit_coordinates(tmp_path, capsys, ev
     assert _run(tmp_path, "verify", config=cfg) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "rollup: PASS"
     assert 0 < len(evaluate_calls) < 1000
+
+
+def test_a_far_window_coordinate_costs_no_more_than_a_near_one(tmp_path, capsys, evaluate_calls):
+    # rank 2,000,001 is coordinate -1,000,000: its walk reads q for a million
+    # positions and then the anchor's orbit from its start, so window w2
+    # counts as w1 does, read off chain coordinates instead of a million steps
+    calls = []
+    for far in (2, 2_000_001):
+        cfg = dict(PHI1, windows=[[1], [1, far]], lengths={"variant": "plain", "count": 9},
+                   schedule={"kind": "block_boundaries", "r_max": 9})
+        evaluate_calls.clear()
+        assert _run(tmp_path, "stats", config=cfg) == 0
+        calls.append(len(evaluate_calls))
+    with open(tmp_path / "out" / "stats.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    by_window = {w: [{k: v for k, v in row.items() if k != "window_id"}
+                     for row in rows if row["window_id"] == w] for w in ("w1", "w2")}
+    assert by_window["w1"] and by_window["w1"] == by_window["w2"]
+    assert calls[1] == calls[0] < 100
 
 
 SQUARE_AFTER_SUCCESSOR = {"rule": "compose", "outer": {"rule": "square"},

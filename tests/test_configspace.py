@@ -12,6 +12,7 @@ from gshift.indexspace import (
     NATURALS,
     DomainMismatchError,
     Index,
+    chain_coordinates,
     compose_maps,
     disjoint_union_maps,
     enumerate_index,
@@ -46,7 +47,7 @@ from gshift.configspace import (
     window_from_ranks,
     window_to_threshold,
 )
-from gshift.orbits import never_joins, orbit_position
+from gshift.orbits import first_join, orbit_position
 from gshift.constructions import (
     ExplicitBlockSet,
     block_lengths,
@@ -57,6 +58,7 @@ from oracles import (
     expand,
     parse_pattern,
     pattern_from_ranks,
+    stepped_join,
     truncated_distance,
 )
 
@@ -197,8 +199,8 @@ def test_orbit_position_lookup():
 
 
 # ---------------------------------------------------------------------------
-# Walks that start off the anchor's orbit: one q run when certified never to
-# join it, stepped otherwise.
+# Walks that start off the anchor's orbit: q up to where `first_join` says
+# they meet it, one q run when they never do.
 # ---------------------------------------------------------------------------
 
 UNION = disjoint_union_maps(successor(), parity_up())
@@ -210,42 +212,46 @@ def _on_orbit_of(m, anchor):
     return OrbitBlocks(m, anchor, block_lengths(6), ExplicitBlockSet(frozenset({1, 3, 4})), ALPHA)
 
 
-def _case(m, anchor, walkers, certified, most=150):
-    """(map, anchor, walker, certified, largest count): the count stays small
-    for square, whose pointwise reads square a coordinate once per position."""
-    return walkers.map(lambda c: (m, anchor, c, certified, most))
+def _case(m, anchor, walkers, disjoint, most=150):
+    """(map, anchor, walker, disjoint, largest count): disjoint when the
+    forward orbits never meet; the count stays small for square, whose
+    pointwise reads square a coordinate once per position."""
+    return walkers.map(lambda c: (m, anchor, c, disjoint, most))
 
 
 OFF_ORBIT_WALKS = st.one_of(
-    # (i) the other side of a union, also where no other certificate applies
+    # the other side of a union, whatever its maps
     _case(UNION, ix(0, "L"), st.integers(-50, 50).map(lambda c: ix(c, "R")), True),
     _case(SQUARE_UNION, ix(0, "L"), st.sampled_from([ix(c, "R") for c in (-3, 2, 3)]), True,
           most=16),
-    # (ii) square's fixed points and its preperiodic -1, against an infinite orbit
+    # square's fixed points and its preperiodic -1, walked to a repeat
     _case(square(), ix(2), st.sampled_from([ix(0), ix(1), ix(-1)]), True),
-    # (iii) n -> n + 2 is injective, and an odd walker and the anchor 0 lie on
-    # neither one's orbit
+    # n -> n + 2: odd walkers lie on other chains than the anchor 0
     _case(PLUS_TWO, ix(0), st.integers(-25, 25).map(lambda k: ix(2 * k + 1)), True),
-    # fallback: late joins under injective maps ...
+    # late joins on chain coordinates ...
     _case(predecessor(), ix(0), st.integers(1, 40).map(ix), False),
     _case(PLUS_TWO, ix(0), st.integers(-25, -1).map(lambda k: ix(2 * k)), False),
     _case(UNION, ix(0, "L"), st.integers(-40, -1).map(lambda c: ix(c, "L")), False),
-    # ... and a non-injective walk with an infinite orbit, joining at position 1
+    # ... and a non-injective walk with an infinite orbit, joining at position 1,
+    # also on the side of a union that has no chain coordinates
     _case(square(), ix(2), st.just(ix(-2)), False, most=16),
+    _case(SQUARE_UNION, ix(2, "R"), st.just(ix(-2, "R")), False, most=16),
 )
 
 
 @given(OFF_ORBIT_WALKS, st.data())
 @settings(max_examples=150, deadline=None)
 def test_off_orbit_runs_match_pointwise_reads(case, data):
-    m, anchor, walker, certified, most = case
+    m, anchor, walker, disjoint, most = case
     count = data.draw(st.integers(0, most))
     x = _on_orbit_of(m, anchor)
     assert orbit_position(m, anchor, walker) is None
-    assert never_joins(m, walker, anchor) is certified
+    assert (first_join(m, walker, anchor, most + 1) is None) is disjoint
+    # every join of these walks lies at anchor position 0 or 1
+    assert first_join(m, walker, anchor, count) == stepped_join(m, walker, anchor, count, 16)
     runs = x.runs_along(m, walker, count)
     assert expand(runs) == _pointwise(x, m, walker, count)
-    if certified:
+    if disjoint:
         assert runs == ([(count, Q)] if count else [])
 
 
@@ -254,11 +260,19 @@ def test_off_orbit_runs_match_pointwise_reads(case, data):
     (PLUS_TWO, ix(0), ix(-6), 3),
     (UNION, ix(0, "L"), ix(-4, "L"), 4),
     (square(), ix(4), ix(-2), 1),
+    (predecessor(), ix(0), ix(10 ** 9), 10 ** 9),
 ])
 def test_an_uncertified_walk_is_stepped_to_its_join(m, anchor, walker, joins_at, evaluate_calls):
-    runs = _on_orbit_of(m, anchor).runs_along(m, walker, 12)
+    # a late join is read off chain coordinates without a step, however late;
+    # square has none, so its walk is stepped to the join
+    runs = _on_orbit_of(m, anchor).runs_along(m, walker, joins_at + 12)
     assert runs[:2] == [(joins_at, Q), (1, P)]  # joins at the anchor: block 1
-    assert len(evaluate_calls) >= joins_at
+    if chain_coordinates(m, walker) is None:
+        assert len(evaluate_calls) >= joins_at
+    else:
+        assert evaluate_calls == []
+    assert first_join(m, walker, anchor, joins_at + 1) == (joins_at, 0)
+    assert first_join(m, walker, anchor, joins_at) is None
 
 
 @pytest.mark.parametrize("m, anchor, walker", [
@@ -268,12 +282,13 @@ def test_an_uncertified_walk_is_stepped_to_its_join(m, anchor, walker, joins_at,
 ], ids=["other-side", "finite-orbit", "injective-miss"])
 def test_a_certified_walk_costs_the_same_at_any_count(m, anchor, walker, evaluate_calls):
     x = _on_orbit_of(m, anchor)
-    assert never_joins(m, walker, anchor)
+    assert first_join(m, walker, anchor, 20_000) is None
+    before = len(evaluate_calls)
     assert x.runs_along(m, walker, 50) == [(50, Q)]
-    near = len(evaluate_calls)
+    near = len(evaluate_calls) - before
     far = 20_000  # stepping would make 400 times the calls
     assert x.runs_along(m, walker, far) == [(far, Q)]
-    assert len(evaluate_calls) == 2 * near
+    assert len(evaluate_calls) - before == 2 * near
 
 
 def _forward_orbit(m, index, steps=64):
@@ -292,21 +307,21 @@ def _forward_orbit(m, index, steps=64):
 ])
 def test_a_walk_that_meets_the_anchor_orbit_is_never_certified(m, anchor, walker):
     assert _forward_orbit(m, anchor) & _forward_orbit(m, walker)
-    assert not never_joins(m, walker, anchor)
+    n, k = first_join(m, walker, anchor, 64)
+    assert iterate(m, walker, n) == iterate(m, anchor, k)
 
 
 @given(st.lists(st.integers(0, 5), min_size=6, max_size=6),
        st.integers(0, 5), st.integers(0, 5))
 @settings(max_examples=200, deadline=None)
 def test_finite_anchor_orbits_certify_only_disjoint_walks(entries, a, w):
-    # every table orbit is finite, so (ii) never applies, and (iii) decides
-    # exactly on permutations, whose orbits are cycles: equal or disjoint
+    # on any table, permutation or not: no join within 6 steps exactly when
+    # the forward orbits are disjoint, and the join is the stepped one
     m = table_map(entries)
     meets = bool(_forward_orbit(m, ix(a), 6) & _forward_orbit(m, ix(w), 6))
-    certified = never_joins(m, ix(w), ix(a))
-    assert not (meets and certified)
-    if len(set(entries)) == 6:
-        assert certified is not meets
+    join = first_join(m, ix(w), ix(a), 6)
+    assert (join is None) is not meets
+    assert join == stepped_join(m, ix(w), ix(a), 6, 6)
 
 
 @pytest.mark.parametrize("m, anchor, kind", [
@@ -337,7 +352,7 @@ MEMO_LENGTHS = {variant: block_lengths(9, variant) for variant in ("plain", "wea
 
 def _memo_member(variant, member_ranks):
     # n -> n + 2 from 0: even starts >= 0 lie on the orbit, negative even ones
-    # join it later, and odd ones are certified never to join
+    # join it later, and odd ones lie on the other chain
     source = full_shift_transitive_point(ALPHA) if variant == "weave" else None
     return OrbitBlocks(PLUS_TWO, ix(0), MEMO_LENGTHS[variant],
                        ExplicitBlockSet(frozenset(member_ranks)), ALPHA, weave_source=source)
@@ -407,23 +422,22 @@ def test_kept_runs_equal_fresh_reads_in_any_order(case):
             _memo_member(variant, member_ranks).runs_along(m, start, count)
 
 
-def test_a_shorter_read_is_cut_from_the_kept_walk(orbit_lookups):
-    # one orbit lookup per start, however many reads of it: the longest so
+def test_a_shorter_read_is_cut_from_the_kept_walk(walk_starts):
+    # one join lookup per start, however many reads of it: the longest so
     # far serves every shorter one, a longer one reads again
-    lookups = orbit_lookups
     x = _blocks({2, 4}, count=6)
     m = successor()
     far = x.lengths.horizon(5) + 2
     assert x.runs_along(m, ix(0), far) == [(1, Q), (2, P), (7, Q), (31, P), (167, Q)]
     assert x.runs_along(m, ix(0), 4) == [(1, Q), (2, P), (1, Q)]
     assert x.runs_along(m, ix(0), 0) == []
-    assert lookups == [ix(0)]
+    assert walk_starts == [ix(0)]
     x.runs_along(m, ix(0), far + 1)
     x.runs_along(m, ix(-3), 5)
-    assert lookups == [ix(0), ix(0), ix(-3), ix(-2), ix(-1), ix(0)]
     x.runs_along(m, ix(-3), 2)
-    x.runs_along(predecessor(), ix(3), 2)  # not the layout's own map: stepped pointwise
-    assert lookups[6:] == [ix(3), ix(2)]
+    assert walk_starts == [ix(0), ix(0), ix(-3)]
+    x.runs_along(predecessor(), ix(3), 2)  # not the layout's own map: read pointwise
+    assert walk_starts == [ix(0), ix(0), ix(-3)]
 
 
 def _warmed(x, m, start):
@@ -801,6 +815,8 @@ def test_window_threshold_guarantees_containment(ranks):
 REFUSALS = {
     "constant-off-domain": (lambda: Constant(NATURALS, P).symbol_at(ix(0)),
                             DomainMismatchError, "0 outside configuration domain"),
+    "finite-patch-off-domain": (lambda: FinitePatch(Constant(INTEGERS, P), {ix(0, "L"): Q}),
+                                DomainMismatchError, "L0 outside configuration domain"),
     "embedded-inner-off-naturals": (
         lambda: Embedded(successor(), ix(0), Constant(INTEGERS, P), Q),
         ValueError, "inner configuration must live on the naturals"),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gshift.indexspace import (
     INTEGERS,
+    DomainMismatchError,
     Index,
     NATURALS,
     SelfMap,
@@ -748,6 +749,8 @@ REFUSALS = {
         lambda: densify_family(successor(), dc_family(_refusal_spec("plain")),
                                pattern_enumeration(ALPHA, INTEGERS), 3),
         PreconditionError, "family exhausted before reaching the requested count"),
+    "length-lex-off-domain": (lambda: full_shift_transitive_point(ALPHA).symbol_at(ix(5, "L")),
+                              DomainMismatchError, "L5 outside configuration domain"),
     "entry-needs-length-lex": (
         lambda: weave_entry_exponent(_refusal_spec("weave"), Constant(INTEGERS, P),
                                      CylinderPattern((ix(0),), (P,))),

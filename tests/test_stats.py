@@ -165,7 +165,7 @@ UNION = disjoint_union_maps(successor(), parity_up())
 @settings(max_examples=10, deadline=None)
 def test_run_length_counts_off_the_anchor_orbit(variant, a, b, coords):
     # the right side of successor + parity_up never meets the anchor's orbit,
-    # so those coordinates are one q run; L-2 is stepped until it joins
+    # so those coordinates are one q run; L-2 reads q for the two steps to the anchor
     lengths = block_lengths(6, variant)
     # splices read the source at the anchor's chain offsets 0, 1, ...: p at 1
     # and 3, q elsewhere
