@@ -2,12 +2,12 @@
 """Check that the tests pin the checker's strictness, one mutant at a time.
 
 Each mutant below is a one-line change that loosens a proof-bound replay or a
-scrambling surrogate, so that `gshift verify` could claim more than it has
-shown.  For each, the script copies `src`, `tests` and `pyproject.toml` to a
-temporary directory, applies the change there, runs the tests named for it
-with `pytest -x -q`, and prints `killed` (a test failed) or `survived` (every
-test passed).  The working tree is never touched.  Exit status 0 when every
-mutant is killed, 1 otherwise.
+scrambling surrogate, or lets an empty replay pass, so that `gshift verify`
+could claim more than it has shown.  For each, the script copies `src`,
+`tests` and `pyproject.toml` to a temporary directory, applies the change
+there, runs the tests named for it with `pytest -x -q`, and prints `killed`
+(a test failed) or `survived` (every test passed).  The working tree is never
+touched.  Exit status 0 when every mutant is killed, 1 otherwise.
 
     python3 scripts/run_mutants.py            # every mutant
     python3 scripts/run_mutants.py one-sided  # the named ones
@@ -53,6 +53,11 @@ MUTANTS = (
            "high = all(p.running_max >= 1 - eps_high for p in profiles)",
            "high = any(p.running_max >= 1 - eps_high for p in profiles)",
            ("tests/test_stats.py::test_the_high_bar_holds_only_when_every_window_reaches_it",)),
+    Mutant("empty-replay", "src/gshift/cli.py",
+           "if bound_results:",
+           "if True:",
+           ("tests/test_cli.py::test_an_empty_proof_bound_replay_alone_leaves_verify_inconclusive",
+            "tests/test_cli.py::test_verify_reports_an_empty_proof_bound_replay_as_not_shown")),
 )
 
 

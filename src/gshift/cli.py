@@ -457,8 +457,13 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
                 for pair_id, i, j in _pairs(members)
                 for bound in proof_bound_check_dc(spec, members, i, j, blocks, (0, 1))
             ]
-            checks.append(("proof-bounds", all(b["ok"] for b in bound_results),
-                           f"{sum(b['ok'] for b in bound_results)}/{len(bound_results)}"))
+            if bound_results:
+                checks.append(("proof-bounds", all(b["ok"] for b in bound_results),
+                               f"{sum(b['ok'] for b in bound_results)}/{len(bound_results)}"))
+            else:  # an empty replay shows nothing, so it cannot pass
+                inconclusive = f"proof-bounds: no block replayed in 2..{cfg.schedule_r_max}"
+                if args.horizon_cap is not None:
+                    inconclusive += f" under --horizon-cap {args.horizon_cap}"
             failing = [pair_id for pair_id, v in pair_reports.items()
                        if not (v.dc1_surrogate and v.dc2_surrogate)]
             checks.append(("dc-surrogate", not failing,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from heapq import merge
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional
 
 __all__ = [
@@ -86,7 +86,8 @@ class _StoredHash:
 class Record:
     """Base of the package's records: named fields, equality, hash and repr.
 
-    A subclass lists its fields as class annotations, in order; a class-level
+    A subclass lists its fields as class annotations, in order, and must
+    declare at least one of its own (TypeError otherwise); a class-level
     value is that field's default (shared by every instance, so immutable).
     The names and defaults are read once, when the subclass is defined, into
     `_fields` and `_defaults`.  Instances compare equal when they are of the
@@ -105,6 +106,8 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__dict__.get("__annotations__", {})
+        if not own:
+            raise TypeError(f"{cls.__qualname__}: a record must declare its own fields")
         cls._fields = tuple(own)
         cls._defaults = {name: cls.__dict__[name] for name in own if name in cls.__dict__}
         get = attrgetter(*own)  # one field gives a bare value, more give a tuple
@@ -161,27 +164,37 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Index(Record):
+class Index(tuple):
     """A point of a domain: a tag path through disjoint unions plus an integer coordinate.
 
     ``path`` is a tuple of "L"/"R" tags, outermost first; plain domains use ``()``.
-    The hottest record, so its constructor and equality are spelled out.
+    The hottest value type, so it is not a `Record` but a frozen two-field
+    tuple ``(path, coord)``: it hashes in C, as ``hash((path, coord))``, has
+    no ``__dict__``, refuses assignment and deletion as a record does, and
+    pickles and copies through `__getnewargs__`.  Equality stays strict: an
+    `Index` equals only an `Index`, never a plain tuple.
     """
 
-    path: tuple[str, ...]
-    coord: int
+    __slots__ = ()
 
-    def __init__(self, path: tuple[str, ...], coord: int):
-        state = self.__dict__
-        state["path"] = path
-        state["coord"] = coord
+    def __new__(cls, path: tuple[str, ...], coord: int):
+        return tuple.__new__(cls, (path, coord))
+
+    path = property(itemgetter(0))
+    coord = property(itemgetter(1))
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.path, self.coord) == (other.path, other.coord)
-        return NotImplemented
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    __hash__ = Record.__hash__  # defining __eq__ would otherwise clear it
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__  # defining __eq__ would otherwise clear it
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self) -> str:  # compact: "L0", "-3", "RL2"
         return format_index(self)
@@ -189,7 +202,7 @@ class Index(Record):
 
 def ix(coord: int, *path: str) -> Index:
     """Shorthand constructor used heavily in tests."""
-    return Index(tuple(path), coord)
+    return Index(path, coord)
 
 
 def format_index(index: Index) -> str:

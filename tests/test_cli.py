@@ -491,6 +491,33 @@ def test_horizon_cap_truncates_and_can_empty_the_schedule(tmp_path, capsys):
     assert _run(tmp_path, "--horizon-cap", "0", "verify", config=PHI1) == 2
 
 
+# a replay of no block shows nothing: never "PASS proof-bounds: 0/0"
+@pytest.mark.parametrize("schedule, argv, blocks", [
+    ({"kind": "block_boundaries", "r_max": 1}, [], "2..1"),
+    (PHI1["schedule"], ["--horizon-cap", "1"], "2..6 under --horizon-cap 1"),
+], ids=["r_max-1", "capped"])
+def test_verify_reports_an_empty_proof_bound_replay_as_not_shown(
+        tmp_path, capsys, schedule, argv, blocks):
+    # the short horizons fail the surrogates, and that failure still decides the exit
+    assert _run(tmp_path, *argv, "verify", config=dict(PHI1, schedule=schedule)) == 1
+    out = capsys.readouterr().out
+    note = f"proof-bounds: no block replayed in {blocks}"
+    assert "proof-bounds: 0/0" not in out and f"INCONCLUSIVE: {note}" in out
+    blob = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert blob["bounds"] == [] and blob["inconclusive"] == note
+    assert [c["name"] for c in blob["checks"]] == ["dc-surrogate"]
+
+
+def test_an_empty_proof_bound_replay_alone_leaves_verify_inconclusive(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "proof_bound_check_dc", lambda *args: [])
+    assert _run(tmp_path, "verify", config=PHI1) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["INCONCLUSIVE: proof-bounds: no block replayed in 2..6",
+                        "rollup: INCONCLUSIVE"]
+    assert json.loads((tmp_path / "out" / "verify.json").read_text())["rollup"] is False
+
+
 # the blocks whose proof bounds verify replays: 2..r_max, where an explicit
 # schedule keeps the default r_max 8, and --horizon-cap drops blocks that end
 # above it (horizon(5) = 206, horizon(6) = 1237)

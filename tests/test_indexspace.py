@@ -1,9 +1,11 @@
 """Index domains, enumeration conventions, self-map evaluation, and records."""
 
 import os
+import pickle
 import re
 import subprocess
 import sys
+from copy import deepcopy
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -255,8 +257,8 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 def test_every_record_is_frozen():
     import gshift.cli  # noqa: F401  (defines the last record)
 
-    records = Record.__subclasses__()
-    assert len(records) == 23
+    records = Record.__subclasses__()  # Index is a tuple, pinned below
+    assert len(records) == 22
     for cls in records:
         held = dict.fromkeys(cls._fields, 0)
         blank = cls.__new__(cls)  # the refusal is the class's, whatever the field values
@@ -273,6 +275,49 @@ def test_every_record_is_frozen():
     with pytest.raises(AttributeError, match="cannot delete field 'coord'"):
         del ix(3).coord
     assert m == successor() and m._replace(rule="predecessor") == predecessor()
+
+
+def test_an_index_equals_only_an_index():
+    assert ix(3) == Index((), 3) and not ix(3) != Index((), 3)
+    assert ix(3) != ((), 3) and ((), 3) != ix(3)
+    assert not ix(3) == ((), 3) and not ((), 3) == ix(3)
+    assert ix(3) != ix(3, "L") and ix(3) != ix(4)
+    assert {ix(3): 1}.get(((), 3)) is None
+
+
+def test_an_index_hashes_as_its_pair_in_c():
+    assert hash(ix(3, "L")) == hash((("L",), 3))
+    assert Index.__hash__ is tuple.__hash__
+
+
+def test_an_index_is_frozen_and_has_no_dict():
+    index = ix(3, "L")
+    for name in ("coord", "path", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(index, name, 4)
+    with pytest.raises(AttributeError):
+        del index.coord
+    assert not hasattr(index, "__dict__")
+    assert (index.path, index.coord) == (("L",), 3)
+
+
+def test_an_index_prints_compactly():
+    assert [repr(i) for i in (ix(0, "L"), ix(-3), ix(2, "R", "L"))] == ["L0", "-3", "RL2"]
+    assert str(ix(-3)) == f"{ix(-3)}" == "-3"
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_an_index_survives_pickle_and_deepcopy(protocol):
+    index = ix(-7, "R", "L")
+    for copy in (pickle.loads(pickle.dumps(index, protocol)), deepcopy(index)):
+        assert type(copy) is Index and copy == index and hash(copy) == hash(index)
+        assert (copy.path, copy.coord) == (("R", "L"), -7)
+
+
+@pytest.mark.parametrize("base", [SelfMap, IndexDomain])
+def test_a_record_without_fields_of_its_own_is_refused(base):
+    with pytest.raises(TypeError, match="Bare: a record must declare its own fields"):
+        type("Bare", (base,), {})
 
 
 def test_every_record_hashes_its_field_tuple_once(monkeypatch):
