@@ -2,12 +2,13 @@
 """Check that the tests pin the checker's strictness, one mutant at a time.
 
 Each mutant below is a one-line change that loosens a proof-bound replay or a
-scrambling surrogate, or lets an empty replay pass, so that `gshift verify`
-could claim more than it has shown.  For each, the script copies `src`,
-`tests` and `pyproject.toml` to a temporary directory, applies the change
-there, runs the tests named for it with `pytest -x -q`, and prints `killed`
-(a test failed) or `survived` (every test passed).  The working tree is never
-touched.  Exit status 0 when every mutant is killed, 1 otherwise.
+scrambling surrogate, lets an empty replay pass, or excuses a failed pair as
+never told apart, so that `gshift verify` could claim more than it has shown.
+For each, the script copies `src`, `tests` and `pyproject.toml` to a
+temporary directory, applies the change there, runs the tests named for it
+with `pytest -x -q`, and prints `killed` (a test failed) or `survived` (every
+test passed).  The working tree is never touched.  Exit status 0 when every
+mutant is killed, 1 otherwise.
 
     python3 scripts/run_mutants.py            # every mutant
     python3 scripts/run_mutants.py one-sided  # the named ones
@@ -58,6 +59,10 @@ MUTANTS = (
            "if True:",
            ("tests/test_cli.py::test_an_empty_proof_bound_replay_alone_leaves_verify_inconclusive",
             "tests/test_cli.py::test_verify_reports_an_empty_proof_bound_replay_as_not_shown")),
+    Mutant("never-told-apart", "src/gshift/cli.py",
+           "told = any(sets[i].contains(r) != sets[j].contains(r) for r in range(1, last + 1))",
+           "told = False",
+           ("tests/test_cli.py::test_verify_names_the_pairs_a_failed_surrogate_check_failed_on",)),
 )
 
 

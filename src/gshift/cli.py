@@ -3,7 +3,8 @@ block constructions, and verify the finite-horizon evidence end to end.
 
 Exit codes: 0 all requested checks passed, 1 some check failed, 2 the
 configuration was unusable, 3 inconclusive: a verdict the checks depend on came
-back unknown, or an orbit lookup ran past the bit budget, so nothing was shown
+back unknown, an orbit lookup ran past the bit budget, the proof-bound replay
+held no block, or a failed pair was never told apart, so nothing was shown
 either way.  Artifacts (JSON reports, CSV statistics) land in the --out
 directory; CSV bodies are byte-stable for identical configurations.
 """
@@ -438,11 +439,11 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
         "prediction": prediction.to_json(),
     }
     verdict = prediction.distributional
-    inconclusive = None
+    inconclusive: list[str] = []  # each reason nothing was shown either way
     if verdict.is_false:
         report["construction"] = {"skipped": f"distributional verdict is {verdict.truth}"}
     elif not verdict.is_true:
-        inconclusive = f"distributional verdict is {verdict.truth}; no construction checked"
+        inconclusive.append(f"distributional verdict is {verdict.truth}; no construction checked")
     else:
         lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
         schedule = _schedule_for(cfg, lengths, args.horizon_cap)
@@ -461,32 +462,44 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
                 checks.append(("proof-bounds", all(b["ok"] for b in bound_results),
                                f"{sum(b['ok'] for b in bound_results)}/{len(bound_results)}"))
             else:  # an empty replay shows nothing, so it cannot pass
-                inconclusive = f"proof-bounds: no block replayed in 2..{cfg.schedule_r_max}"
-                if args.horizon_cap is not None:
-                    inconclusive += f" under --horizon-cap {args.horizon_cap}"
-            failing = [pair_id for pair_id, v in pair_reports.items()
-                       if not (v.dc1_surrogate and v.dc2_surrogate)]
-            checks.append(("dc-surrogate", not failing,
-                           f"failing pairs {', '.join(failing)}" if failing else "all pairs"))
+                cap = "" if args.horizon_cap is None else f" under --horizon-cap {args.horizon_cap}"
+                inconclusive.append(
+                    f"proof-bounds: no block replayed in 2..{cfg.schedule_r_max}{cap}")
+            # a pair whose sets agree on every block the schedule reaches was
+            # never told apart, so its failed surrogates show nothing either way
+            last = lengths.locate(schedule.horizons[-1] - 1)[0]
+            sets = spec.family.members
+            failing, untold = [], []
+            for pair_id, i, j in _pairs(members):
+                verdict_ij = pair_reports[pair_id]
+                if not (verdict_ij.dc1_surrogate and verdict_ij.dc2_surrogate):
+                    told = any(sets[i].contains(r) != sets[j].contains(r) for r in range(1, last + 1))
+                    (failing if told else untold).append(pair_id)
+            if failing or not untold:
+                checks.append(("dc-surrogate", not failing,
+                               f"failing pairs {', '.join(failing)}" if failing else "all pairs"))
+            if untold:
+                inconclusive.append(f"dc-surrogate: pairs {', '.join(untold)} agree on every "
+                                    f"block in 1..{last}, so the run never told them apart")
             report["bounds"] = bound_results
         except NoAnchorError as exc:
             checks.append(("anchor", False, str(exc)))
         except UnresolvedOrbitError as exc:
-            inconclusive = str(exc)
+            inconclusive.append(str(exc))
         except (PreconditionError, ValueError) as exc:
             checks.append(("construction", False, str(exc)))
     for name, ok, note in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {note}")
     if verdict.is_false:
         print("SKIP construction: map is not predicted distributionally chaotic")
-    if inconclusive is not None:
-        print(f"INCONCLUSIVE: {inconclusive}")
-        report["inconclusive"] = inconclusive
+    if inconclusive:
+        report["inconclusive"] = "; ".join(inconclusive)
+        print(f"INCONCLUSIVE: {report['inconclusive']}")
     report["checks"] = [{"name": n, "ok": ok, "note": note} for n, ok, note in checks]
     if not all(ok for _, ok, _ in checks):
         rollup = "FAIL"  # a failed check outranks what stayed undecided
     else:
-        rollup = "PASS" if inconclusive is None else "INCONCLUSIVE"
+        rollup = "INCONCLUSIVE" if inconclusive else "PASS"
     report["rollup"] = rollup == "PASS"
     _write_json(out / "verify.json", report)
     print(f"rollup: {rollup}")

@@ -403,14 +403,11 @@ class CylinderPattern(Record):
     window: tuple[Index, ...]
     symbols: tuple[str, ...]
 
-    def __init__(self, window: tuple[Index, ...], symbols: tuple[str, ...]):
-        # spelled out: a weave entry check decodes one pattern per cylinder
+    def __post_init__(self):
+        window, symbols = self
         if len(window) != len(symbols):
             raise ValueError("window and symbols must align")
         make_window(window)
-        state = self.__dict__
-        state["window"] = window
-        state["symbols"] = symbols
 
     def items(self):
         return zip(self.window, self.symbols)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from heapq import merge
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 __all__ = [
@@ -74,50 +74,57 @@ class _StoredHash:
     """A record's hash, computed on first read and written into the instance
     dict, which shadows this non-data descriptor from then on: later reads
     are plain attribute reads.  Unlike `functools.cached_property` it takes
-    no lock, and most records (fresh coordinates) are hashed only once."""
+    no lock."""
 
     def __get__(self, record, owner):
         if record is None:  # read on the class
             return self
-        value = record.__dict__["_hash"] = hash(record._values())
+        value = record.__dict__["_hash"] = tuple.__hash__(record)
         return value
 
 
-class Record:
-    """Base of the package's records: named fields, equality, hash and repr.
+class Record(tuple):
+    """Base of the package's records: a tuple of named fields.
 
-    A subclass lists its fields as class annotations, in order, and must
-    declare at least one of its own (TypeError otherwise); a class-level
-    value is that field's default (shared by every instance, so immutable).
-    The names and defaults are read once, when the subclass is defined, into
-    `_fields` and `_defaults`.  Instances compare equal when they are of the
-    same class with equal field tuples (`_values()`), hash as that tuple
-    (computed on first use and kept, so a record keying caches is hashed
-    once), and print as ``Name(field=value, ...)``.  `__init__` takes the
-    fields positionally or by name and then calls `__post_init__`;
-    `_replace(**changes)` builds a copy through it.  Records are frozen: assigning or deleting any attribute
-    raises AttributeError.  Instances keep a `__dict__`, so a
-    `functools.cached_property` works on them.
+    A subclass lists its fields as class annotations, in order, after those
+    of its record bases, and must declare at least one of its own (TypeError
+    otherwise); a class-level value is that field's default (shared by every
+    instance, so immutable).  The names and defaults are read once, when the
+    subclass is defined, into `_fields` and `_defaults`, and each field reads
+    its position through a property.  A record is the tuple of its field
+    values: the class takes them positionally or by name and then calls
+    `__post_init__`, and `_replace(**changes)` builds a copy the same way.
+    Records of one class with equal fields are equal; a record never equals
+    one of another class or a plain tuple.  A record hashes as its field
+    tuple, and one with a `__dict__` (every record but `Index`) computes that
+    hash on first use and keeps it, so a record keying a cache is hashed
+    once; the `__dict__` also holds any `functools.cached_property`.  Pickle
+    and copy rebuild a record from its class and field values, so neither
+    travels.  Records are frozen: assigning or deleting any attribute raises
+    AttributeError.  They print as ``Name(field=value, ...)``.
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__dict__.get("__annotations__", {})
-        if not own:
+        if not own or not own.keys().isdisjoint(cls._fields):
             raise TypeError(f"{cls.__qualname__}: a record must declare its own fields")
-        cls._fields = tuple(own)
-        cls._defaults = {name: cls.__dict__[name] for name in own if name in cls.__dict__}
-        get = attrgetter(*own)  # one field gives a bare value, more give a tuple
-        cls._values = (lambda self: (get(self),)) if len(own) == 1 else (lambda self: get(self))
+        cls._defaults = {**cls._defaults,
+                         **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+        for position, name in enumerate(own, len(cls._fields)):
+            setattr(cls, name, property(itemgetter(position)))
+        cls._fields += tuple(own)
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            args = self._arguments(args, kwargs)
-        self.__dict__.update(zip(self._fields, args))
-        self.__post_init__()
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._arguments(args, kwargs)
+        record = tuple.__new__(cls, args)
+        record.__post_init__()
+        return record
 
     @classmethod
     def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
@@ -136,17 +143,19 @@ class Record:
         return tuple(values[name] for name in cls._fields)
 
     def __post_init__(self) -> None:
-        """Validate the fields; called last by the generic `__init__`."""
+        """Validate the fields; called last by the constructor."""
 
     def _replace(self, **changes):
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+        return type(self)(**{**dict(zip(self._fields, self)), **changes})
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)
 
     def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        return other is self or (other.__class__ is self.__class__ and tuple.__eq__(self, other))
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
 
     _hash = _StoredHash()
 
@@ -154,7 +163,7 @@ class Record:
         return self._hash
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value):
@@ -164,37 +173,22 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Index(tuple):
+class Index(Record):
     """A point of a domain: a tag path through disjoint unions plus an integer coordinate.
 
     ``path`` is a tuple of "L"/"R" tags, outermost first; plain domains use ``()``.
-    The hottest value type, so it is not a `Record` but a frozen two-field
-    tuple ``(path, coord)``: it hashes in C, as ``hash((path, coord))``, has
-    no ``__dict__``, refuses assignment and deletion as a record does, and
-    pickles and copies through `__getnewargs__`.  Equality stays strict: an
-    `Index` equals only an `Index`, never a plain tuple.
+    The hottest value type, so it has no ``__dict__`` and hashes in C, as
+    ``hash((path, coord))``, on every use.
     """
 
     __slots__ = ()
+    path: tuple[str, ...]
+    coord: int
 
     def __new__(cls, path: tuple[str, ...], coord: int):
         return tuple.__new__(cls, (path, coord))
 
-    path = property(itemgetter(0))
-    coord = property(itemgetter(1))
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
-
-    __hash__ = tuple.__hash__  # defining __eq__ would otherwise clear it
-    __setattr__ = Record.__setattr__
-    __delattr__ = Record.__delattr__
-
-    def __getnewargs__(self):
-        return tuple(self)
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:  # compact: "L0", "-3", "RL2"
         return format_index(self)
@@ -376,24 +370,6 @@ class SelfMap(Record):
     left: "Optional[SelfMap]" = None
     right: "Optional[SelfMap]" = None
 
-    def __init__(self, domain: IndexDomain, rule: str, table: Optional[tuple[int, ...]] = None,
-                 outer: Optional[SelfMap] = None, inner: Optional[SelfMap] = None,
-                 left: Optional[SelfMap] = None, right: Optional[SelfMap] = None):
-        # spelled out, since every finite table of a sweep builds one: a sub-map
-        # is stored only when given, and the class-level None answers otherwise
-        state = self.__dict__
-        state["domain"] = domain
-        state["rule"] = rule
-        state["table"] = table
-        if outer is not None:
-            state["outer"] = outer
-        if inner is not None:
-            state["inner"] = inner
-        if left is not None:
-            state["left"] = left
-        if right is not None:
-            state["right"] = right
-
     @cached_property
     def record(self) -> "Rule":
         if self.table is not None:
@@ -429,7 +405,9 @@ def table_map(entries) -> SelfMap:
     if not points.issuperset(table):
         bad = next(e for e in table if e not in points)  # name the first one
         raise ValueError(f"table entry {bad} outside range 0..{size - 1}")
-    return SelfMap(domain, "table", table)
+    # built as the tuple of its fields, since every finite table of a sweep
+    # builds one and a map has no checks to run
+    return tuple.__new__(SelfMap, (domain, "table", table, None, None, None, None))
 
 
 _INT_ONLY = frozenset({int})  # the entry types a table keeps as given

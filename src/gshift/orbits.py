@@ -182,10 +182,10 @@ class VerdictFields:
 
     def truths(self) -> tuple[str, ...]:
         # a list, not a generator: a generator per call raised a 46,656-table sweep's peak RSS ~1%
-        return tuple([getattr(self, name).truth for name in self._fields])
+        return tuple([verdict.truth for verdict in self])
 
     def to_json(self) -> dict:
-        return {name: getattr(self, name).to_json() for name in self._fields}
+        return {name: verdict.to_json() for name, verdict in zip(self._fields, self)}
 
 
 class MapProfile(VerdictFields, Record):

@@ -257,6 +257,36 @@ def test_verify_names_the_pairs_a_failed_surrogate_check_failed_on(tmp_path, cap
     assert check == {"name": "dc-surrogate", "ok": False, "note": "failing pairs 1-2, 1-3, 2-3"}
 
 
+# members 4 and 5 hold primes 11 and 13: their sets differ first at block 11
+@pytest.mark.parametrize("r_max, code", [(8, 3), (10, 3), (11, 0)])
+def test_a_pair_never_told_apart_leaves_verify_inconclusive(tmp_path, capsys, r_max, code):
+    cfg = {"map": {"rule": "successor"}, "family_size": 5,
+           "schedule": {"kind": "block_boundaries", "r_max": r_max}}
+    assert _run(tmp_path, "verify", config=cfg) == code
+    out = capsys.readouterr().out.splitlines()
+    blob = json.loads((tmp_path / "out" / "verify.json").read_text())
+    if code == 0:
+        assert out[-2:] == ["PASS dc-surrogate: all pairs", "rollup: PASS"]
+        assert "inconclusive" not in blob
+        return
+    note = (f"dc-surrogate: pairs 4-5 agree on every block in 1..{r_max}, "
+            "so the run never told them apart")
+    assert out[-2:] == [f"INCONCLUSIVE: {note}", "rollup: INCONCLUSIVE"]
+    assert blob["inconclusive"] == note and blob["rollup"] is False
+    assert [c["name"] for c in blob["checks"]] == ["proof-bounds"]
+
+
+def test_a_pair_told_apart_still_fails_beside_one_that_was_not(tmp_path, capsys):
+    cfg = {"map": {"rule": "square"}, "family_size": 5, "windows": [[1], [1, 2]]}
+    assert _run(tmp_path, "verify", config=cfg) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [
+        "FAIL dc-surrogate: failing pairs 1-2, 1-3, 1-4, 1-5, 2-3, 2-4, 2-5, 3-4, 3-5",
+        "INCONCLUSIVE: dc-surrogate: pairs 4-5 agree on every block in 1..8, "
+        "so the run never told them apart",
+        "rollup: FAIL"]
+
+
 def test_default_windows_sit_on_the_anchors_orbit(tmp_path, capsys):
     # square's anchor is 2 (0 and 1 are fixed, -1 lands on 1): windows {2}, {2, 4}
     assert _run(tmp_path, "verify", config={"map": {"rule": "square"}, "family_size": 3}) == 0
@@ -498,14 +528,16 @@ def test_horizon_cap_truncates_and_can_empty_the_schedule(tmp_path, capsys):
 ], ids=["r_max-1", "capped"])
 def test_verify_reports_an_empty_proof_bound_replay_as_not_shown(
         tmp_path, capsys, schedule, argv, blocks):
-    # the short horizons fail the surrogates, and that failure still decides the exit
-    assert _run(tmp_path, *argv, "verify", config=dict(PHI1, schedule=schedule)) == 1
+    # the short horizons reach block 1 only, which no member set holds, so
+    # their failed surrogates show nothing either: both reasons are reported
+    assert _run(tmp_path, *argv, "verify", config=dict(PHI1, schedule=schedule)) == 3
     out = capsys.readouterr().out
-    note = f"proof-bounds: no block replayed in {blocks}"
+    note = (f"proof-bounds: no block replayed in {blocks}; dc-surrogate: pairs 1-2, 1-3, 2-3 "
+            "agree on every block in 1..1, so the run never told them apart")
     assert "proof-bounds: 0/0" not in out and f"INCONCLUSIVE: {note}" in out
     blob = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert blob["bounds"] == [] and blob["inconclusive"] == note
-    assert [c["name"] for c in blob["checks"]] == ["dc-surrogate"]
+    assert blob["checks"] == []
 
 
 def test_an_empty_proof_bound_replay_alone_leaves_verify_inconclusive(

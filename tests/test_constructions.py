@@ -538,12 +538,13 @@ def test_an_entry_check_resolves_each_window_once(monkeypatch):
     # ranks <= 7 give 2,186 patterns over 127 windows: a window costs one
     # chain-coordinate read per index and one for the anchor, and each
     # exponent and member reads the anchor's chain offset once more
+    from gshift.indexspace import RULES
     from gshift.orbits import window_offsets
-    m = successor()
+    m = SelfMap(INTEGERS, "successor")  # not the shared map, so its record is read after the patch
     reads = []
-    chain = m.record.chain
-    monkeypatch.setitem(m.record.__dict__, "chain",
-                        lambda *args: reads.append(None) or chain(*args))
+    rule = successor().record
+    monkeypatch.setitem(RULES, "successor", rule._replace(
+        chain=lambda *args: reads.append(None) or rule.chain(*args)))
     window_offsets.cache_clear()
     spec = ScrambledFamilySpec(m, (ix(0),), ALPHA, block_lengths(16, "weave"),
                                almost_disjoint_family(2), "weave")

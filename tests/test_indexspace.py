@@ -254,21 +254,25 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+def _package_records() -> list:
+    """The direct Record subclasses of the package, without any a test defines."""
+    return [cls for cls in Record.__subclasses__() if cls.__module__.startswith("gshift.")]
+
+
 def test_every_record_is_frozen():
     import gshift.cli  # noqa: F401  (defines the last record)
 
-    records = Record.__subclasses__()  # Index is a tuple, pinned below
-    assert len(records) == 22
+    records = _package_records()
+    assert len(records) == 23 and Index in records
     for cls in records:
-        held = dict.fromkeys(cls._fields, 0)
-        blank = cls.__new__(cls)  # the refusal is the class's, whatever the field values
-        blank.__dict__.update(held)
+        held = tuple(range(len(cls._fields)))
+        record = tuple.__new__(cls, held)  # the refusal is the class's, whatever the field values
         for name in cls._fields:
             with pytest.raises(AttributeError):
-                setattr(blank, name, None)
+                setattr(record, name, None)
             with pytest.raises(AttributeError):
-                delattr(blank, name)
-        assert blank.__dict__ == held
+                delattr(record, name)
+        assert tuple(getattr(record, name) for name in cls._fields) == tuple(record) == held
     m = successor()
     with pytest.raises(AttributeError, match="cannot assign to field 'rule'"):
         m.rule = "predecessor"
@@ -320,18 +324,80 @@ def test_a_record_without_fields_of_its_own_is_refused(base):
         type("Bare", (base,), {})
 
 
-def test_every_record_hashes_its_field_tuple_once(monkeypatch):
+class _CountedHash:
+    """A field value that counts how often it is hashed."""
+
+    def __init__(self):
+        self.hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return 7
+
+
+def test_every_record_hashes_its_field_tuple_once():
     import gshift.cli  # noqa: F401  (defines the last record)
 
-    for cls in Record.__subclasses__():
-        record = cls.__new__(cls)
-        record.__dict__.update(zip(cls._fields, range(len(cls._fields))))
-        values, reads = cls._values, []
-        monkeypatch.setattr(cls, "_values", lambda self: reads.append(None) or values(self))
-        assert hash(record) == hash(record) == hash(values(record)), cls.__name__
-        assert len(reads) == 1, cls.__name__
-        monkeypatch.undo()
+    for cls in _package_records():
+        value = _CountedHash()
+        fields = (value,) * len(cls._fields)
+        record = tuple.__new__(cls, fields)
+        assert hash(record) == hash(record) == hash(fields), cls.__name__
+        kept = cls is not Index  # an Index has no __dict__ to keep it in: it hashes in C each time
+        assert value.hashes == len(fields) * (2 if kept else 3), cls.__name__
     assert hash(ix(3, "L", "R")) == hash((("L", "R"), 3))
+
+
+def test_records_of_different_classes_with_equal_fields_are_unequal():
+    class Other(Record):
+        kind: str
+        size: object = None
+        left: object = None
+        right: object = None
+
+    domain, other = IndexDomain("integers"), Other("integers")
+    assert tuple(domain) == tuple(other) and domain != other and not domain == other
+    assert {domain: 1}.get(other) is None
+    plain = ("integers", None, None, None)
+    assert domain != plain and plain != domain and not domain == plain and not plain == domain
+
+
+def test_a_record_subclass_keeps_its_bases_fields():
+    class Noted(IndexDomain):
+        note: str = ""
+
+    assert Noted._fields == ("kind", "size", "left", "right", "note")
+    assert Noted("naturals") != Noted("integers")
+    noted = Noted("finite_range", 3, note="x")
+    assert (noted.kind, noted.size, noted.note) == ("finite_range", 3, "x")
+    assert repr(noted).endswith("Noted(kind='finite_range', size=3, left=None, right=None, note='x')")
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_record_pickles_and_copies_as_its_class_and_fields(protocol):
+    m = compose_maps(successor(), predecessor())
+    assert evaluate(m, ix(3)) == ix(3) and hash(m)  # builds its record and keeps its hash
+    for copy in (pickle.loads(pickle.dumps(m, protocol)), deepcopy(m)):
+        assert type(copy) is SelfMap and copy == m and hash(copy) == hash(m)
+        assert "record" not in copy.__dict__ and evaluate(copy, ix(3)) == ix(3)
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_a_record_reloaded_under_another_hash_seed_finds_its_equal(tmp_path, seed):
+    # the parent process hashes the record first; the child has other string hashes
+    blob = tmp_path / "domain.pickle"
+    domain = finite_range(3)
+    assert {domain: 1}[domain] == 1
+    blob.write_bytes(pickle.dumps(domain))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import pickle, sys; from gshift.indexspace import finite_range; "
+            "loaded = pickle.loads(open(sys.argv[1], 'rb').read()); "
+            "print(loaded == finite_range(3), {finite_range(3): 1}.get(loaded))")
+    proc = subprocess.run([sys.executable, "-c", code, str(blob)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "True 1\n"), proc.stderr
 
 
 @pytest.mark.parametrize("args, kwargs, message", [
@@ -497,7 +563,7 @@ def test_table_map_keeps_an_in_range_int_tuple_as_given():
     entries = (2, 0, 1)
     m = table_map(entries)
     assert m.table is entries and m.domain == finite_range(3)
-    assert set(m.__dict__) == {"domain", "rule", "table"}  # no sub-map is stored
+    assert tuple(m) == (m.domain, "table", entries, None, None, None, None)
     spelled = SelfMap(finite_range(3), "table", (2, 0, 1), None, None, None, None)
     assert m == spelled and hash(m) == hash(spelled) and repr(m) == repr(spelled)
     assert (m.outer, m.inner, m.left, m.right) == (None,) * 4
