@@ -3,7 +3,10 @@
 
 Each mutant below is a one-line change that loosens a proof-bound replay or a
 scrambling surrogate, lets an empty replay pass, or excuses a failed pair as
-never told apart, so that `gshift verify` could claim more than it has shown.
+never told apart, so that `gshift verify` could claim more than it has shown;
+or that reads a shifted weave window from its splice even where the window
+reaches back past the splice's start, so that a member could seem to enter a
+cylinder it misses.
 For each, the script copies `src`, `tests` and `pyproject.toml` to a
 temporary directory, applies the change there, runs the tests named for it
 with `pytest -x -q`, and prints `killed` (a test failed) or `survived` (every
@@ -63,6 +66,10 @@ MUTANTS = (
            "told = any(sets[i].contains(r) != sets[j].contains(r) for r in range(1, last + 1))",
            "told = False",
            ("tests/test_cli.py::test_verify_names_the_pairs_a_failed_surrogate_check_failed_on",)),
+    Mutant("splice-edge", "src/gshift/configspace.py",
+           "if in_splice and offset + min(offsets) >= 0 and offset + max(offsets) < r:",
+           "if in_splice and offset + max(offsets) < r:",
+           ("tests/test_constructions.py::test_a_splice_relative_read_agrees_with_pointwise_reads",)),
 )
 
 

@@ -208,8 +208,12 @@ class OrbitBlocks(Configuration):
     A shifted read (`symbols_after`) along the layout's own map reads each
     index at orbit position power + k, k its signed offset from the anchor
     (`orbits.window_offsets`, resolved once per window), without building the
-    shifted coordinate.  A window without offsets there, or a negative power,
-    iterates the map first.
+    shifted coordinate.  It locates `power` itself: when every power + k lies
+    in the splice that `power` lands in, offset o into it, each index reads
+    the source cache at splice offset o + k, and no orbit position is added,
+    subtracted or compared; any other window reads position by position.  A
+    window without offsets there, or a negative power, iterates the map
+    first.
 
     The anchor must have a proven infinite orbit (PreconditionError, a
     ValueError, otherwise).
@@ -264,19 +268,17 @@ class OrbitBlocks(Configuration):
         offsets = window_offsets(m, self.anchor, tuple(window)) if m == self.map else None
         if not offsets or power < 0:
             return super().symbols_after(m, window, power)
-        # a weave entry check reads a whole window inside one splice: locate
-        # the lowest position once and read the rest at their distance from
-        # it, straight from the shared source cache when every read is there
-        low = min(offsets)
-        start = power + low
-        if start >= 0:
-            r, offset, in_splice = self.lengths.locate(start)
-            if in_splice and offset + max(offsets) - low < r:
-                base, cache = offset - low, self._source_cache
-                out = [cache.get(base + k) for k in offsets]
-                if None in out:
-                    out = [self._source_symbol(base + k) for k in offsets]
-                return out
+        # a weave entry check reads a whole window inside the splice that
+        # `power` lands in: locate `power` itself and read each index at its
+        # splice offset, straight from the shared source cache when every read
+        # is there, with no arithmetic on the (huge) orbit positions
+        r, offset, in_splice = self.lengths.locate(power)
+        if in_splice and offset + min(offsets) >= 0 and offset + max(offsets) < r:
+            cache = self._source_cache
+            out = [cache.get(offset + k) for k in offsets]
+            if None in out:
+                out = [self._source_symbol(offset + k) for k in offsets]
+            return out
         return [self._symbol_at_position(power + k) for k in offsets]
 
     def _symbol_at_position(self, pos: int) -> str:

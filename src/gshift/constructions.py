@@ -96,7 +96,8 @@ class BlockLengths:
         self.count = count
         self._weave = variant == "weave"  # a splice of r symbols follows block r
         self._ends: list[int] = []  # block ends n_1, n_2, ...
-        self._last = (0, 0, 1, False)  # (lo, hi, r, in_splice) of the last segment located
+        self._last = (0, 0, 1, False)  # (start, size, r, in_splice) of the last segment located
+        self._at, self._found = None, None  # the last position located, and its answer
         self._extend_to(count)
 
     def _start(self, r: int) -> int:
@@ -130,15 +131,29 @@ class BlockLengths:
         """(r, offset, in_splice): orbit position `position` >= 0 lies `offset`
         symbols into block r, or into the splice after block r when in_splice.
 
-        One bisect of the block ends finds the block that ends past the
-        position; the position lies in that block from its start on, and
-        before that in the splice after the block before it.  The last segment
-        found answers a position inside it without a search: members sharing
-        these lengths are read at the same positions, one after the other.
-        The ends only grow by appending, so it never goes stale."""
-        lo, hi, r, in_splice = self._last
-        if lo <= position < hi:
-            return r, position - lo, in_splice
+        The last position answered is kept with its answer, and asking for it
+        again returns that answer before any range comparison: both members of
+        a weave entry check read at the one exponent object, and int `==`
+        stops at identity.  Otherwise the last segment found answers a position
+        inside it without a search: members sharing these lengths are read at
+        the same positions, one after the other.  Otherwise one bisect of the
+        block ends finds the block that ends past the position; the position
+        lies in that block from its start on, and before that in the splice
+        after the block before it.  The ends only grow by appending, so
+        neither memo goes stale."""
+        if position == self._at:
+            return self._found
+        start, size, r, in_splice = self._last
+        offset = position - start
+        if 0 <= offset < size:
+            found = r, offset, in_splice
+        else:
+            found = self._search(position)
+        self._at, self._found = position, found
+        return found
+
+    def _search(self, position: int) -> tuple[int, int, bool]:
+        """`locate` by a bisect of the block ends, kept as the last segment."""
         if position < 0:
             raise ValueError("orbit position must be >= 0")
         ends = self._ends
@@ -147,11 +162,24 @@ class BlockLengths:
         r = bisect_right(ends, position)  # blocks ending at or before position
         start = self._start(r + 1)
         if position >= start:
-            self._last = (start, ends[r], r + 1, False)
+            self._last = (start, ends[r] - start, r + 1, False)
             return r + 1, position - start, False
         lo = ends[r - 1]
-        self._last = (lo, start, r, True)
+        self._last = (lo, r, r, True)
         return r, position - lo, True
+
+    def splice_position(self, r: int, offset: int) -> int:
+        """The orbit position `offset` symbols into the splice after block r
+        (weave only, 0 <= offset < r), kept as the last position located with
+        its segment, so a read there next needs no search."""
+        if not self._weave:
+            raise ValueError("plain block lengths have no splices")
+        if not 0 <= offset < r:
+            raise ValueError(f"splice {r} has no offset {offset}")
+        lo = self.horizon(r)
+        self._last = (lo, r, r, True)
+        self._at, self._found = lo + offset, (r, offset, True)
+        return self._at
 
     def values(self) -> tuple[int, ...]:
         return tuple(self.value(r) for r in range(1, self.count + 1))
@@ -553,7 +581,10 @@ def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,
     matches the pattern on the radius-N orbit window; the splice after block
     h+N+1 replays it for j <= h+N, so the member enters the cylinder at
     exponent l + h where l is that splice's starting position.  The offsets
-    stay cached per window for the members' shifted reads.
+    stay cached per window for the members' shifted reads, and the lengths
+    keep the exponent as the last position located (offset h into that
+    splice, `BlockLengths.splice_position`), so those reads find it without
+    a search.
     """
     if not isinstance(source, LengthLexWord):
         raise ValueError("entry bound needs the length-lex source")
@@ -577,7 +608,7 @@ def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,
     if entry > _MAX_BLOCKS:
         raise ValueError(f"window {pattern.window!r} not within reach of the anchor: its entry "
                          f"needs block {entry}, past the {_MAX_BLOCKS}-block ceiling")
-    return spec.lengths.horizon(entry) + h
+    return spec.lengths.splice_position(entry, h)
 
 
 # ---------------------------------------------------------------------------

@@ -95,13 +95,15 @@ class Record(tuple):
     values: the class takes them positionally or by name and then calls
     `__post_init__`, and `_replace(**changes)` builds a copy the same way.
     Records of one class with equal fields are equal; a record never equals
-    one of another class or a plain tuple.  A record hashes as its field
-    tuple, and one with a `__dict__` (every record but `Index`) computes that
-    hash on first use and keeps it, so a record keying a cache is hashed
-    once; the `__dict__` also holds any `functools.cached_property`.  Pickle
-    and copy rebuild a record from its class and field values, so neither
-    travels.  Records are frozen: assigning or deleting any attribute raises
-    AttributeError.  They print as ``Name(field=value, ...)``.
+    one of another class or a plain tuple.  A record is a value, not a
+    sequence: `<`, `<=`, `>`, `>=`, `+` and `*` raise TypeError with a
+    record on either side.  A record hashes as its field tuple, and one with
+    a `__dict__` (every record but `Index`) computes that hash on first use
+    and keeps it, so a record keying a cache is hashed once; the `__dict__`
+    also holds any `functools.cached_property`.  Pickle and copy rebuild a
+    record from its class and field values, so neither travels.  Records are
+    frozen: assigning or deleting any attribute raises AttributeError.  They
+    print as ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
@@ -156,6 +158,14 @@ class Record(tuple):
 
     def __ne__(self, other):
         return not self.__eq__(other)
+
+    def _refuse(self, other):
+        # raised, not NotImplemented: a plain tuple on the other side would
+        # then order or concatenate with the record as with its field tuple
+        raise TypeError(f"{type(self).__qualname__} records neither order, add nor repeat")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse
 
     _hash = _StoredHash()
 

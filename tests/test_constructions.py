@@ -140,6 +140,22 @@ def test_locate_matches_a_plain_bisect_in_any_query_order(variant):
     random.Random(17).shuffle(positions)
     bl = BlockLengths(variant, 1)
     assert [bl.locate(p) for p in positions] == [bisected_location(variant, p) for p in positions]
+    # a repeat of the last position, as the same object or an equal copy,
+    # gets the answer a search would give
+    for p in positions:
+        want = bisected_location(variant, p)
+        copy = p + 1 - 1
+        assert (bl.locate(p), bl.locate(p), bl.locate(copy)) == (want,) * 3, p
+    if variant == "weave":  # right after an entry exponent seeded the memo
+        spec = ScrambledFamilySpec(successor(), (ix(0),), ALPHA, bl,
+                                   almost_disjoint_family(2), "weave")
+        source = full_shift_transitive_point(ALPHA)
+        en = pattern_enumeration(ALPHA, INTEGERS)
+        for n, p in zip(range(1, 81), positions):
+            pattern = en.pattern(n)
+            for query in (lambda e: e, lambda e: e + 1 - 1, lambda e: e - 1, lambda e: p):
+                q = query(weave_entry_exponent(spec, source, pattern))
+                assert bl.locate(q) == bisected_location(variant, q), n
 
 
 @pytest.mark.parametrize("variant", ["plain", "weave"])
@@ -514,7 +530,8 @@ def test_weave_members_share_their_source_reads(monkeypatch):
 
 
 def test_an_entry_check_locates_its_window_once_for_both_members(monkeypatch):
-    # every coordinate of one pattern lands in one splice of the shared lengths
+    # every coordinate of one pattern lands in the splice its exponent lands
+    # in, which the exponent left located in the shared lengths: no search
     import gshift.constructions as constructions
     searches = []
     search = constructions.bisect_right
@@ -531,7 +548,25 @@ def test_an_entry_check_locates_its_window_once_for_both_members(monkeypatch):
         expo = weave_entry_exponent(spec, source, pat)
         before = len(searches)
         assert all(in_cylinder(shifted(x, m, expo), pat) for x in members), n
-        assert len(searches) - before <= 1, n
+        assert len(searches) == before, n
+
+
+def test_a_splice_relative_read_agrees_with_pointwise_reads():
+    # every window within radius 2 of the anchor, shifted by every power from
+    # 4 before splice r to 4 past it, so some windows straddle its start or end
+    m = successor()
+    spec = ScrambledFamilySpec(m, (ix(0),), ALPHA, block_lengths(16, "weave"),
+                               almost_disjoint_family(2), "weave")
+    members = transitive_weave_family(spec, full_shift_transitive_point(ALPHA))
+    coords = [ix(c) for c in range(-2, 3)]
+    windows = [w for size in range(1, 6) for w in itertools.combinations(coords, size)]
+    for r in range(2, 13):
+        n_r = spec.lengths.horizon(r)
+        for power in range(n_r - 4, n_r + r + 4):
+            for x in members:
+                for window in windows:
+                    want = [x.symbol_at(iterate(m, i, power)) for i in window]
+                    assert shifted(x, m, power).symbols_at(window) == want, (r, power, window)
 
 
 def test_an_entry_check_resolves_each_window_once(monkeypatch):
@@ -741,6 +776,10 @@ REFUSALS = {
                       "block 10001 lies past the 10000-block ceiling"),
     "pattern-0": (lambda: pattern_enumeration(ALPHA, INTEGERS).pattern(0), ValueError,
                   "pattern index must be >= 1"),
+    "splice-on-plain": (lambda: block_lengths(3).splice_position(2, 0), ValueError,
+                        "plain block lengths have no splices"),
+    "splice-offset-past-its-end": (lambda: block_lengths(3, "weave").splice_position(2, 2),
+                                   ValueError, "splice 2 has no offset 2"),
     "dc-family-on-weave": (lambda: dc_family(_refusal_spec("weave")), ValueError,
                            "dc_family builds the plain variant"),
     "weave-family-on-plain": (

@@ -1,5 +1,6 @@
 """Index domains, enumeration conventions, self-map evaluation, and records."""
 
+import operator
 import os
 import pickle
 import re
@@ -360,6 +361,26 @@ def test_records_of_different_classes_with_equal_fields_are_unequal():
     assert {domain: 1}.get(other) is None
     plain = ("integers", None, None, None)
     assert domain != plain and plain != domain and not domain == plain and not plain == domain
+
+
+@pytest.mark.parametrize("record", [ix(3), successor()], ids=["Index", "SelfMap"])
+def test_a_record_neither_orders_nor_concatenates(record):
+    # a record is a value: it never orders or adds as its field tuple, so a
+    # sort that ties on one raises instead of comparing its fields
+    plain = tuple(record)
+    others = [plain, ix(4), successor(), 2, ()]
+    compares = (operator.lt, operator.le, operator.gt, operator.ge, operator.add, operator.mul)
+    for other in others:
+        for op in compares:
+            for left, right in ((record, other), (other, record)):
+                with pytest.raises(TypeError, match="records neither order, add nor repeat"):
+                    op(left, right)
+    with pytest.raises(TypeError):
+        sorted([record, record])
+    # equality, hashing and pickling stay as they were
+    assert record == tuple.__new__(type(record), plain) and record != plain
+    assert hash(record) == hash(plain)
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_a_record_subclass_keeps_its_bases_fields():
