@@ -26,16 +26,12 @@ CONFIG = {
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="gshift-out")
-    parser.add_argument("--horizon-cap", type=int, default=None)
     args = parser.parse_args()
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(CONFIG, fh)
         config_path = fh.name
-    argv = ["--config", config_path, "--out", args.out]
-    if args.horizon_cap is not None:
-        argv += ["--horizon-cap", str(args.horizon_cap)]
     try:
-        code = cli_main(argv + ["verify"])
+        code = cli_main(["--config", config_path, "--out", args.out, "verify"])
     finally:
         os.unlink(config_path)
     print(f"artifacts in {Path(args.out).resolve()}")

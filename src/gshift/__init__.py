@@ -26,7 +26,7 @@ _EXPORTS = {
     "orbits": (
         "ChainDecomposition", "MapProfile", "PointClassification", "UnresolvedOrbitError",
         "Verdict", "chain_decomposition", "classify_point", "map_profile", "orbit_position",
-        "proven_false", "proven_true", "unknown", "v_and", "v_not", "v_or",
+        "proven_false", "proven_true", "v_and", "v_not", "v_or",
     ),
     "configspace": (
         "Alphabet", "Configuration", "Constant", "CylinderPattern", "Embedded", "FinitePatch",

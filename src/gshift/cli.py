@@ -247,13 +247,10 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _schedule_for(cfg: ExperimentConfig, lengths, horizon_cap: Optional[int]) -> Schedule:
-    horizons = (cfg.schedule_horizons
-                or block_boundary_schedule(lengths, cfg.schedule_r_max).horizons)
-    kept = tuple(h for h in horizons if horizon_cap is None or h <= horizon_cap)
-    if not kept:
-        raise ConfigError(f"--horizon-cap {horizon_cap} removes every checkpoint")
-    return Schedule(kept)
+def _schedule_for(cfg: ExperimentConfig, lengths) -> Schedule:
+    if cfg.schedule_horizons:
+        return Schedule(cfg.schedule_horizons)
+    return block_boundary_schedule(lengths, cfg.schedule_r_max)
 
 
 def _pick_anchor(cfg: ExperimentConfig) -> Index:
@@ -420,7 +417,7 @@ def _cmd_construct(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def _cmd_stats(cfg: ExperimentConfig, out: Path, args) -> int:
     lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
-    schedule = _schedule_for(cfg, lengths, args.horizon_cap)
+    schedule = _schedule_for(cfg, lengths)
     spec, members = _family_for(cfg, lengths)
     rows = _stats_rows(_pair_reports(cfg, spec, members, schedule))
     _write_csv(out / "stats.csv", rows, STATS_COLUMNS)
@@ -446,9 +443,8 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
         inconclusive.append(f"distributional verdict is {verdict.truth}; no construction checked")
     else:
         lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
-        schedule = _schedule_for(cfg, lengths, args.horizon_cap)
-        blocks = [r for r in range(2, cfg.schedule_r_max + 1)
-                  if args.horizon_cap is None or lengths.horizon(r) <= args.horizon_cap]
+        schedule = _schedule_for(cfg, lengths)
+        blocks = range(2, cfg.schedule_r_max + 1)
         try:
             spec, members = _family_for(cfg, lengths)
             pair_reports = _pair_reports(cfg, spec, members, schedule)
@@ -462,9 +458,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
                 checks.append(("proof-bounds", all(b["ok"] for b in bound_results),
                                f"{sum(b['ok'] for b in bound_results)}/{len(bound_results)}"))
             else:  # an empty replay shows nothing, so it cannot pass
-                cap = "" if args.horizon_cap is None else f" under --horizon-cap {args.horizon_cap}"
-                inconclusive.append(
-                    f"proof-bounds: no block replayed in 2..{cfg.schedule_r_max}{cap}")
+                inconclusive.append(f"proof-bounds: no block replayed in 2..{cfg.schedule_r_max}")
             # a pair whose sets agree on every block the schedule reaches was
             # never told apart, so its failed surrogates show nothing either way
             last = lengths.locate(schedule.horizons[-1] - 1)[0]
@@ -552,8 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="path to a JSON experiment configuration")
     parser.add_argument("--out", default="gshift-out", help="artifact directory")
-    parser.add_argument("--horizon-cap", type=int, default=None,
-                        help="drop schedule checkpoints above this horizon")
     parser.add_argument("command", choices=COMMANDS)
     return parser
 

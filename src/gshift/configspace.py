@@ -161,9 +161,6 @@ class FinitePatch(Configuration):
         hit = self.patch.get(index)
         return hit if hit is not None else self.base.symbol_at(index)
 
-    def support(self) -> tuple[Index, ...]:
-        return tuple(self.patch)
-
 
 class PreconditionError(ValueError):
     """A constructor precondition failed; the message names the offending verdict."""

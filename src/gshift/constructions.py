@@ -96,7 +96,6 @@ class BlockLengths:
         self.count = count
         self._weave = variant == "weave"  # a splice of r symbols follows block r
         self._ends: list[int] = []  # block ends n_1, n_2, ...
-        self._last = (0, 0, 1, False)  # (start, size, r, in_splice) of the last segment located
         self._at, self._found = None, None  # the last position located, and its answer
         self._extend_to(count)
 
@@ -134,26 +133,12 @@ class BlockLengths:
         The last position answered is kept with its answer, and asking for it
         again returns that answer before any range comparison: both members of
         a weave entry check read at the one exponent object, and int `==`
-        stops at identity.  Otherwise the last segment found answers a position
-        inside it without a search: members sharing these lengths are read at
-        the same positions, one after the other.  Otherwise one bisect of the
-        block ends finds the block that ends past the position; the position
-        lies in that block from its start on, and before that in the splice
-        after the block before it.  The ends only grow by appending, so
-        neither memo goes stale."""
+        stops at identity.  Otherwise one bisect of the block ends finds the
+        block that ends past the position; the position lies in that block from
+        its start on, and before that in the splice after the block before it.
+        The ends only grow by appending, so the memo never goes stale."""
         if position == self._at:
             return self._found
-        start, size, r, in_splice = self._last
-        offset = position - start
-        if 0 <= offset < size:
-            found = r, offset, in_splice
-        else:
-            found = self._search(position)
-        self._at, self._found = position, found
-        return found
-
-    def _search(self, position: int) -> tuple[int, int, bool]:
-        """`locate` by a bisect of the block ends, kept as the last segment."""
         if position < 0:
             raise ValueError("orbit position must be >= 0")
         ends = self._ends
@@ -162,23 +147,21 @@ class BlockLengths:
         r = bisect_right(ends, position)  # blocks ending at or before position
         start = self._start(r + 1)
         if position >= start:
-            self._last = (start, ends[r] - start, r + 1, False)
-            return r + 1, position - start, False
-        lo = ends[r - 1]
-        self._last = (lo, r, r, True)
-        return r, position - lo, True
+            found = r + 1, position - start, False
+        else:
+            found = r, position - ends[r - 1], True
+        self._at, self._found = position, found
+        return found
 
     def splice_position(self, r: int, offset: int) -> int:
         """The orbit position `offset` symbols into the splice after block r
-        (weave only, 0 <= offset < r), kept as the last position located with
-        its segment, so a read there next needs no search."""
+        (weave only, 0 <= offset < r), kept as the last position located, so a
+        read there next needs no search."""
         if not self._weave:
             raise ValueError("plain block lengths have no splices")
         if not 0 <= offset < r:
             raise ValueError(f"splice {r} has no offset {offset}")
-        lo = self.horizon(r)
-        self._last = (lo, r, r, True)
-        self._at, self._found = lo + offset, (r, offset, True)
+        self._at, self._found = self.horizon(r) + offset, (r, offset, True)
         return self._at
 
     def values(self) -> tuple[int, ...]:

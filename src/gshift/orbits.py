@@ -35,7 +35,6 @@ __all__ = [
     "UnresolvedOrbitError",
     "proven_true",
     "proven_false",
-    "unknown",
     "v_not",
     "v_and",
     "v_or",
@@ -59,17 +58,14 @@ class UnresolvedOrbitError(RuntimeError):
 class Verdict(Record):
     """Three-valued answer with evidence.
 
-    provenance: "exhaustive" (finite domain fully checked),
-    "analytic-metadata" (a certified fact of the map's rule record), or
-    "bounded-search" (an undecided verdict).  Unknown verdicts record a
-    budget instead of evidence.
+    provenance: "exhaustive" (finite domain fully checked) or
+    "analytic-metadata" (a certified fact of the map's rule record).
     """
 
     truth: str
     witness: Optional[tuple] = None
     certificate: Optional[str] = None
     provenance: str = "analytic-metadata"
-    budget: Optional[int] = None
 
     @property
     def is_true(self) -> bool:
@@ -89,8 +85,6 @@ class Verdict(Record):
             out["witness"] = [repr(w) for w in self.witness]
         if self.certificate is not None:
             out["certificate"] = self.certificate
-        if self.budget is not None:
-            out["budget"] = self.budget
         return out
 
 
@@ -106,10 +100,6 @@ def proven_false(witness=None, certificate=None, provenance="analytic-metadata")
     return Verdict(PROVEN_FALSE, witness, certificate, provenance)
 
 
-def unknown(budget: int) -> Verdict:
-    return Verdict(UNKNOWN, provenance="bounded-search", budget=budget)
-
-
 def v_not(v: Verdict) -> Verdict:
     if v.is_unknown:
         return v
@@ -122,8 +112,7 @@ def v_not(v: Verdict) -> Verdict:
 
 
 def _worst_provenance(a: Verdict, b: Verdict) -> str:
-    order = {"exhaustive": 0, "analytic-metadata": 1, "bounded-search": 2}
-    return a.provenance if order[a.provenance] >= order[b.provenance] else b.provenance
+    return a.provenance if a.provenance == b.provenance else "analytic-metadata"
 
 
 def v_and(a: Verdict, b: Verdict) -> Verdict:
@@ -169,7 +158,6 @@ class PointClassification(Record):
     preperiod: Optional[int] = None
     certificate: Optional[str] = None
     provenance: str = "analytic-metadata"
-    budget: Optional[int] = None
 
     @property
     def is_non_quasi_periodic(self) -> bool:
@@ -310,7 +298,7 @@ def _union_profile(lp: MapProfile, rp: MapProfile) -> MapProfile:
         if v.witness is None:
             return v
         tagged = tuple(Index((side,) + w.path, w.coord) for w in v.witness)
-        return Verdict(v.truth, tagged, v.certificate, v.provenance, v.budget)
+        return Verdict(v.truth, tagged, v.certificate, v.provenance)
 
     inj = v_and(lift(lp.injective, "L"), lift(rp.injective, "R"))
     per = v_or(lift(lp.has_periodic_point, "L"), lift(rp.has_periodic_point, "R"))

@@ -214,7 +214,7 @@ def test_criterion_05_densification(capsys):
                     if in_cylinder(member, pattern)), None)
         ok = ok and hit is not None and hit <= en.rank_of(pattern)
     for member in dense:
-        for coord in member.support():
+        for coord in member.patch:
             ok = ok and classify_point(m, coord).kind == "non_quasi_periodic"
     elapsed = time.perf_counter() - t0
     _verdict(capsys, 5, "all 26 rank-3 cylinders hit within the enumeration bound; "

@@ -8,7 +8,7 @@ import pytest
 
 import gshift.cli as cli
 from gshift.cli import ConfigError, ExperimentConfig, main, parse_config
-from gshift.orbits import MapProfile, PointClassification, unknown
+from gshift.orbits import MapProfile, PointClassification, Verdict
 
 PHI1 = {
     "map": {"rule": "successor"},
@@ -329,11 +329,11 @@ def test_verify_passes_on_composed_translations(tmp_path, capsys, inner):
 
 
 def _unknown_profile(m):
-    return MapProfile(unknown(8), unknown(8), unknown(8))
+    return MapProfile(Verdict("unknown"), Verdict("unknown"), Verdict("unknown"))
 
 
 def _unknown_point(m, index):
-    return PointClassification("unknown", provenance="bounded-search", budget=8)
+    return PointClassification("unknown")
 
 
 @pytest.mark.parametrize("map_obj", [
@@ -505,32 +505,15 @@ def test_verify_without_an_anchor(tmp_path, capsys, monkeypatch, left, rc, check
         assert out.splitlines()[-1] == "rollup: FAIL"
 
 
-# the schedule is built before the anchor search, so a cap that empties it is
-# a config error even where no anchor would be found
-@pytest.mark.parametrize("command, map_obj", [
-    ("stats", {"rule": "parity_up"}),
-    ("verify", _nested_union({"rule": "parity_up"}, 7)),
-])
-def test_an_emptied_schedule_outranks_a_missing_anchor(tmp_path, capsys, command, map_obj):
-    assert _run(tmp_path, "--horizon-cap", "0", command, config={"map": map_obj}) == 2
-    assert "config error: --horizon-cap 0 removes every checkpoint" in capsys.readouterr().err
-
-
-def test_horizon_cap_truncates_and_can_empty_the_schedule(tmp_path, capsys):
-    assert _run(tmp_path, "--horizon-cap", "250", "verify", config=PHI1) == 0
-    assert _run(tmp_path, "--horizon-cap", "0", "verify", config=PHI1) == 2
-
-
 # a replay of no block shows nothing: never "PASS proof-bounds: 0/0"
-@pytest.mark.parametrize("schedule, argv, blocks", [
-    ({"kind": "block_boundaries", "r_max": 1}, [], "2..1"),
-    (PHI1["schedule"], ["--horizon-cap", "1"], "2..6 under --horizon-cap 1"),
-], ids=["r_max-1", "capped"])
+@pytest.mark.parametrize("schedule, blocks", [
+    ({"kind": "block_boundaries", "r_max": 1}, "2..1"),
+], ids=["r_max-1"])
 def test_verify_reports_an_empty_proof_bound_replay_as_not_shown(
-        tmp_path, capsys, schedule, argv, blocks):
+        tmp_path, capsys, schedule, blocks):
     # the short horizons reach block 1 only, which no member set holds, so
     # their failed surrogates show nothing either: both reasons are reported
-    assert _run(tmp_path, *argv, "verify", config=dict(PHI1, schedule=schedule)) == 3
+    assert _run(tmp_path, "verify", config=dict(PHI1, schedule=schedule)) == 3
     out = capsys.readouterr().out
     note = (f"proof-bounds: no block replayed in {blocks}; dc-surrogate: pairs 1-2, 1-3, 2-3 "
             "agree on every block in 1..1, so the run never told them apart")
@@ -551,16 +534,16 @@ def test_an_empty_proof_bound_replay_alone_leaves_verify_inconclusive(
 
 
 # the blocks whose proof bounds verify replays: 2..r_max, where an explicit
-# schedule keeps the default r_max 8, and --horizon-cap drops blocks that end
-# above it (horizon(5) = 206, horizon(6) = 1237)
-@pytest.mark.parametrize("schedule, argv, replayed", [
-    ({"kind": "explicit", "horizons": [1, 3, 10, 41, 206, 1237]}, [],
+# schedule keeps the default r_max 8, and r_max 5 stops at block 5, which ends
+# at horizon(5) = 206
+@pytest.mark.parametrize("schedule, replayed", [
+    ({"kind": "explicit", "horizons": [1, 3, 10, 41, 206, 1237]},
      {"1-2": [2, 3, 4, 5, 6, 8], "1-3": [2, 3, 4, 6, 7, 8], "2-3": [2, 4, 5, 6, 7, 8]}),
-    (PHI1["schedule"], ["--horizon-cap", "250"],
+    ({"kind": "block_boundaries", "r_max": 5},
      {"1-2": [2, 3, 4, 5], "1-3": [2, 3, 4], "2-3": [2, 4, 5]}),
 ], ids=["explicit", "capped"])
-def test_verify_replays_the_pinned_proof_bounds(tmp_path, capsys, schedule, argv, replayed):
-    assert _run(tmp_path, *argv, "verify", config=dict(PHI1, schedule=schedule)) == 0
+def test_verify_replays_the_pinned_proof_bounds(tmp_path, capsys, schedule, replayed):
+    assert _run(tmp_path, "verify", config=dict(PHI1, schedule=schedule)) == 0
     bounds = json.loads((tmp_path / "out" / "verify.json").read_text())["bounds"]
     assert bounds == [{"pair": pair, "r": r, "ok": True}
                       for pair, rs in replayed.items() for r in rs]

@@ -95,7 +95,7 @@ def test_finite_patch_overrides_base():
     c = FinitePatch(Constant(INTEGERS, P), {ix(2): Q})
     assert c.symbol_at(ix(2)) == Q
     assert c.symbol_at(ix(3)) == P
-    assert c.support() == (ix(2),)
+    assert tuple(c.patch) == (ix(2),)
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,7 @@ def test_densified_members_hit_their_patterns():
 def test_densified_patch_support_is_non_quasi_periodic():
     m, en, dense = _dense_family(4)
     for member in dense:
-        for coord in member.support():
+        for coord in member.patch:
             assert classify_point(m, coord).kind == "non_quasi_periodic"
 
 

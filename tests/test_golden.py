@@ -66,8 +66,7 @@ def record(m) -> dict:
         if size is not None and rank > size:
             break
         c = classify_point(m, enumerate_index(m.domain, rank))
-        points.append([rank, c.kind, c.period, c.preperiod, c.certificate,
-                       c.provenance, c.budget])
+        points.append([rank, c.kind, c.period, c.preperiod, c.certificate, c.provenance])
     profile = map_profile(m)
     return {
         "profile": profile.to_json(),

@@ -30,13 +30,13 @@ from gshift.indexspace import (
     table_map,
 )
 from gshift.orbits import (
+    Verdict,
     chain_decomposition,
     classify_point,
     map_profile,
     orbit_position,
     proven_false,
     proven_true,
-    unknown,
     v_and,
     v_not,
     v_or,
@@ -70,7 +70,7 @@ tables = st.integers(min_value=1, max_value=6).flatmap(
 verdicts = st.sampled_from([
     proven_true(witness=("w",), provenance="exhaustive"),
     proven_false(certificate="c", provenance="analytic-metadata"),
-    unknown(budget=16),
+    Verdict("unknown"),
 ])
 
 
@@ -90,7 +90,7 @@ def test_definite_verdicts_require_evidence():
         proven_false()
     assert proven_true(witness=(ix(0),)).is_true
     assert proven_false(certificate="because").is_false
-    assert unknown(budget=5).is_unknown
+    assert Verdict("unknown").is_unknown
 
 
 @given(verdicts)

@@ -20,10 +20,10 @@ from gshift.indexspace import (
 )
 from gshift.orbits import (
     MapProfile,
+    Verdict,
     map_profile,
     proven_false,
     proven_true,
-    unknown,
     v_and,
     v_not,
 )
@@ -36,7 +36,7 @@ from gshift.theorems import (
 
 T = proven_true(witness=(ix(0),))
 F = proven_false(certificate="stipulated")
-U = unknown(budget=8)
+U = Verdict("unknown")
 TRI = {"T": T, "F": F, "U": U}
 
 
