@@ -2,11 +2,11 @@
 """Check that the tests pin the checker's strictness, one mutant at a time.
 
 Each mutant below is a one-line change that loosens a proof-bound replay or a
-scrambling surrogate, lets an empty replay pass, or excuses a failed pair as
-never told apart, so that `gshift verify` could claim more than it has shown;
-or that reads a shifted weave window from its splice even where the window
-reaches back past the splice's start, so that a member could seem to enter a
-cylinder it misses.
+scrambling surrogate, lets an empty replay pass, drops the schedule's last
+block from the replay, or excuses a failed pair as never told apart, so that
+`gshift verify` could claim more than it has shown; or that reads a shifted
+weave window from its splice even where the window reaches back past the
+splice's start, so that a member could seem to enter a cylinder it misses.
 For each, the script copies `src`, `tests` and `pyproject.toml` to a
 temporary directory, applies the change there, runs the tests named for it
 with `pytest -x -q`, and prints `killed` (a test failed) or `survived` (every
@@ -62,6 +62,10 @@ MUTANTS = (
            "if True:",
            ("tests/test_cli.py::test_an_empty_proof_bound_replay_alone_leaves_verify_inconclusive",
             "tests/test_cli.py::test_verify_reports_an_empty_proof_bound_replay_as_not_shown")),
+    Mutant("replay-range", "src/gshift/cli.py",
+           "range(2, last + 1), (0, 1))",
+           "range(2, last), (0, 1))",
+           ("tests/test_cli.py::test_verify_replays_the_pinned_proof_bounds",)),
     Mutant("never-told-apart", "src/gshift/cli.py",
            "told = any(sets[i].contains(r) != sets[j].contains(r) for r in range(1, last + 1))",
            "told = False",

@@ -87,8 +87,7 @@ CONFIG_FIELDS = frozenset({"map", "alphabet", "family_size", "lengths", "windows
                            "eps_low", "eps_high", "anchor_rank"})
 ALPHABET_FIELDS = frozenset({"symbols", "p", "q"})
 LENGTHS_FIELDS = frozenset({"variant", "count"})
-SCHEDULE_FIELDS = {"block_boundaries": frozenset({"kind", "r_max"}),
-                   "explicit": frozenset({"kind", "horizons"})}
+SCHEDULE_FIELDS = frozenset({"kind", "r_max"})
 
 # The most blocks lengths.count and schedule.r_max may ask for: past block
 # ~1,558 a horizon has more than 4,300 decimal digits, which Python refuses
@@ -106,8 +105,7 @@ class ExperimentConfig(Record):
     variant_given: bool  # the config set lengths.variant itself
     lengths_count: int
     windows: Optional[tuple[tuple[int, ...], ...]]  # None: two windows on the anchor's orbit
-    schedule_r_max: int
-    schedule_horizons: tuple[int, ...]  # nonempty: an explicit schedule
+    schedule_r_max: int  # the schedule's last block: horizons n_1..n_r_max
     eps_low: Fraction
     eps_high: Fraction
     anchor_rank: int
@@ -195,22 +193,12 @@ def parse_config(obj: dict) -> ExperimentConfig:
     sched_obj = _expect(obj, "schedule", dict, "config",
                         default={"kind": "block_boundaries", "r_max": 8})
     kind = sched_obj.get("kind", "block_boundaries")
-    if not isinstance(kind, str) or kind not in SCHEDULE_FIELDS:
+    if kind != "block_boundaries":
         raise ConfigError(f"config.schedule.kind: unknown kind {kind!r}")
-    _reject_unknown(sched_obj, SCHEDULE_FIELDS[kind], "config.schedule")
-    r_max, horizons = 8, ()
-    if kind == "block_boundaries":
-        r_max = sched_obj.get("r_max", 8)
-        if not _is_int(r_max) or not 1 <= r_max <= MAX_BLOCKS:
-            raise ConfigError(f"config.schedule.r_max: need an integer from 1 to {MAX_BLOCKS}")
-    else:
-        horizons = sched_obj.get("horizons")
-        if not isinstance(horizons, list) or not horizons or any(
-                not _is_int(h) or h < 1 for h in horizons):
-            raise ConfigError("config.schedule.horizons: need positive integers")
-        horizons = tuple(horizons)
-        if any(b <= a for a, b in zip(horizons, horizons[1:])):
-            raise ConfigError("config.schedule.horizons: need strictly increasing horizons")
+    _reject_unknown(sched_obj, SCHEDULE_FIELDS, "config.schedule")
+    r_max = sched_obj.get("r_max", 8)
+    if not _is_int(r_max) or not 1 <= r_max <= MAX_BLOCKS:
+        raise ConfigError(f"config.schedule.r_max: need an integer from 1 to {MAX_BLOCKS}")
     eps_low, eps_high = _eps(obj, "eps_low"), _eps(obj, "eps_high")
     anchor_rank = _expect(obj, "anchor_rank", int, "config", default=1)
     if anchor_rank < 1:
@@ -224,7 +212,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
         lengths_count=count,
         windows=windows,
         schedule_r_max=r_max,
-        schedule_horizons=horizons,
         eps_low=eps_low,
         eps_high=eps_high,
         anchor_rank=anchor_rank,
@@ -245,12 +232,6 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Shared pipeline pieces.
 # ---------------------------------------------------------------------------
-
-
-def _schedule_for(cfg: ExperimentConfig, lengths) -> Schedule:
-    if cfg.schedule_horizons:
-        return Schedule(cfg.schedule_horizons)
-    return block_boundary_schedule(lengths, cfg.schedule_r_max)
 
 
 def _pick_anchor(cfg: ExperimentConfig) -> Index:
@@ -416,8 +397,8 @@ def _cmd_construct(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def _cmd_stats(cfg: ExperimentConfig, out: Path, args) -> int:
-    lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
-    schedule = _schedule_for(cfg, lengths)
+    lengths = block_lengths(cfg.schedule_r_max, cfg.lengths_variant)
+    schedule = block_boundary_schedule(lengths, cfg.schedule_r_max)
     spec, members = _family_for(cfg, lengths)
     rows = _stats_rows(_pair_reports(cfg, spec, members, schedule))
     _write_csv(out / "stats.csv", rows, STATS_COLUMNS)
@@ -442,9 +423,9 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     elif not verdict.is_true:
         inconclusive.append(f"distributional verdict is {verdict.truth}; no construction checked")
     else:
-        lengths = block_lengths(cfg.lengths_count, cfg.lengths_variant)
-        schedule = _schedule_for(cfg, lengths)
-        blocks = range(2, cfg.schedule_r_max + 1)
+        last = cfg.schedule_r_max  # the last block the schedule reaches
+        lengths = block_lengths(last, cfg.lengths_variant)
+        schedule = block_boundary_schedule(lengths, last)
         try:
             spec, members = _family_for(cfg, lengths)
             pair_reports = _pair_reports(cfg, spec, members, schedule)
@@ -452,16 +433,16 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
             bound_results = [
                 {"pair": pair_id, "r": bound.r, "ok": bound.ok}
                 for pair_id, i, j in _pairs(members)
-                for bound in proof_bound_check_dc(spec, members, i, j, blocks, (0, 1))
+                for bound in proof_bound_check_dc(spec, members, i, j,
+                                                  range(2, last + 1), (0, 1))
             ]
             if bound_results:
                 checks.append(("proof-bounds", all(b["ok"] for b in bound_results),
                                f"{sum(b['ok'] for b in bound_results)}/{len(bound_results)}"))
             else:  # an empty replay shows nothing, so it cannot pass
-                inconclusive.append(f"proof-bounds: no block replayed in 2..{cfg.schedule_r_max}")
+                inconclusive.append(f"proof-bounds: no block replayed in 2..{last}")
             # a pair whose sets agree on every block the schedule reaches was
             # never told apart, so its failed surrogates show nothing either way
-            last = lengths.locate(schedule.horizons[-1] - 1)[0]
             sets = spec.family.members
             failing, untold = [], []
             for pair_id, i, j in _pairs(members):

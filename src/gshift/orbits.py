@@ -59,13 +59,14 @@ class Verdict(Record):
     """Three-valued answer with evidence.
 
     provenance: "exhaustive" (finite domain fully checked) or
-    "analytic-metadata" (a certified fact of the map's rule record).
+    "analytic-metadata" (a certified fact of the map's rule record); None on
+    an unknown verdict, which has no source to name.
     """
 
     truth: str
     witness: Optional[tuple] = None
     certificate: Optional[str] = None
-    provenance: str = "analytic-metadata"
+    provenance: Optional[str] = None
 
     @property
     def is_true(self) -> bool:
@@ -80,7 +81,9 @@ class Verdict(Record):
         return self.truth == UNKNOWN
 
     def to_json(self) -> dict:
-        out: dict = {"truth": self.truth, "provenance": self.provenance}
+        out: dict = {"truth": self.truth}
+        if self.provenance is not None:
+            out["provenance"] = self.provenance
         if self.witness is not None:
             out["witness"] = [repr(w) for w in self.witness]
         if self.certificate is not None:

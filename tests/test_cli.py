@@ -7,6 +7,7 @@ import json
 import pytest
 
 import gshift.cli as cli
+import gshift.constructions as constructions
 from gshift.cli import ConfigError, ExperimentConfig, main, parse_config
 from gshift.orbits import MapProfile, PointClassification, Verdict
 
@@ -73,11 +74,6 @@ NAMED_ERRORS = [pytest.param(broken, fragment, id=name) for name, broken, fragme
     ("bool-count", {"map": PHI1["map"], "lengths": {"count": True}}, "config.lengths.count"),
     ("bool-r_max", {"map": PHI1["map"], "schedule": {"kind": "block_boundaries", "r_max": True}},
      "config.schedule.r_max"),
-    ("bool-horizon",
-     {"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": [True, 5]}},
-     "config.schedule.horizons"),
-    ("int-horizons", {"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": 5}},
-     "config.schedule.horizons"),
     ("bool-anchor", {"map": PHI1["map"], "anchor_rank": True}, "config.anchor_rank"),
     ("unknown-field", {"map": PHI1["map"], "windws": [[6]]}, "config.windws: unknown field"),
     ("unknown-fields", {"map": PHI1["map"], "windws": [[6]], "eps_lo": "1/2"},
@@ -104,9 +100,9 @@ NAMED_ERRORS = [pytest.param(broken, fragment, id=name) for name, broken, fragme
     ("horizons-for-block-boundaries",
      {"map": PHI1["map"], "schedule": {"kind": "block_boundaries", "horizons": [5, 50]}},
      "config.schedule.horizons: unknown field"),
-    ("r_max-for-explicit",
-     {"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": [5], "r_max": 3}},
-     "config.schedule.r_max: unknown field"),
+    # block boundaries are the one schedule kind
+    ("explicit-kind", {"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": [5]}},
+     "config.schedule.kind: unknown kind 'explicit'"),
     ("unknown-schedule-kind", {"map": PHI1["map"], "schedule": {"kind": "fixed"}},
      "config.schedule.kind: unknown kind 'fixed'"),
     ("int-schedule-kind", {"map": PHI1["map"], "schedule": {"kind": 3}},
@@ -129,9 +125,9 @@ NAMED_ERRORS = [pytest.param(broken, fragment, id=name) for name, broken, fragme
     ({"map": PHI1["map"], "family_size": 1}, "family_size"),
     ({"map": PHI1["map"], "lengths": {"variant": "fancy"}}, "variant"),
     ({"map": PHI1["map"], "windows": [[0]]}, "windows[0]"),
-    ({"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": []}}, "horizons"),
+    ({"map": PHI1["map"], "schedule": {"r_max": 0}}, "r_max"),
     ({"map": PHI1["map"], "eps_low": "one quarter"}, "eps"),
-    ({"map": PHI1["map"], "schedule": {"kind": "explicit", "horizons": [50, 5]}}, "horizons"),
+    ({"map": PHI1["map"], "schedule": {"r_max": "8"}}, "r_max"),
     # kept out of NAMED_ERRORS: verify would try to build all 40,000 blocks
     pytest.param({"map": PHI1["map"], "lengths": {"count": 40000}},
                  "config.lengths.count: need an integer from 1 to 1500", id="count-40000"),
@@ -357,6 +353,16 @@ def test_verify_reports_an_unknown_prediction_as_inconclusive(tmp_path, capsys, 
     assert blob["checks"] == []
 
 
+def test_an_unknown_verdict_names_no_provenance(tmp_path, capsys, monkeypatch):
+    # an undecided fact has no source: no verdict of the report claims one
+    monkeypatch.setattr(cli, "map_profile", _unknown_profile)
+    assert _run(tmp_path, "verify", config=PHI1) == 3
+    blob = json.loads((tmp_path / "out" / "verify.json").read_text())
+    verdicts = [*blob["profile"].values(), *blob["prediction"].values()]
+    assert len(verdicts) == 8
+    assert all(v == {"truth": "unknown"} for v in verdicts), verdicts
+
+
 # square's orbit through coordinate 3 outgrows the bit budget within the
 # horizon; so does the walk from coordinate 1 under (n + 1)^2 + 1, which
 # never meets the orbit of the anchor 0
@@ -533,15 +539,26 @@ def test_an_empty_proof_bound_replay_alone_leaves_verify_inconclusive(
     assert json.loads((tmp_path / "out" / "verify.json").read_text())["rollup"] is False
 
 
-# the blocks whose proof bounds verify replays: 2..r_max, where an explicit
-# schedule keeps the default r_max 8, and r_max 5 stops at block 5, which ends
-# at horizon(5) = 206
+# stats and verify check the growth inequality on every block the schedule
+# reads, whatever lengths.count says
+@pytest.mark.parametrize("command", ["stats", "verify"])
+def test_the_growth_inequality_is_checked_up_to_r_max(tmp_path, capsys, monkeypatch, command):
+    checked = []
+    monkeypatch.setattr(constructions, "verify_length_inequalities",
+                        lambda bl, upto: checked.append(upto))
+    cfg = dict(PHI1, lengths={"variant": "plain", "count": 1})
+    assert _run(tmp_path, command, config=cfg) == 0
+    assert checked == [6]
+
+
+# the blocks whose proof bounds verify replays: 2..r_max, so r_max 5 stops at
+# block 5, which ends at horizon(5) = 206
 @pytest.mark.parametrize("schedule, replayed", [
-    ({"kind": "explicit", "horizons": [1, 3, 10, 41, 206, 1237]},
+    ({"kind": "block_boundaries", "r_max": 8},
      {"1-2": [2, 3, 4, 5, 6, 8], "1-3": [2, 3, 4, 6, 7, 8], "2-3": [2, 4, 5, 6, 7, 8]}),
     ({"kind": "block_boundaries", "r_max": 5},
      {"1-2": [2, 3, 4, 5], "1-3": [2, 3, 4], "2-3": [2, 4, 5]}),
-], ids=["explicit", "capped"])
+], ids=["r_max-8", "capped"])
 def test_verify_replays_the_pinned_proof_bounds(tmp_path, capsys, schedule, replayed):
     assert _run(tmp_path, "verify", config=dict(PHI1, schedule=schedule)) == 0
     bounds = json.loads((tmp_path / "out" / "verify.json").read_text())["bounds"]

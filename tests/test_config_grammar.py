@@ -73,11 +73,7 @@ MAPS = st.recursive(
 )
 
 RANKS = st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True)
-SCHEDULES = st.one_of(
-    _fields({"kind": st.just("block_boundaries"), "r_max": st.integers(1, 5)}),
-    _fields({"kind": st.just("explicit"),
-             "horizons": st.lists(st.integers(1, 400), min_size=1, max_size=4)}),
-)
+SCHEDULES = _fields({"kind": st.just("block_boundaries"), "r_max": st.integers(1, 5)})
 SYMBOLS = _often(st.sampled_from([["p", "q"], ["p", "q", "r"], ["q", "r", "p"]]),
                  st.sampled_from([["p"], ["p", "p"]]))
 ALPHABETS = _fields({"symbols": SYMBOLS, "p": _often(st.just("p"), st.just("r")),
