@@ -13,37 +13,39 @@ every layer.
 
 from importlib import import_module
 
-# layer -> the names the package root re-exports from it
+# layer -> its public names: the layer's `__all__`, and what the root re-exports
 _EXPORTS = {
     "indexspace": (
         "BudgetExceededError", "DomainMismatchError", "INTEGERS", "Index", "IndexDomain",
-        "RankRangeError", "SelfMap", "compose_maps", "contains", "disjoint_union",
-        "disjoint_union_maps", "domain_size", "enumerate_index", "evaluate", "finite_range",
-        "format_index", "iterate", "map_spec", "parity_down", "parity_up", "parse_map_spec",
-        "predecessor", "preimage", "rank_of", "region_indices", "square", "square_plus_one",
-        "successor", "table_map",
+        "NATURALS", "RankRangeError", "Record", "SelfMap", "chain_coordinates", "compose_maps",
+        "contains", "disjoint_union", "disjoint_union_maps", "domain_size", "enumerate_index",
+        "evaluate", "finite_range", "format_index", "iterate", "map_spec", "parity_down",
+        "parity_up", "parse_map_spec", "predecessor", "preimage", "rank_of", "region_indices",
+        "square", "square_plus_one", "successor", "table_map",
     ),
     "orbits": (
         "ChainDecomposition", "MapProfile", "PointClassification", "UnresolvedOrbitError",
-        "Verdict", "chain_decomposition", "classify_point", "map_profile", "orbit_position",
-        "proven_false", "proven_true", "v_and", "v_not", "v_or",
+        "Verdict", "chain_decomposition", "classify_point", "first_join", "map_profile",
+        "orbit_position", "proven_false", "proven_true", "v_and", "v_not", "v_or",
+        "window_offsets",
     ),
     "configspace": (
         "Alphabet", "Configuration", "Constant", "CylinderPattern", "Embedded", "FinitePatch",
-        "MetricResolutionError", "OrbitBlocks", "Shifted", "default_alphabet", "in_cylinder",
-        "make_window", "metric_less_than", "pattern_json", "shifted", "window_from_ranks",
+        "MetricResolutionError", "OrbitBlocks", "PreconditionError", "Shifted",
+        "default_alphabet", "in_cylinder", "make_window", "metric_less_than", "pattern_json",
+        "shifted", "threshold_to_window", "window_from_ranks", "window_to_threshold",
     ),
     "constructions": (
-        "AlmostDisjointFamily", "BlockLengths", "LengthLexWord", "PatternEnumeration",
-        "PreconditionError", "PrimePowerSet", "ScrambledFamilySpec", "almost_disjoint_family",
+        "AlmostDisjointFamily", "BlockLengths", "ExplicitBlockSet", "LengthLexWord",
+        "PatternEnumeration", "PrimePowerSet", "ScrambledFamilySpec", "almost_disjoint_family",
         "block_lengths", "dc_family", "densify_family", "full_shift_transitive_point",
-        "pattern_enumeration", "shift_inner", "transitive_weave_family",
+        "omega_embedding", "pattern_enumeration", "shift_inner", "transitive_weave_family",
         "verify_length_inequalities", "weave_entry_exponent",
     ),
     "stats": (
         "BlockBound", "DensityProfile", "DensityRow", "PairVerdict", "Schedule",
         "block_boundary_schedule", "dc_pair_report", "density_profile", "orbit_window",
-        "proof_bound_check_dc",
+        "proof_bound_check_dc", "xi_count", "zeta_count",
     ),
     "theorems": (
         "ChaosPrediction", "SuiteEntry", "check_composition_law", "check_product_law",

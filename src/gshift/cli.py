@@ -38,11 +38,11 @@ from .orbits import (
 )
 from .configspace import (
     Alphabet,
+    PreconditionError,
     pattern_json,
     window_from_ranks,
 )
 from .constructions import (
-    PreconditionError,
     ScrambledFamilySpec,
     almost_disjoint_family,
     block_lengths,
@@ -53,7 +53,6 @@ from .constructions import (
     transitive_weave_family,
 )
 from .stats import (
-    Schedule,
     block_boundary_schedule,
     dc_pair_report,
     orbit_window,
@@ -276,22 +275,6 @@ def _pairs(members) -> list[tuple[str, int, int]]:
             for i, j in itertools.combinations(range(len(members)), 2)]
 
 
-def _pair_reports(cfg: ExperimentConfig, spec, members, schedule: Schedule) -> dict:
-    """`dc_pair_report` of every member pair, by pair id, on the configured
-    windows; by default on the anchor alone and on the anchor with its image,
-    which lie on the orbit that the blocks are written along."""
-    anchor = spec.anchor
-    if cfg.windows is None:
-        windows = [orbit_window(cfg.map, anchor, offsets) for offsets in ((0,), (0, 1))]
-    else:
-        windows = [window_from_ranks(cfg.map.domain, ranks) for ranks in cfg.windows]
-    return {
-        pair_id: dc_pair_report(cfg.map, members[i], members[j], windows, schedule,
-                                cfg.eps_low, cfg.eps_high)
-        for pair_id, i, j in _pairs(members)
-    }
-
-
 def _stats_rows(pair_reports: dict) -> list[dict]:
     rows = []
     for pair_id, report in pair_reports.items():
@@ -396,13 +379,31 @@ def _cmd_construct(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
-def _cmd_stats(cfg: ExperimentConfig, out: Path, args) -> int:
+def _evidence(cfg: ExperimentConfig, out: Path) -> tuple[ScrambledFamilySpec, list, dict, int]:
+    """What `stats` and `verify` read: the family on blocks 1..schedule.r_max
+    and the `dc_pair_report` of every member pair, by pair id, at the block
+    boundaries, with its rows written to stats.csv; returns (spec, members,
+    reports, rows written).  The windows are the configured ones; by default
+    the anchor alone and the anchor with its image, which lie on the orbit
+    that the blocks are written along."""
     lengths = block_lengths(cfg.schedule_r_max, cfg.lengths_variant)
     schedule = block_boundary_schedule(lengths, cfg.schedule_r_max)
     spec, members = _family_for(cfg, lengths)
-    rows = _stats_rows(_pair_reports(cfg, spec, members, schedule))
+    if cfg.windows is None:
+        windows = [orbit_window(cfg.map, spec.anchor, offsets) for offsets in ((0,), (0, 1))]
+    else:
+        windows = [window_from_ranks(cfg.map.domain, ranks) for ranks in cfg.windows]
+    pair_reports = {pair_id: dc_pair_report(cfg.map, members[i], members[j], windows, schedule,
+                                            cfg.eps_low, cfg.eps_high)
+                    for pair_id, i, j in _pairs(members)}
+    rows = _stats_rows(pair_reports)
     _write_csv(out / "stats.csv", rows, STATS_COLUMNS)
-    print(f"wrote {len(rows)} rows to {out / 'stats.csv'}")
+    return spec, members, pair_reports, len(rows)
+
+
+def _cmd_stats(cfg: ExperimentConfig, out: Path, args) -> int:
+    *_, n_rows = _evidence(cfg, out)
+    print(f"wrote {n_rows} rows to {out / 'stats.csv'}")
     return 0
 
 
@@ -424,31 +425,26 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
         inconclusive.append(f"distributional verdict is {verdict.truth}; no construction checked")
     else:
         last = cfg.schedule_r_max  # the last block the schedule reaches
-        lengths = block_lengths(last, cfg.lengths_variant)
-        schedule = block_boundary_schedule(lengths, last)
         try:
-            spec, members = _family_for(cfg, lengths)
-            pair_reports = _pair_reports(cfg, spec, members, schedule)
-            _write_csv(out / "stats.csv", _stats_rows(pair_reports), STATS_COLUMNS)
-            bound_results = [
-                {"pair": pair_id, "r": bound.r, "ok": bound.ok}
-                for pair_id, i, j in _pairs(members)
-                for bound in proof_bound_check_dc(spec, members, i, j,
-                                                  range(2, last + 1), (0, 1))
-            ]
+            spec, members, pair_reports, _ = _evidence(cfg, out)
+            bounds = {pair_id: proof_bound_check_dc(spec, members, i, j,
+                                                    range(2, last + 1), (0, 1))
+                      for pair_id, i, j in _pairs(members)}
+            bound_results = [{"pair": pair_id, "r": bound.r, "ok": bound.ok}
+                             for pair_id, pair_bounds in bounds.items() for bound in pair_bounds]
             if bound_results:
                 checks.append(("proof-bounds", all(b["ok"] for b in bound_results),
                                f"{sum(b['ok'] for b in bound_results)}/{len(bound_results)}"))
             else:  # an empty replay shows nothing, so it cannot pass
                 inconclusive.append(f"proof-bounds: no block replayed in 2..{last}")
             # a pair whose sets agree on every block the schedule reaches was
-            # never told apart, so its failed surrogates show nothing either way
-            sets = spec.family.members
+            # never told apart, so its failed surrogates show nothing either
+            # way; no member set holds block 1 (odd, below every odd prime), so
+            # the replay over 2..last holds every block the sets differ on
             failing, untold = [], []
-            for pair_id, i, j in _pairs(members):
-                verdict_ij = pair_reports[pair_id]
+            for pair_id, verdict_ij in pair_reports.items():
                 if not (verdict_ij.dc1_surrogate and verdict_ij.dc2_surrogate):
-                    told = any(sets[i].contains(r) != sets[j].contains(r) for r in range(1, last + 1))
+                    told = any(not b.shared for b in bounds[pair_id])
                     (failing if told else untold).append(pair_id)
             if failing or not untold:
                 checks.append(("dc-surrogate", not failing,
@@ -461,7 +457,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
             checks.append(("anchor", False, str(exc)))
         except UnresolvedOrbitError as exc:
             inconclusive.append(str(exc))
-        except (PreconditionError, ValueError) as exc:
+        except ValueError as exc:
             checks.append(("construction", False, str(exc)))
     for name, ok, note in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {note}")
@@ -549,7 +545,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UnresolvedOrbitError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
-    except (PreconditionError, ValueError) as exc:  # a construction's precondition failed
+    except ValueError as exc:  # a construction's precondition failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

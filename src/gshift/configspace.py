@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from . import _EXPORTS
 from .indexspace import (
     DomainMismatchError,
     Index,
@@ -28,27 +29,7 @@ from .indexspace import (
 )
 from .orbits import classify_point, first_join, orbit_position, window_offsets
 
-__all__ = [
-    "Alphabet",
-    "Configuration",
-    "Constant",
-    "FinitePatch",
-    "OrbitBlocks",
-    "Embedded",
-    "Shifted",
-    "CylinderPattern",
-    "MetricResolutionError",
-    "PreconditionError",
-    "default_alphabet",
-    "make_window",
-    "window_from_ranks",
-    "pattern_json",
-    "shifted",
-    "in_cylinder",
-    "metric_less_than",
-    "threshold_to_window",
-    "window_to_threshold",
-]
+__all__ = list(_EXPORTS["configspace"])
 
 
 class Alphabet(Record):

@@ -13,6 +13,7 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Sequence
 
+from . import _EXPORTS
 from .indexspace import (
     INTEGERS,
     DomainMismatchError,
@@ -37,27 +38,7 @@ from .configspace import (
     in_cylinder,
 )
 
-__all__ = [
-    "BlockLengths",
-    "PrimePowerSet",
-    "ExplicitBlockSet",
-    "AlmostDisjointFamily",
-    "ScrambledFamilySpec",
-    "PatternEnumeration",
-    "PreconditionError",
-    "block_lengths",
-    "verify_length_inequalities",
-    "almost_disjoint_family",
-    "dc_family",
-    "pattern_enumeration",
-    "densify_family",
-    "transitive_weave_family",
-    "LengthLexWord",
-    "full_shift_transitive_point",
-    "weave_entry_exponent",
-    "omega_embedding",
-    "shift_inner",
-]
+__all__ = list(_EXPORTS["constructions"])
 
 
 # ---------------------------------------------------------------------------

@@ -15,40 +15,9 @@ from heapq import merge
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
-__all__ = [
-    "Record",
-    "Index",
-    "IndexDomain",
-    "SelfMap",
-    "DomainMismatchError",
-    "BudgetExceededError",
-    "RankRangeError",
-    "INTEGERS",
-    "NATURALS",
-    "finite_range",
-    "disjoint_union",
-    "domain_size",
-    "contains",
-    "enumerate_index",
-    "rank_of",
-    "region_indices",
-    "table_map",
-    "successor",
-    "predecessor",
-    "square",
-    "square_plus_one",
-    "parity_up",
-    "parity_down",
-    "compose_maps",
-    "disjoint_union_maps",
-    "evaluate",
-    "iterate",
-    "preimage",
-    "chain_coordinates",
-    "parse_map_spec",
-    "map_spec",
-    "format_index",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["indexspace"])
 
 # Bit-length ceiling for coordinates.  Squaring-type rules grow doubly
 # exponentially; beyond this the coordinate is refused rather than computed.

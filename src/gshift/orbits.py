@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
+from . import _EXPORTS
 from .indexspace import (
     BudgetExceededError,
     DomainMismatchError,
@@ -27,24 +28,7 @@ from .indexspace import (
     route,
 )
 
-__all__ = [
-    "Verdict",
-    "PointClassification",
-    "MapProfile",
-    "ChainDecomposition",
-    "UnresolvedOrbitError",
-    "proven_true",
-    "proven_false",
-    "v_not",
-    "v_and",
-    "v_or",
-    "classify_point",
-    "map_profile",
-    "chain_decomposition",
-    "orbit_position",
-    "first_join",
-    "window_offsets",
-]
+__all__ = list(_EXPORTS["orbits"])
 
 PROVEN_TRUE = "proven_true"
 PROVEN_FALSE = "proven_false"
@@ -134,18 +118,7 @@ def v_and(a: Verdict, b: Verdict) -> Verdict:
 
 
 def v_or(a: Verdict, b: Verdict) -> Verdict:
-    if a.is_true:
-        return a
-    if b.is_true:
-        return b
-    if a.is_false and b.is_false:
-        return Verdict(
-            PROVEN_FALSE,
-            a.witness or b.witness,
-            a.certificate or b.certificate,
-            _worst_provenance(a, b),
-        )
-    return a if a.is_unknown else b
+    return v_not(v_and(v_not(a), v_not(b)))
 
 
 class PointClassification(Record):
@@ -160,7 +133,7 @@ class PointClassification(Record):
     period: Optional[int] = None
     preperiod: Optional[int] = None
     certificate: Optional[str] = None
-    provenance: str = "analytic-metadata"
+    provenance: Optional[str] = None  # as Verdict.provenance
 
     @property
     def is_non_quasi_periodic(self) -> bool:
@@ -216,12 +189,15 @@ def classify_point(m: SelfMap, index: Index) -> PointClassification:
         return PointClassification(_kind(pre), len(points) - pre, pre, provenance="exhaustive")
     facts = m.record.facts
     if facts.period is not None and facts.period_parity in (None, index.coord & 1):
-        return PointClassification("periodic", facts.period, 0, certificate=facts.note)
+        return PointClassification("periodic", facts.period, 0, certificate=facts.note,
+                                   provenance="analytic-metadata")
     shape = facts.finite.get(index.coord)
     if shape is not None:
         pre, per = shape
-        return PointClassification(_kind(pre), per, pre, certificate=facts.finite_note)
-    return PointClassification("non_quasi_periodic", certificate=facts.note)
+        return PointClassification(_kind(pre), per, pre, certificate=facts.finite_note,
+                                   provenance="analytic-metadata")
+    return PointClassification("non_quasi_periodic", certificate=facts.note,
+                               provenance="analytic-metadata")
 
 
 # ---------------------------------------------------------------------------

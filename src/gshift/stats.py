@@ -13,24 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import _EXPORTS
 from .indexspace import Index, Record, SelfMap, evaluate, preimage
 from .configspace import Configuration, Run, make_window, metric_less_than, shifted
 from .constructions import BlockLengths, ScrambledFamilySpec
 
-__all__ = [
-    "Schedule",
-    "DensityRow",
-    "DensityProfile",
-    "PairVerdict",
-    "BlockBound",
-    "block_boundary_schedule",
-    "zeta_count",
-    "xi_count",
-    "density_profile",
-    "dc_pair_report",
-    "proof_bound_check_dc",
-    "orbit_window",
-]
+__all__ = list(_EXPORTS["stats"])
 
 
 class Schedule(Record):

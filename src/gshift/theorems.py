@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from . import _EXPORTS
 from .indexspace import (
     Index,
     Record,
@@ -33,14 +34,7 @@ from .indexspace import (
 from .orbits import MapProfile, Verdict, VerdictFields, map_profile, v_and, v_not, v_or
 from .configspace import Constant, FinitePatch, shifted
 
-__all__ = [
-    "ChaosPrediction",
-    "SuiteEntry",
-    "predict",
-    "counterexample_suite",
-    "check_product_law",
-    "check_composition_law",
-]
+__all__ = list(_EXPORTS["theorems"])
 
 
 class ChaosPrediction(VerdictFields, Record):

@@ -363,6 +363,21 @@ def test_an_unknown_verdict_names_no_provenance(tmp_path, capsys, monkeypatch):
     assert all(v == {"truth": "unknown"} for v in verdicts), verdicts
 
 
+@pytest.mark.parametrize("map_obj, needs", [
+    ({"rule": "square"}, "injectivity; verdict came back 'proven_false'"),
+    ({"rule": "disjoint_union", "left": {"rule": "successor"}, "right": {"rule": "parity_up"}},
+     "aperiodicity; verdict came back 'proven_true'"),
+], ids=["square", "successor-or-parity_up"])
+def test_verify_fails_a_weave_the_map_cannot_carry(tmp_path, capsys, map_obj, needs):
+    # both maps are predicted distributionally chaotic, but a weave needs more
+    assert _run(tmp_path, "verify", config={"map": map_obj, "lengths": {"variant": "weave"}}) == 1
+    note = f"weave construction needs proven {needs}"
+    assert capsys.readouterr().out.splitlines() == [f"FAIL construction: {note}", "rollup: FAIL"]
+    blob = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert blob["checks"] == [{"name": "construction", "ok": False, "note": note}]
+    assert blob["rollup"] is False
+
+
 # square's orbit through coordinate 3 outgrows the bit budget within the
 # horizon; so does the walk from coordinate 1 under (n + 1)^2 + 1, which
 # never meets the orbit of the anchor 0

@@ -1,7 +1,9 @@
-"""Export lists stay honest: each module's __all__ names only what it defines,
-and the package root re-exports only names its modules list, loading a layer
-only when one of its names is read."""
+"""Export lists stay honest: the package's export table is each layer's
+__all__, each layer defines what its entry names, and the package root
+re-exports only those names, loading a layer only when one of its names is
+read."""
 
+import ast
 import importlib
 import json
 import os
@@ -22,6 +24,28 @@ def test_every_listed_name_exists(name):
     module = importlib.import_module(f"gshift.{name}")
     assert module.__all__
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("layer", list(gshift._EXPORTS))
+def test_each_layer_lists_its_export_table_entry(layer):
+    assert importlib.import_module(f"gshift.{layer}").__all__ == list(gshift._EXPORTS[layer])
+
+
+def _top_level_definitions(path: Path) -> set[str]:
+    """Names a module binds at top level by class, def or assignment, not by import."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("layer", list(gshift._EXPORTS))
+def test_every_root_name_is_defined_in_its_home_layer(layer):
+    defined = _top_level_definitions(SRC / f"{layer}.py")
+    assert [n for n in gshift._EXPORTS[layer] if n not in defined] == []
 
 
 def test_the_package_re_exports_only_listed_names():

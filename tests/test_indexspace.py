@@ -22,6 +22,7 @@ from gshift.indexspace import (
     Index,
     IndexDomain,
     NATURALS,
+    RankRangeError,
     Record,
     SelfMap,
     compose_maps,
@@ -90,6 +91,16 @@ def test_union_enumeration_spills_into_longer_side():
     u = disjoint_union(finite_range(2), INTEGERS)
     got = [format_index(enumerate_index(u, r)) for r in range(1, 8)]
     assert got == ["L0", "R0", "L1", "R1", "R-1", "R2", "R-2"]
+
+
+def test_a_union_of_two_finite_domains_is_finite():
+    u = disjoint_union(finite_range(2), finite_range(3))
+    assert domain_size(u) == 5
+    indices = [enumerate_index(u, r) for r in range(1, 6)]
+    assert [format_index(i) for i in indices] == ["L0", "R0", "L1", "R1", "R2"]
+    assert [rank_of(u, i) for i in indices] == [1, 2, 3, 4, 5]
+    with pytest.raises(RankRangeError, match=re.escape("rank 6 > domain size 5")):
+        enumerate_index(u, 6)
 
 
 @given(st.integers(min_value=1, max_value=5000))

@@ -30,6 +30,7 @@ from gshift.indexspace import (
     table_map,
 )
 from gshift.orbits import (
+    PointClassification,
     Verdict,
     chain_decomposition,
     classify_point,
@@ -585,6 +586,11 @@ def test_bounded_search_classifies_points_of_a_composition():
     cls = classify_point(compose_maps(successor(), SQUARE_AFTER_PREDECESSOR), ix(0))  # 0 -> 2 -> 2
     assert (cls.kind, cls.preperiod, cls.period, cls.provenance) == (
         "quasi_periodic", 1, 1, "analytic-metadata")
+
+
+def test_an_unknown_point_names_no_provenance():
+    # as an unknown verdict: an undecided point has no source to name
+    assert PointClassification("unknown").provenance is None
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
