@@ -6,7 +6,9 @@ scrambling surrogate, lets an empty replay pass, drops the schedule's last
 block from the replay, or excuses a failed pair as never told apart, so that
 `gshift verify` could claim more than it has shown; or that reads a shifted
 weave window from its splice even where the window reaches back past the
-splice's start, so that a member could seem to enter a cylinder it misses.
+splice's start, so that a member could seem to enter a cylinder it misses;
+or that writes a pattern's symbols into the weave entry word mirrored about
+the anchor, so that the entry exponent answers for another pattern.
 For each, the script copies `src`, `tests` and `pyproject.toml` to a
 temporary directory, applies the change there, runs the tests named for it
 with `pytest -x -q`, and prints `killed` (a test failed) or `survived` (every
@@ -74,6 +76,10 @@ MUTANTS = (
            "if in_splice and offset + min(offsets) >= 0 and offset + max(offsets) < r:",
            "if in_splice and offset + max(offsets) < r:",
            ("tests/test_constructions.py::test_a_splice_relative_read_agrees_with_pointwise_reads",)),
+    Mutant("entry-word", "src/gshift/constructions.py",
+           "word[k + n_rad] = symbol",
+           "word[n_rad - k] = symbol",
+           ("tests/test_constructions.py::test_weave_entry_exponents_are_pinned",)),
 )
 
 

@@ -275,35 +275,31 @@ def _pairs(members) -> list[tuple[str, int, int]]:
             for i, j in itertools.combinations(range(len(members)), 2)]
 
 
-def _stats_rows(pair_reports: dict) -> list[dict]:
+def _stats_rows(pair_reports: dict) -> list[tuple]:
+    """One row per pair, window and horizon, in `STATS_COLUMNS` order."""
     rows = []
     for pair_id, report in pair_reports.items():
         for wi, profile in enumerate(report.profiles):
+            window_id = f"w{wi + 1}"
             for row in profile.rows:
-                rows.append({
-                    "pair_id": pair_id,
-                    "window_id": f"w{wi + 1}",
-                    "n": row.horizon,
-                    "count": row.count,
-                    "fraction_num": row.fraction.numerator,
-                    "fraction_den": row.fraction.denominator,
-                    "running_min": str(row.running_min),
-                    "running_max": str(row.running_max),
-                })
+                rows.append((pair_id, window_id, row.horizon, row.count,
+                             row.fraction.numerator, row.fraction.denominator,
+                             str(row.running_min), str(row.running_max)))
     return rows
 
 
-def _write_csv(path: Path, rows: list[dict], columns) -> None:
+def _write_csv(path: Path, rows: list[tuple], columns) -> None:
+    """The header, then each row, whose values are in `columns` order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
         writer.writerows(rows)
 
 
 def _write_json(path: Path, obj) -> None:
+    # one write: json.dump would stream hundreds of small chunks
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _member_manifest(cfg: ExperimentConfig, members, spec) -> dict:
@@ -482,18 +478,16 @@ def _cmd_counterexamples(cfg_unused, out: Path, args) -> int:
     rows = []
     names = ("li_yorke", "distributional", "omega", "dense", "transitive")
     for e in entries:
-        rows.append({
-            "map": e.name,
-            "expected": "/".join(t.removeprefix("proven_") for t in e.expected),
-            "computed": "/".join(t.removeprefix("proven_") for t in e.computed.truths()),
-            "pass": str(e.passed).lower(),
-        })
+        rows.append((e.name,
+                     "/".join(t.removeprefix("proven_") for t in e.expected),
+                     "/".join(t.removeprefix("proven_") for t in e.computed.truths()),
+                     str(e.passed).lower()))
     _write_csv(out / "counterexamples.csv", rows, ("map", "expected", "computed", "pass"))
-    width = max(len(r["map"]) for r in rows)
+    width = max(len(name) for name, *_ in rows)
     header = f"{'map'.ljust(width)}  {'/'.join(names)}  pass"
     print(header)
-    for r in rows:
-        print(f"{r['map'].ljust(width)}  {r['computed']}  {r['pass']}")
+    for name, _, computed, verdict in rows:
+        print(f"{name.ljust(width)}  {computed}  {verdict}")
     passed = sum(e.passed for e in entries)
     print(f"{passed}/{len(entries)} suite entries match")
     return 0 if passed == len(entries) else 1

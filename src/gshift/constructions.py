@@ -22,7 +22,6 @@ from .indexspace import (
     Record,
     SelfMap,
     chain_coordinates,
-    enumerate_index,
     rank_of,
 )
 from .orbits import classify_point, map_profile, orbit_position, window_offsets
@@ -36,6 +35,7 @@ from .configspace import (
     OrbitBlocks,
     PreconditionError,
     in_cylinder,
+    window_from_ranks,
 )
 
 __all__ = list(_EXPORTS["constructions"])
@@ -302,8 +302,9 @@ class PatternEnumeration:
         set any j of the bits below hold C(bit, j) * g^(k + j + 1) patterns,
         which sum to g^(k + 1) * (1 + g)^bit, a product of two table entries.
         Decoding costs O(m) small-int steps.  The window of each rank set is
-        built once and then reused from a bounded cache (ranks <= 7 hold only
-        127 windows); the pattern still validates it.
+        built and checked once, in a bounded cache (ranks <= 7 hold only 127
+        windows), and the decoder emits one symbol per rank, so the pattern
+        is built as the tuple of its fields without checking them again.
         """
         if n < 1:
             raise ValueError("pattern index must be >= 1")
@@ -325,7 +326,7 @@ class PatternEnumeration:
             offset, d = divmod(offset, g)
             symbols.append(alphabet[d])
         symbols.reverse()  # lex order: earliest rank varies slowest
-        return CylinderPattern(_window(self.domain, tuple(ranks)), tuple(symbols))
+        return tuple.__new__(CylinderPattern, (_window(self.domain, tuple(ranks)), tuple(symbols)))
 
     def rank_of(self, pattern: CylinderPattern) -> int:
         """The n with pattern(n) == pattern; ValueError past rank _MAX_RANK or
@@ -362,8 +363,8 @@ def _word_number(digits: dict[str, int], symbols: Sequence[str]) -> int:
 
 @lru_cache(maxsize=1024)
 def _window(domain: IndexDomain, ranks: tuple[int, ...]) -> tuple[Index, ...]:
-    """The indices of the given ranks, shared per (domain, ranks): Index is frozen."""
-    return tuple(enumerate_index(domain, r) for r in ranks)
+    """The checked window of the given ranks, shared per (domain, ranks): Index is frozen."""
+    return window_from_ranks(domain, ranks)
 
 
 def pattern_enumeration(alphabet: Alphabet, domain: IndexDomain) -> PatternEnumeration:
@@ -556,12 +557,13 @@ def weave_entry_exponent(spec: ScrambledFamilySpec, source: LengthLexWord,
     # the source must realize the pattern on the full +-N orbit window of the
     # anchor; unconstrained coordinates there may read anything, so fill with q
     offsets = window_offsets(m, anchor, tuple(pattern.window))
-    n_rad = None if offsets is None else max(map(abs, offsets))
+    n_rad = None if offsets is None else max(max(offsets), -min(offsets))
     if n_rad is None or n_rad > 64:
         raise ValueError(f"window {pattern.window!r} not within reach of the anchor")
     origin = chain_coordinates(m, anchor)[1]
-    want, q = dict(zip(offsets, pattern.symbols)), spec.alphabet.q
-    word = [want.get(i, q) for i in range(-n_rad, n_rad + 1)]
+    word = [spec.alphabet.q] * (2 * n_rad + 1)
+    for k, symbol in zip(offsets, pattern.symbols):
+        word[k + n_rad] = symbol
     # offset i of the window sits at splice offset h + i when the word starts
     # at source coordinate origin + h - N
     h = source.word_start(word) + n_rad - origin

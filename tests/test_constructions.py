@@ -37,6 +37,7 @@ from gshift.configspace import (
     OrbitBlocks,
     default_alphabet,
     in_cylinder,
+    make_window,
     shifted,
 )
 from gshift.constructions import (
@@ -325,6 +326,27 @@ def test_pattern_decoding_stops_past_rank_24():
         en.pattern(3 ** 24)
     with pytest.raises(ValueError, match="too large"):
         en.rank_of(pattern_from_ranks(INTEGERS, (25,), (P,)))
+
+
+def _assert_built_as_checked(en, n):
+    # `pattern` builds its record without the constructor's checks: the result
+    # must be what the checked constructor would build from the same fields
+    pat = en.pattern(n)
+    assert type(pat) is CylinderPattern
+    checked = CylinderPattern(pat.window, pat.symbols)
+    assert pat == checked and hash(pat) == hash(checked)
+    assert make_window(pat.window) == pat.window
+
+
+def test_every_entry_weave_pattern_is_built_as_checked():
+    en = pattern_enumeration(ALPHA, INTEGERS)
+    for n in range(1, 3 ** 7):  # every pattern of rank <= 7
+        _assert_built_as_checked(en, n)
+
+
+@given(st.integers(min_value=1, max_value=3 ** 24 - 1))
+def test_a_pattern_up_to_rank_24_is_built_as_checked(n):
+    _assert_built_as_checked(pattern_enumeration(ALPHA, INTEGERS), n)
 
 
 def test_pattern_rank_of_window_pair():
